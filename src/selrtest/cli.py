@@ -23,12 +23,7 @@ from .dataio import ingest_csv
 from .errors import ConfigError, DataError, NumericalError, SelrError
 from .estfun import parse_g_spec
 from .kernels import kernel_by_name, kernel_constants, tabulated_kernel
-from .montecarlo import (
-    SimulationConfig,
-    moment_match,
-    null_table,
-    size_power_study,
-)
+from .montecarlo import SimulationConfig, null_table, size_power_study
 from .selr import (
     Hypothesis,
     bootstrap_null,
@@ -84,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--omega", help="lo,hi testing interval")
     t.add_argument("--include-full-term", action="store_true")
     t.add_argument("--output", help="JSON report path")
-    t.add_argument("--threads", type=int, default=1)
 
     s = sub.add_parser("simulate", help="simulation studies")
     mode = s.add_mutually_exclusive_group(required=True)
@@ -236,47 +230,34 @@ def _cmd_test(args) -> int:
 
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
-    if args.table1:
-        config = SimulationConfig(
-            n=args.n, c0=args.c0, c1=args.c1, reps=args.reps,
-            seed=seed, kernel=args.kernel,
-        )
-        rows = null_table([config], n_jobs=args.threads)
-        out = sys.stdout if not args.output else open(args.output, "w", newline="")
-        try:
-            writer = csv.writer(out)
-            writer.writerow(["n", "h", "variance", "mu", "sigma", "reps"])
-            for row in rows:
-                writer.writerow(
-                    [row.n, f"{row.h:.5f}", row.variance_label,
-                     f"{row.mu:.4f}", f"{row.sigma:.4f}", row.reps]
-                )
-        finally:
-            if args.output:
-                out.close()
-        return 0
-    # size/power study
     config = SimulationConfig(
-        n=args.n, c0=args.c0, c1=args.c1, reps=args.reps, seed=seed,
-        kernel=args.kernel, alternative=args.alternative,
+        n=args.n, c0=args.c0, c1=args.c1, reps=args.reps, seed=seed, kernel=args.kernel,
+        alternative="null" if args.table1 else args.alternative,
     )
-    r_grid = [float(v) for v in args.r_grid.split(",")]
-    thresholds = None
-    if args.threshold_selr is not None and args.threshold_f is not None:
-        thresholds = {0: (args.threshold_selr, args.threshold_f)}
-    rows = size_power_study([config], r_grid, thresholds=thresholds,
-                            level=args.level, n_jobs=args.threads)
+    if args.table1:
+        rows = null_table([config], n_jobs=args.threads)
+        header = ["n", "h", "variance", "mu", "sigma", "reps"]
+        records = [[row.n, f"{row.h:.5f}", row.variance_label,
+                    f"{row.mu:.4f}", f"{row.sigma:.4f}", row.reps] for row in rows]
+    else:
+        r_grid = [float(v) for v in args.r_grid.split(",")]
+        thresholds = None
+        if args.threshold_selr is not None and args.threshold_f is not None:
+            thresholds = {0: (args.threshold_selr, args.threshold_f)}
+        rows = size_power_study([config], r_grid, thresholds=thresholds,
+                                level=args.level, n_jobs=args.threads)
+        header = ["n", "h", "c1", "r", "power_selr", "power_f"]
+        records = [[row.n, f"{row.h:.5f}", row.c1, row.r,
+                    f"{row.power_selr:.4f}", f"{row.power_f:.4f}"] for row in rows]
     out = sys.stdout if not args.output else open(args.output, "w", newline="")
     try:
         writer = csv.writer(out)
-        writer.writerow(["n", "h", "c1", "r", "power_selr", "power_f"])
-        for row in rows:
-            writer.writerow([row.n, f"{row.h:.5f}", row.c1, row.r,
-                             f"{row.power_selr:.4f}", f"{row.power_f:.4f}"])
+        writer.writerow(header)
+        writer.writerows(records)
     finally:
         if args.output:
             out.close()
-    if args.plot_data:
+    if args.power and args.plot_data:
         with open(args.plot_data, "w") as fh:
             fh.write(f"# power curves: n={args.n} h={config.h:.5f} c1={args.c1}\n")
             fh.write("# r power_selr power_f\n")

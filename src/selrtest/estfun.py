@@ -8,7 +8,7 @@ cubic ramps so that a continuous derivative exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -127,7 +127,11 @@ def kernel_eval(kernel: Kernel, t: float) -> float:
 
 
 def _adaptive(f, a, b):
-    val, err = quad(f, a, b, epsrel=_QUAD_RTOL, epsabs=0.0, limit=_QUAD_LIMIT)
+    # full_output keeps quad from warning when it cannot certify the
+    # tolerance: the error estimate is tested below, and that test alone
+    # picks the fallback
+    val, err, *_ = quad(f, a, b, epsrel=_QUAD_RTOL, epsabs=0.0, limit=_QUAD_LIMIT,
+                        full_output=1)
     if not np.isfinite(val):
         raise QuadratureError(f"quadrature diverged on [{a}, {b}]")
     if err > 10 * _QUAD_RTOL * max(1.0, abs(val)):

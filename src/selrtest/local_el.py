@@ -134,23 +134,34 @@ class LocalELFit:
     outer_iters: int
 
 
-def local_weights(data: Dataset, kernel: Kernel, h: float, u0: float) -> LocalWeights:
-    """Normalized kernel weights w_i = K_h(u_i - u0) / sum_m K_h(u_m - u0)."""
+def _window(data: Dataset, kernel: Kernel, h: float, u0: float):
+    """Active indices, normalized weights and local design of one window.
+
+    The weights are w_i = K_h(u_i - u0) / sum_m K_h(u_m - u0) on the
+    observations with positive kernel weight; the local design has rows
+    z_i = (x_i, t_i x_i) with t_i = (u_i - u0)/h.
+    """
     if h <= 0:
         raise ConfigError("bandwidth must be > 0")
-    raw = kernel((data.u - u0) / h)
-    raw = np.atleast_1d(raw)
+    raw = np.atleast_1d(kernel((data.u - u0) / h))
     total = raw.sum()
     if total <= 0:
         raise EmptyWindow(f"no observation within [{u0 - h}, {u0 + h}]")
-    w = raw / total
-    active = np.nonzero(w > 0)[0]
+    active = np.nonzero(raw > 0)[0]
     if len(active) < 2 * data.p + 1:
         warnings.warn(
             f"window at u0={u0:g} holds {len(active)} < {2 * data.p + 1} points",
             ThinWindowWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+    return active, raw[active] / total, _design(data, active, u0, h)
+
+
+def local_weights(data: Dataset, kernel: Kernel, h: float, u0: float) -> LocalWeights:
+    """Normalized kernel weights w_i = K_h(u_i - u0) / sum_m K_h(u_m - u0)."""
+    active, wa, _ = _window(data, kernel, h, u0)
+    w = np.zeros(data.n)
+    w[active] = wa
     return LocalWeights(u0=float(u0), h=float(h), w=w, active=active)
 
 
@@ -159,6 +170,12 @@ def _design(data: Dataset, idx: np.ndarray, u0: float, h: float) -> np.ndarray:
     t = (data.u[idx] - u0) / h
     x = data.x[idx]
     return np.hstack([x, t[:, None] * x])
+
+
+def _moments(g: EstimatingFunction, resid: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Rows G(resid_i) kron z_i, the G component varying slowest."""
+    gvals = g.batch(resid)  # (m, k0)
+    return (gvals[:, :, None] * z[:, None, :]).reshape(len(z), -1)
 
 
 def moment_vectors(
@@ -177,10 +194,7 @@ def moment_vectors(
     if active is None:
         active = np.nonzero(np.abs(data.u - u0) <= h)[0]
     z = _design(data, active, u0, h)
-    resid = data.y[active] - z @ beta.vector
-    gvals = g.batch(resid)  # (m, k0)
-    # kron(gvals_i, z_i) row by row, G component varying slowest
-    return (gvals[:, :, None] * z[:, None, :]).reshape(len(active), -1)
+    return _moments(g, data.y[active] - z @ beta.vector, z)
 
 
 def _hull_contains_zero(moments: np.ndarray) -> bool:
@@ -284,9 +298,8 @@ def local_logel(
     g: EstimatingFunction,
 ) -> tuple[float, float]:
     """Local log empirical likelihood and window entropy at (u0, beta)."""
-    lw = local_weights(data, kernel, h, u0)
-    wa = lw.w[lw.active]
-    moments = moment_vectors(data, h, u0, beta, g, active=lw.active)
+    active, wa, z = _window(data, kernel, h, u0)
+    moments = _moments(g, data.y[active] - z @ beta.vector, z)
     alpha = solve_lagrange(moments, wa)
     ent = _entropy(wa)
     logel = ent - float(wa @ np.log1p(moments @ alpha))
@@ -295,10 +308,7 @@ def local_logel(
 
 def lls_init(data: Dataset, kernel: Kernel, h: float, u0: float) -> LocalParameter:
     """Warm start: local weighted least squares of y on the local design."""
-    lw = local_weights(data, kernel, h, u0)
-    idx = lw.active
-    z = _design(data, idx, u0, h)
-    wa = lw.w[idx]
+    idx, wa, z = _window(data, kernel, h, u0)
     zw = z * wa[:, None]
     gram = zw.T @ z
     rhs = zw.T @ data.y[idx]
@@ -308,14 +318,20 @@ def lls_init(data: Dataset, kernel: Kernel, h: float, u0: float) -> LocalParamet
     return LocalParameter.from_vector(np.linalg.solve(gram, rhs))
 
 
+def _local_linear_fitted(data: Dataset, kernel: Kernel, h: float) -> np.ndarray:
+    """Local linear smoother: fitted value x_i' A_hat(u_i) at every observation."""
+    fitted = np.empty(data.n)
+    for i in range(data.n):
+        beta = lls_init(data, kernel, h, float(data.u[i]))
+        fitted[i] = data.x[i] @ beta.a
+    return fitted
+
+
 class _ProfileObjective:
     """Negative local log-EL as a function of the stacked parameter vector."""
 
     def __init__(self, data, kernel, h, u0, g, free_idx=None, fixed_vec=None):
-        lw = local_weights(data, kernel, h, u0)
-        self.idx = lw.active
-        self.wa = lw.w[self.idx]
-        self.z = _design(data, self.idx, u0, h)
+        self.idx, self.wa, self.z = _window(data, kernel, h, u0)
         self.y = data.y[self.idx]
         self.g = g
         self.entropy = _entropy(self.wa)
@@ -332,8 +348,7 @@ class _ProfileObjective:
 
     def moments(self, beta_vec):
         resid = self.y - self.z @ beta_vec
-        gvals = self.g.batch(resid)
-        return (gvals[:, :, None] * self.z[:, None, :]).reshape(len(self.idx), -1), resid
+        return _moments(self.g, resid, self.z), resid
 
     def value_grad(self, free_vec):
         beta_vec = self.embed(free_vec)

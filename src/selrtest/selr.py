@@ -12,7 +12,7 @@ proportional to |Omega| / h, or by a null-simulation bootstrap.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,12 +34,11 @@ from .estfun import EstimatingFunction
 from .kernels import Kernel, kernel_constants
 from .local_el import (
     Dataset,
-    LocalParameter,
-    _design,
+    _local_linear_fitted,
+    _moments,
+    _window,
     fit_local,
     fit_local_constrained,
-    lls_init,
-    local_weights,
     solve_lagrange,
 )
 
@@ -212,24 +211,10 @@ def _eval_points(data: Dataset, omega) -> np.ndarray:
     return idx
 
 
-def _window(data: Dataset, kernel: Kernel, h: float, u0: float):
-    """Active indices, normalized weights and local design of one window."""
-    raw = np.atleast_1d(kernel((data.u - u0) / h))
-    total = raw.sum()
-    if total <= 0:
-        raise EmptyWindow(f"no observation within [{u0 - h}, {u0 + h}]")
-    active = np.nonzero(raw > 0)[0]
-    wa = raw[active] / total
-    z = _design(data, active, u0, h)
-    return active, wa, z
-
-
 def _null_term(data, kernel, h, u0, g, beta0_vec):
     """sum_i w_i log(1 + alpha' G_i) at the fixed parameter beta0."""
     active, wa, z = _window(data, kernel, h, u0)
-    resid = data.y[active] - z @ beta0_vec
-    gvals = g.batch(resid)
-    moments = (gvals[:, :, None] * z[:, None, :]).reshape(len(active), -1)
+    moments = _moments(g, data.y[active] - z @ beta0_vec, z)
     alpha = solve_lagrange(moments, wa)
     return float(wa @ np.log1p(moments @ alpha))
 
@@ -308,11 +293,34 @@ def asymptotic_pvalue(stat: float, cal: TestCalibration) -> float:
     return float(gamma_dist.sf(cal.r_K * stat, a=cal.df / 2.0, scale=2.0))
 
 
-def _result(stat, cal, consts, kernel, h, kind, n_skipped, n_clamped, per_point):
-    scaled = cal.r_K * stat
+def _assemble(kind, data, eval_idx, terms, omega, h, kernel, k0, p1=None, no_est=False,
+              diagnostics=False) -> TestResult:
+    """Sum the per-point contributions into a calibrated result.
+
+    ``terms`` holds one (contribution, status) pair per evaluation point in
+    ``eval_idx``; a contribution of None marks a skipped window, which also
+    removes its share of the degrees of freedom.
+    """
+    per_point = []
+    stat = 0.0
+    n_skipped = n_clamped = 0
+    for j, (contrib, status) in zip(eval_idx, terms):
+        u0 = float(data.u[j])
+        if contrib is None:
+            n_skipped += 1
+            per_point.append({"u0": u0, "contribution": None, "status": "skipped"})
+            continue
+        if contrib < 0:
+            n_clamped += 1
+        stat += contrib
+        per_point.append({"u0": u0, "contribution": contrib, "status": status})
+    retained = 1.0 - n_skipped / len(eval_idx)
+    cal, consts = _calibration(
+        kind, k0, data.p, p1, omega[1] - omega[0], h, kernel, retained, no_est=no_est
+    )
     return TestResult(
         statistic=stat,
-        scaled=scaled,
+        scaled=cal.r_K * stat,
         df=cal.df,
         p_asymptotic=asymptotic_pvalue(stat, cal) if cal.df > 0 else float("nan"),
         calibration=cal,
@@ -323,7 +331,7 @@ def _result(stat, cal, consts, kernel, h, kind, n_skipped, n_clamped, per_point)
         c_K=consts.c_K,
         n_infeasible_points=n_skipped,
         n_clamped=n_clamped,
-        per_point=per_point,
+        per_point=per_point if diagnostics else None,
     )
 
 
@@ -339,51 +347,32 @@ def selr_gof(
     omega = _resolve_omega(data, spec.omega)
     eval_idx = _eval_points(data, omega)
     fits = _full_fits(data, kernel, h, g, omega, eval_idx)
-    per_point = []
-    stat = 0.0
-    n_skipped = n_clamped = 0
-    for j in eval_idx:
-        fit = fits[j]
-        if fit is None:
-            n_skipped += 1
-            per_point.append({"u0": float(data.u[j]), "contribution": None, "status": "skipped"})
-            continue
-        contrib = fit.entropy - fit.logel
-        if contrib < 0:
-            n_clamped += 1
-        stat += contrib
-        per_point.append({"u0": float(data.u[j]), "contribution": contrib, "status": fit.status})
-    retained = 1.0 - n_skipped / len(eval_idx)
-    cal, consts = _calibration(
-        "goodness_of_fit",
-        g.k0,
-        data.p,
-        None,
-        omega[1] - omega[0],
-        h,
-        kernel,
-        retained,
-        no_est=spec.no_estimated_coefficients,
-    )
-    if cal.df <= 0:
+    terms = [(None, None) if f is None else (f.entropy - f.logel, f.status)
+             for f in (fits[j] for j in eval_idx)]
+    res = _assemble("goodness_of_fit", data, eval_idx, terms, omega, h, kernel, g.k0,
+                    no_est=spec.no_estimated_coefficients, diagnostics=diagnostics)
+    if res.df <= 0:
         warnings.warn(
             "goodness-of-fit with a single constraint is degenerate (df = 0)",
             DegenerateTestWarning,
             stacklevel=2,
         )
-    res = _result(stat, cal, consts, kernel, h, "goodness_of_fit", n_skipped, n_clamped,
-                  per_point if diagnostics else None)
     return res
+
+
+def _coef_sum(data: Dataset, fns: Sequence[CoefFn], cols) -> np.ndarray:
+    """sum_k a_k(u) x_k over the coefficient functions ``fns`` on columns ``cols``."""
+    total = np.zeros(data.n)
+    for fn, k in zip(fns, cols, strict=True):
+        total += np.asarray(fn.value(data.u), dtype=float) * data.x[:, k]
+    return total
 
 
 def _transform_simple(data: Dataset, a0: Sequence[CoefFn]) -> Dataset:
     """Shift the response so the simple null becomes `all coefficients zero`."""
     if len(a0) != data.p:
         raise ConfigError(f"a0 must supply {data.p} coefficient functions")
-    shift = np.zeros(data.n)
-    for k, fn in enumerate(a0):
-        shift += np.asarray(fn.value(data.u), dtype=float) * data.x[:, k]
-    return Dataset(data.u, data.x, data.y - shift)
+    return Dataset(data.u, data.x, data.y - _coef_sum(data, a0, range(data.p)))
 
 
 def selr_simple(
@@ -418,35 +407,18 @@ def selr_simple(
         except (Infeasible, MaxIterations, EmptyWindow):
             null_terms[j] = None
 
-    full_terms: dict[int, float | None] = {}
     if include_full_term:
         fits = _full_fits(star, kernel, h, g, omega, eval_idx)
-        for j in eval_idx:
-            f = fits[j]
-            full_terms[j] = None if f is None else f.entropy - f.logel
+        full_terms = {j: None if f is None else f.entropy - f.logel for j, f in fits.items()}
     else:
-        full_terms = {j: 0.0 for j in eval_idx}
+        full_terms = dict.fromkeys(eval_idx, 0.0)
 
-    per_point = []
-    stat = 0.0
-    n_skipped = n_clamped = 0
+    terms = []
     for j in eval_idx:
         nt, ft = null_terms[j], full_terms[j]
-        if nt is None or ft is None:
-            n_skipped += 1
-            per_point.append({"u0": float(star.u[j]), "contribution": None, "status": "skipped"})
-            continue
-        contrib = nt - ft
-        if contrib < 0:
-            n_clamped += 1
-        stat += contrib
-        per_point.append({"u0": float(star.u[j]), "contribution": contrib, "status": "converged"})
-    retained = 1.0 - n_skipped / len(eval_idx)
-    cal, consts = _calibration(
-        "simple_null", g.k0, star.p, None, omega[1] - omega[0], h, kernel, retained
-    )
-    return _result(stat, cal, consts, kernel, h, "simple_null", n_skipped, n_clamped,
-                   per_point if diagnostics else None)
+        terms.append((None if nt is None or ft is None else nt - ft, "converged"))
+    return _assemble("simple_null", star, eval_idx, terms, omega, h, kernel, g.k0,
+                     diagnostics=diagnostics)
 
 
 def selr_composite(
@@ -468,39 +440,27 @@ def selr_composite(
         raise ConfigError("composite null needs 1 <= p1 < p pinned coefficients")
 
     fits = _full_fits(data, kernel, h, g, omega, eval_idx)
-    per_point = []
-    stat = 0.0
-    n_skipped = n_clamped = 0
+    terms = []
     for j in eval_idx:
-        u0 = float(data.u[j])
         full = fits[j]
-        constrained = None
-        if full is not None:
-            uarr = np.array([u0])
-            fixed_value = np.array([fn.value(uarr)[0] for fn in spec.a10])
-            fixed_slope = np.array([fn.deriv(uarr)[0] for fn in spec.a10])
-            try:
-                constrained = fit_local_constrained(
-                    data, kernel, h, u0, g, fixed_value, fixed_slope, fixed_idx,
-                    init=full.beta,
-                )
-            except (Infeasible, MaxIterations, SingularDesign, EmptyWindow):
-                constrained = None
-        if full is None or constrained is None:
-            n_skipped += 1
-            per_point.append({"u0": u0, "contribution": None, "status": "skipped"})
+        if full is None:
+            terms.append((None, None))
             continue
-        contrib = full.logel - constrained.logel
-        if contrib < 0:
-            n_clamped += 1
-        stat += contrib
-        per_point.append({"u0": u0, "contribution": contrib, "status": full.status})
-    retained = 1.0 - n_skipped / len(eval_idx)
-    cal, consts = _calibration(
-        "composite_null", g.k0, data.p, p1, omega[1] - omega[0], h, kernel, retained
-    )
-    return _result(stat, cal, consts, kernel, h, "composite_null", n_skipped, n_clamped,
-                   per_point if diagnostics else None)
+        u0 = float(data.u[j])
+        uarr = np.array([u0])
+        fixed_value = np.array([fn.value(uarr)[0] for fn in spec.a10])
+        fixed_slope = np.array([fn.deriv(uarr)[0] for fn in spec.a10])
+        try:
+            constrained = fit_local_constrained(
+                data, kernel, h, u0, g, fixed_value, fixed_slope, fixed_idx,
+                init=full.beta,
+            )
+        except (Infeasible, MaxIterations, SingularDesign, EmptyWindow):
+            terms.append((None, None))
+            continue
+        terms.append((full.logel - constrained.logel, full.status))
+    return _assemble("composite_null", data, eval_idx, terms, omega, h, kernel, g.k0,
+                     p1=p1, diagnostics=diagnostics)
 
 
 def bias_correct(
@@ -515,17 +475,20 @@ def bias_correct(
     if len(theta_init) != family.theta_dim:
         raise ConfigError("theta_init has wrong dimension")
 
-    def fitted(theta):
-        coefs = np.asarray(family.fn(data.u, theta), dtype=float)
-        if coefs.ndim == 1:
-            coefs = coefs[:, None]
-        return np.sum(coefs * data.x, axis=1)
-
-    res = least_squares(lambda th: data.y - fitted(th), theta_init, xtol=1e-12, ftol=1e-12)
+    res = least_squares(lambda th: data.y - _family_fitted(data, family, th), theta_init,
+                        xtol=1e-12, ftol=1e-12)
     if not res.success:
         raise NumericalError(f"parametric null fit failed: {res.message}")
     theta_hat = res.x
-    return theta_hat, Dataset(data.u, data.x, data.y - fitted(theta_hat))
+    return theta_hat, Dataset(data.u, data.x, data.y - _family_fitted(data, family, theta_hat))
+
+
+def _family_fitted(data: Dataset, family: ParametricFamily, theta) -> np.ndarray:
+    """Regression function sum_k a_k(u; theta) x_k of a parametric family."""
+    coefs = np.asarray(family.fn(data.u, theta), dtype=float)
+    if coefs.ndim == 1:
+        coefs = coefs[:, None]
+    return np.sum(coefs * data.x, axis=1)
 
 
 def selr_test(
@@ -563,21 +526,13 @@ def selr_test(
 def _null_fitted_values(data: Dataset, kernel: Kernel, h: float, spec: Hypothesis) -> np.ndarray:
     """Regression function fixed under the null, used to generate replicates."""
     if spec.kind == "simple_null":
-        shift = np.zeros(data.n)
-        for k, fn in enumerate(spec.a0):
-            shift += np.asarray(fn.value(data.u), dtype=float) * data.x[:, k]
-        return shift
+        return _coef_sum(data, spec.a0, range(data.p))
     if spec.kind == "parametric_null":
         theta_hat, _ = bias_correct(data, spec.family, spec.theta_init)
-        coefs = np.asarray(spec.family.fn(data.u, theta_hat), dtype=float)
-        if coefs.ndim == 1:
-            coefs = coefs[:, None]
-        return np.sum(coefs * data.x, axis=1)
+        return _family_fitted(data, spec.family, theta_hat)
     if spec.kind == "composite_null":
         fixed_idx = np.asarray(spec.fixed_idx)
-        pinned = np.zeros(data.n)
-        for fn, k in zip(spec.a10, fixed_idx):
-            pinned += np.asarray(fn.value(data.u), dtype=float) * data.x[:, k]
+        pinned = _coef_sum(data, spec.a10, fixed_idx)
         free_mask = np.ones(data.p, dtype=bool)
         free_mask[fixed_idx] = False
         reduced = Dataset(data.u, data.x[:, free_mask], data.y - pinned)
@@ -586,21 +541,19 @@ def _null_fitted_values(data: Dataset, kernel: Kernel, h: float, spec: Hypothesi
     return _local_linear_fitted(data, kernel, h)
 
 
-def _local_linear_fitted(data: Dataset, kernel: Kernel, h: float) -> np.ndarray:
-    fitted = np.empty(data.n)
-    for i in range(data.n):
-        beta = lls_init(data, kernel, h, float(data.u[i]))
-        fitted[i] = data.x[i] @ beta.a
-    return fitted
-
-
 def _sigma2_hat(data: Dataset, kernel: Kernel, h: float, resid: np.ndarray) -> np.ndarray:
     """Kernel estimate of the conditional variance of the null residuals."""
     sigma2 = np.empty(data.n)
     sq = resid**2
+    w = np.zeros(data.n)
     for i in range(data.n):
-        lw = local_weights(data, kernel, h, float(data.u[i]))
-        sigma2[i] = float(lw.w @ sq)
+        active, wa, _ = _window(data, kernel, h, float(data.u[i]))
+        # dot over all n, zeros included: a dot over the active set alone
+        # sums in another order, and some replicate statistics move by 1%
+        # when sigma2 moves by one ulp
+        w[active] = wa
+        sigma2[i] = float(w @ sq)
+        w[active] = 0.0
     return np.maximum(sigma2, 1e-12)
 
 
@@ -613,6 +566,35 @@ def _replicate_errors(resid, sigma2, scheme, gen):
     if scheme == "resample":
         return resid[gen.integers(0, n, size=n)]
     raise ConfigError(f"unknown bootstrap scheme {scheme!r}")
+
+
+def _bootstrap(data, kernel, h, spec, B, scheme, seed, statistic, observed):
+    """Null sample of ``statistic`` over B replicates, and its p-value.
+
+    Replicate b draws its errors from the stream keyed by (seed, b), so the
+    sample does not depend on how replicates are scheduled.
+    """
+    m = _null_fitted_values(data, kernel, h, spec)
+    resid = data.y - m
+    sigma2 = _sigma2_hat(data, kernel, h, resid) if scheme == "gaussian" else None
+    sample = []
+    for b in range(B):
+        errs = _replicate_errors(resid, sigma2, scheme, streams.substream(seed, b))
+        try:
+            sample.append(statistic(Dataset(data.u, data.x, m + errs)))
+        except NumericalError:
+            pass
+    failures = B - len(sample)
+    if failures > 0.05 * B:
+        warnings.warn(
+            f"{failures}/{B} bootstrap replicates failed",
+            ReplicateFailureWarning,
+            stacklevel=3,
+        )
+    if not sample:
+        raise NumericalError("all bootstrap replicates failed")
+    sample = np.asarray(sample)
+    return sample, (1 + int(np.sum(sample >= observed))) / (len(sample) + 1)
 
 
 def bootstrap_null(
@@ -631,41 +613,20 @@ def bootstrap_null(
 
     Replicates regenerate the response from the null regression function
     plus errors drawn per ``scheme``; p = (1 + #{replicate >= observed})
-    / (#successes + 1).
+    / (#successes + 1).  Replicates raising :class:`NumericalError` are
+    dropped: more than 5% of them warns with
+    :class:`ReplicateFailureWarning`, and all of them raises.
     """
     if B < 1:
         raise ConfigError("need at least one bootstrap replicate")
     if observed is None:
         observed = selr_test(data, kernel, h, g, spec,
                              include_full_term=include_full_term).statistic
-    m = _null_fitted_values(data, kernel, h, spec)
-    resid = data.y - m
-    sigma2 = _sigma2_hat(data, kernel, h, resid) if scheme == "gaussian" else None
 
-    sample = []
-    failures = 0
-    for b in range(B):
-        gen = streams.substream(seed, b)
-        errs = _replicate_errors(resid, sigma2, scheme, gen)
-        rep = Dataset(data.u, data.x, m + errs)
-        try:
-            sample.append(
-                selr_test(rep, kernel, h, g, spec,
-                          include_full_term=include_full_term).statistic
-            )
-        except NumericalError:
-            failures += 1
-    if failures > 0.05 * B:
-        warnings.warn(
-            f"{failures}/{B} bootstrap replicates failed",
-            ReplicateFailureWarning,
-            stacklevel=2,
-        )
-    if not sample:
-        raise NumericalError("all bootstrap replicates failed")
-    sample = np.asarray(sample)
-    p = (1 + int(np.sum(sample >= observed))) / (len(sample) + 1)
-    return sample, p
+    def statistic(rep):
+        return selr_test(rep, kernel, h, g, spec, include_full_term=include_full_term).statistic
+
+    return _bootstrap(data, kernel, h, spec, B, scheme, seed, statistic, observed)
 
 
 @dataclass(frozen=True)
@@ -687,7 +648,8 @@ def select_bandwidth(
     seed: int = 0,
 ) -> BandwidthSelection:
     """Multi-scale test: maximize the standardized statistic over a
-    bandwidth grid; optional joint bootstrap calibration of the maximum."""
+    bandwidth grid; optional joint bootstrap calibration of the maximum,
+    with replicates drawn and failures handled as in :func:`bootstrap_null`."""
     h_grid = [float(h) for h in h_grid]
     if not h_grid:
         raise ConfigError("bandwidth grid is empty")
@@ -704,23 +666,8 @@ def select_bandwidth(
 
     p_boot = None
     if B > 0:
-        h_ref = min(h_grid)
-        m = _null_fitted_values(data, kernel, h_ref, spec)
-        resid = data.y - m
-        sigma2 = _sigma2_hat(data, kernel, h_ref, resid) if scheme == "gaussian" else None
-        count = 0
-        successes = 0
-        for b in range(B):
-            gen = streams.substream(seed, b)
-            errs = _replicate_errors(resid, sigma2, scheme, gen)
-            rep = Dataset(data.u, data.x, m + errs)
-            try:
-                rep_max = max(standardized(rep, h) for h in h_grid)
-            except NumericalError:
-                continue
-            successes += 1
-            if rep_max >= observed:
-                count += 1
-        if successes:
-            p_boot = (1 + count) / (successes + 1)
+        _, p_boot = _bootstrap(
+            data, kernel, min(h_grid), spec, B, scheme, seed,
+            lambda rep: max(standardized(rep, h) for h in h_grid), observed,
+        )
     return BandwidthSelection(h=h_hat, statistic=observed, per_h=per_h, p_bootstrap=p_boot)

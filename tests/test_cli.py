@@ -38,6 +38,7 @@ def test_kernel_constants_output(capsys):
     assert "c_K: 1.607045174" in out
 
 
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 def test_kernel_constants_tabulated(tmp_path, capsys):
     t = np.linspace(-1, 1, 2001)
     k = 0.75 * (1 - t**2)
@@ -106,6 +107,14 @@ def test_exit_codes(tmp_path, csv_path):
     assert main(["test", "--input", csv_path, "--h", "0.4", "--omega", "zzz"]) == 2
     # config error: bad estimating-function spec
     assert main(["test", "--input", csv_path, "--h", "0.4", "--g", "wavelet"]) == 2
+
+
+def test_test_subcommand_rejects_threads(csv_path, capsys):
+    # --threads belongs to simulate; the test subcommand has no parallel path
+    with pytest.raises(SystemExit) as exc:
+        main(["test", "--input", csv_path, "--h", "0.4", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_seed_echo_when_drawn(csv_path, capsys, tmp_path):

@@ -133,6 +133,7 @@ def test_unknown_family_rejected():
         kernel_by_name("gaussian")
 
 
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 def test_tabulated_kernel_roundtrip():
     t = np.linspace(-1, 1, 4001)
     k = (35.0 / 32.0) * (1 - t**2) ** 3

@@ -1,6 +1,7 @@
 """Test statistics, calibration, bootstrap and bandwidth selection."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,13 @@ from selrtest import (
     selr_test,
     zero_coef,
 )
-from selrtest.errors import DegenerateTestWarning
+from selrtest import selr
+from selrtest.errors import (
+    DegenerateTestWarning,
+    Infeasible,
+    NumericalError,
+    ReplicateFailureWarning,
+)
 from selrtest.selr import CoefFn, _window
 from selrtest.selr import TestCalibration as Calibration
 
@@ -277,6 +284,16 @@ def test_simple_needs_a0(rng):
         selr_simple(data, TRIWEIGHT, 0.4, make_identity(), Hypothesis.goodness_of_fit())
 
 
+@pytest.mark.parametrize("h", [0.0, -0.3])
+def test_nonpositive_bandwidth_rejected(rng, h):
+    # a negative h mirrors the symmetric kernel and would yield negative df
+    data = small_dataset(rng)
+    with pytest.raises(ConfigError):
+        selr_simple(data, TRIWEIGHT, h, make_identity(), Hypothesis.simple([zero_coef()]))
+    with pytest.raises(ConfigError):
+        sel_entropy(data, TRIWEIGHT, h)
+
+
 # ---------------------------------------------------------------------------
 # composite null
 
@@ -449,3 +466,46 @@ def test_select_bandwidth_argmax_matches_direct(rng):
     assert set(sel.per_h) == set(grid)
     with pytest.raises(ConfigError):
         select_bandwidth(data, TRIWEIGHT, make_identity(), spec, [])
+
+
+@pytest.mark.parametrize("n_fail", [1, 2, 20])
+@pytest.mark.parametrize("method", ["bootstrap_null", "select_bandwidth"])
+def test_replicate_failures(monkeypatch, rng, method, n_fail):
+    """Both bootstrap loops drop failed replicates, warn above 5% failures
+    and raise when all B fail; the replicate statistic is faked to fail on
+    the first ``n_fail`` replicates."""
+    data = small_dataset(rng, n=30)
+    spec = Hypothesis.simple([zero_coef()])
+    B = 20
+    replicates = []
+
+    def fake_selr_test(dset, kernel, h, g, spec, **kwargs):
+        if dset is not data:
+            if not replicates or replicates[-1] is not dset:
+                replicates.append(dset)
+            if len(replicates) <= n_fail:
+                raise Infeasible("forced replicate failure")
+        return SimpleNamespace(statistic=float(dset.y @ dset.y), r_K=1.0, df=2.0)
+
+    monkeypatch.setattr(selr, "selr_test", fake_selr_test)
+
+    def run():
+        if method == "bootstrap_null":
+            sample, p = bootstrap_null(data, TRIWEIGHT, 0.4, make_identity(), spec, B=B,
+                                       scheme="wild")
+            assert len(sample) == B - n_fail
+            return p
+        return select_bandwidth(data, TRIWEIGHT, make_identity(), spec, [0.3, 0.4], B=B,
+                                scheme="wild").p_bootstrap
+
+    if n_fail == B:
+        with pytest.warns(ReplicateFailureWarning), pytest.raises(NumericalError):
+            run()
+    elif n_fail > 0.05 * B:
+        with pytest.warns(ReplicateFailureWarning, match=f"{n_fail}/{B}"):
+            assert 0 < run() <= 1
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ReplicateFailureWarning)
+            assert 0 < run() <= 1
+    assert len(replicates) == B
