@@ -189,12 +189,15 @@ def _write_report(report: dict, path: str | None) -> None:
     doc["metadata"] = {
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat()
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    # streamed: joining the text of a long per_point list first would
+    # raise the peak memory of a large test
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     else:
-        print(text)
+        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+        print()
 
 
 def _cmd_kernel_constants(args) -> int:

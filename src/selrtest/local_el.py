@@ -134,11 +134,26 @@ class LocalELFit:
     outer_iters: int
 
 
-def _window(data: Dataset, kernel: Kernel, h: float, u0: float):
-    """Active indices, normalized weights and local design of one window.
+@dataclass(frozen=True)
+class _LocalWindow:
+    """One kernel window: what every local term at u0 needs except y.
 
-    The weights are w_i = K_h(u_i - u0) / sum_m K_h(u_m - u0) on the
-    observations with positive kernel weight; the local design has rows
+    ``active`` indexes the observations with positive kernel weight, ``w``
+    holds their normalized weights, ``z`` the local design rows and
+    ``entropy`` the sum of w log w.
+    """
+
+    u0: float
+    h: float
+    active: np.ndarray
+    w: np.ndarray
+    z: np.ndarray
+    entropy: float
+
+
+def _window(data: Dataset, kernel: Kernel, h: float, u0: float) -> _LocalWindow:
+    """The window at u0: weights w_i = K_h(u_i - u0) / sum_m K_h(u_m - u0)
+    on the observations with positive kernel weight, and local design rows
     z_i = (x_i, t_i x_i) with t_i = (u_i - u0)/h.
     """
     if h <= 0:
@@ -154,15 +169,26 @@ def _window(data: Dataset, kernel: Kernel, h: float, u0: float):
             ThinWindowWarning,
             stacklevel=3,
         )
-    return active, raw[active] / total, _design(data, active, u0, h)
+    w = raw[active] / total
+    return _LocalWindow(float(u0), float(h), active, w, _design(data, active, u0, h),
+                        float(np.sum(w * np.log(w))))
+
+
+def _windows(data: Dataset, kernel: Kernel, h: float):
+    """Window builder of one design: j -> the window centred at u_j.
+
+    A window depends on (u, x, kernel, h) only, so a loop that redraws only
+    y wraps the builder in ``functools.cache`` to build each window once.
+    """
+    return lambda j: _window(data, kernel, h, float(data.u[j]))
 
 
 def local_weights(data: Dataset, kernel: Kernel, h: float, u0: float) -> LocalWeights:
     """Normalized kernel weights w_i = K_h(u_i - u0) / sum_m K_h(u_m - u0)."""
-    active, wa, _ = _window(data, kernel, h, u0)
+    win = _window(data, kernel, h, u0)
     w = np.zeros(data.n)
-    w[active] = wa
-    return LocalWeights(u0=float(u0), h=float(h), w=w, active=active)
+    w[win.active] = win.w
+    return LocalWeights(u0=float(u0), h=float(h), w=w, active=win.active)
 
 
 def _design(data: Dataset, idx: np.ndarray, u0: float, h: float) -> np.ndarray:
@@ -189,10 +215,12 @@ def moment_vectors(
     """Moment vectors G(residual_i) kron z_i over the active window.
 
     The Kronecker product varies the estimating-function component slowest,
-    so rows have length k0 * 2p.
+    so rows have length k0 * 2p.  The default active set is |u_i - u0| < h,
+    the window of every kernel that vanishes at +-1; pass
+    ``local_weights(...).active`` for a kernel that does not.
     """
     if active is None:
-        active = np.nonzero(np.abs(data.u - u0) <= h)[0]
+        active = np.nonzero(np.abs((data.u - u0) / h) < 1.0)[0]
     z = _design(data, active, u0, h)
     return _moments(g, data.y[active] - z @ beta.vector, z)
 
@@ -285,57 +313,61 @@ def implied_probabilities(
     return np.asarray(weights) / denom
 
 
-def _entropy(w_active: np.ndarray) -> float:
-    return float(np.sum(w_active * np.log(w_active)))
+def _dual(win: _LocalWindow, g: EstimatingFunction, y: np.ndarray, beta_vec: np.ndarray):
+    """Residuals, moment rows and dual multiplier of one window at a fixed beta."""
+    resid = y[win.active] - win.z @ beta_vec
+    moments = _moments(g, resid, win.z)
+    return resid, moments, solve_lagrange(moments, win.w)
 
 
-def local_logel(
-    data: Dataset,
-    kernel: Kernel,
-    h: float,
-    u0: float,
-    beta: LocalParameter,
-    g: EstimatingFunction,
-) -> tuple[float, float]:
+def _log_ratio(win: _LocalWindow, g: EstimatingFunction, y: np.ndarray, beta_vec: np.ndarray):
+    """Dual value sum_i w_i log(1 + alpha' G_i) at a fixed beta, which is the
+    window's entropy minus its local log-EL, and the multiplier alpha."""
+    _, moments, alpha = _dual(win, g, y, beta_vec)
+    return float(win.w @ np.log1p(moments @ alpha)), alpha
+
+
+def local_logel(data: Dataset, kernel: Kernel, h: float, u0: float, beta: LocalParameter,
+                g: EstimatingFunction) -> tuple[float, float]:
     """Local log empirical likelihood and window entropy at (u0, beta)."""
-    active, wa, z = _window(data, kernel, h, u0)
-    moments = _moments(g, data.y[active] - z @ beta.vector, z)
-    alpha = solve_lagrange(moments, wa)
-    ent = _entropy(wa)
-    logel = ent - float(wa @ np.log1p(moments @ alpha))
-    return logel, ent
+    win = _window(data, kernel, h, u0)
+    value, _ = _log_ratio(win, g, data.y, beta.vector)
+    return win.entropy - value, win.entropy
+
+
+def _lls(win: _LocalWindow, y: np.ndarray) -> np.ndarray:
+    """Local weighted least squares of y on the window's design."""
+    zw = win.z * win.w[:, None]
+    gram = zw.T @ win.z
+    rhs = zw.T @ y[win.active]
+    sv = np.linalg.svd(gram, compute_uv=False)
+    if sv[0] <= 0 or sv[-1] / sv[0] < 1e-12:
+        raise SingularDesign(f"weighted design at u0={win.u0:g} is rank deficient")
+    return np.linalg.solve(gram, rhs)
 
 
 def lls_init(data: Dataset, kernel: Kernel, h: float, u0: float) -> LocalParameter:
     """Warm start: local weighted least squares of y on the local design."""
-    idx, wa, z = _window(data, kernel, h, u0)
-    zw = z * wa[:, None]
-    gram = zw.T @ z
-    rhs = zw.T @ data.y[idx]
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[0] <= 0 or sv[-1] / sv[0] < 1e-12:
-        raise SingularDesign(f"weighted design at u0={u0:g} is rank deficient")
-    return LocalParameter.from_vector(np.linalg.solve(gram, rhs))
+    return LocalParameter.from_vector(_lls(_window(data, kernel, h, u0), data.y))
 
 
-def _local_linear_fitted(data: Dataset, kernel: Kernel, h: float) -> np.ndarray:
-    """Local linear smoother: fitted value x_i' A_hat(u_i) at every observation."""
+def _local_linear_fitted(data: Dataset, window_at) -> np.ndarray:
+    """Local linear smoother: fitted value x_i' A_hat(u_i) at every observation,
+    with ``window_at(i)`` the window centred at u_i."""
     fitted = np.empty(data.n)
     for i in range(data.n):
-        beta = lls_init(data, kernel, h, float(data.u[i]))
-        fitted[i] = data.x[i] @ beta.a
+        fitted[i] = data.x[i] @ _lls(window_at(i), data.y)[: data.p]
     return fitted
 
 
 class _ProfileObjective:
-    """Negative local log-EL as a function of the stacked parameter vector."""
+    """Negative local log-EL of one window as a function of the free parameters."""
 
-    def __init__(self, data, kernel, h, u0, g, free_idx=None, fixed_vec=None):
-        self.idx, self.wa, self.z = _window(data, kernel, h, u0)
-        self.y = data.y[self.idx]
+    def __init__(self, win, y, g, free_idx=None, fixed_vec=None):
+        self.win = win
+        self.y = y
         self.g = g
-        self.entropy = _entropy(self.wa)
-        self.dim = 2 * data.p
+        self.dim = win.z.shape[1]
         self.free_idx = np.arange(self.dim) if free_idx is None else np.asarray(free_idx)
         self.fixed_vec = np.zeros(self.dim) if fixed_vec is None else fixed_vec
         self.inner_iters = 0
@@ -346,43 +378,39 @@ class _ProfileObjective:
         beta[self.free_idx] = free_vec
         return beta
 
-    def moments(self, beta_vec):
-        resid = self.y - self.z @ beta_vec
-        return _moments(self.g, resid, self.z), resid
-
     def value_grad(self, free_vec):
-        beta_vec = self.embed(free_vec)
-        moments, resid = self.moments(beta_vec)
         try:
-            alpha = solve_lagrange(moments, self.wa)
+            resid, moments, alpha = _dual(self.win, self.g, self.y, self.embed(free_vec))
         except (Infeasible, MaxIterations):
             dist = free_vec - self.penalty_ref
             return 1e8 * (1.0 + dist @ dist), 2e8 * dist
         self.inner_iters += 1
         denom = 1.0 + moments @ alpha
-        neg_logel = float(self.wa @ np.log(denom)) - self.entropy
+        neg_logel = float(self.win.w @ np.log(denom)) - self.win.entropy
         # envelope-theorem gradient: alpha is stationary, only the direct
         # dependence through the residuals contributes
         gprime = self.g.batch_derivative(resid)  # (m, k0)
         alpha_blocks = alpha.reshape(self.g.k0, self.dim)
-        az = self.z @ alpha_blocks.T  # (m, k0)
+        az = self.win.z @ alpha_blocks.T  # (m, k0)
         s = np.sum(gprime * az, axis=1)
-        grad_full = -self.z.T @ (self.wa * s / denom)
+        grad_full = -self.win.z.T @ (self.win.w * s / denom)
         return neg_logel, grad_full[self.free_idx]
 
 
-def _fit(data, kernel, h, u0, g, init_vec, free_idx=None, fixed_vec=None) -> LocalELFit:
+def _fit(win, y, g, init=None, free_idx=None, fixed_vec=None) -> LocalELFit:
+    """Profile fit in one window from ``init`` (default: the LLS fit)."""
+    init_vec = _lls(win, y) if init is None else init.vector
     if not g.has_derivative:
         raise DerivativeUnavailable(
             "profile optimization needs a differentiable estimating function; "
             "use identity or smoothed_indicator"
         )
-    obj = _ProfileObjective(data, kernel, h, u0, g, free_idx=free_idx, fixed_vec=fixed_vec)
+    obj = _ProfileObjective(win, y, g, free_idx=free_idx, fixed_vec=fixed_vec)
     x0 = init_vec[obj.free_idx] if free_idx is not None else init_vec
     obj.penalty_ref = x0.copy()
     f0, _ = obj.value_grad(x0)
     if f0 >= 1e8:
-        raise Infeasible(f"initial parameter infeasible at u0={u0:g}")
+        raise Infeasible(f"initial parameter infeasible at u0={win.u0:g}")
     res = minimize(
         obj.value_grad,
         x0,
@@ -397,52 +425,40 @@ def _fit(data, kernel, h, u0, g, init_vec, free_idx=None, fixed_vec=None) -> Loc
         xhat, fhat = x0, f0
         status = "max_iter"
     beta_vec = obj.embed(xhat)
-    moments, _ = obj.moments(beta_vec)
-    alpha = solve_lagrange(moments, obj.wa)
-    logel = obj.entropy - float(obj.wa @ np.log1p(moments @ alpha))
+    value, alpha = _log_ratio(win, g, y, beta_vec)
     return LocalELFit(
-        u0=float(u0),
+        u0=win.u0,
         beta=LocalParameter.from_vector(beta_vec),
         alpha=alpha,
-        logel=logel,
-        entropy=obj.entropy,
+        logel=win.entropy - value,
+        entropy=win.entropy,
         status=status,
         inner_iters=obj.inner_iters,
         outer_iters=int(res.nit),
     )
 
 
-def fit_local(
-    data: Dataset,
-    kernel: Kernel,
-    h: float,
-    u0: float,
-    g: EstimatingFunction,
-    init: LocalParameter | None = None,
-) -> LocalELFit:
+def fit_local(data: Dataset, kernel: Kernel, h: float, u0: float, g: EstimatingFunction,
+              init: LocalParameter | None = None) -> LocalELFit:
     """Profile maximizer of the local log-EL over the full 2p parameters."""
-    if init is None:
-        init = lls_init(data, kernel, h, u0)
-    return _fit(data, kernel, h, u0, g, init.vector)
+    return _fit(_window(data, kernel, h, u0), data.y, g, init)
 
 
-def fit_local_constrained(
-    data: Dataset,
-    kernel: Kernel,
-    h: float,
-    u0: float,
-    g: EstimatingFunction,
-    fixed_value: np.ndarray,
-    fixed_slope: np.ndarray,
-    fixed_idx,
-    init: LocalParameter | None = None,
-) -> LocalELFit:
+def fit_local_constrained(data: Dataset, kernel: Kernel, h: float, u0: float,
+                          g: EstimatingFunction, fixed_value: np.ndarray,
+                          fixed_slope: np.ndarray, fixed_idx,
+                          init: LocalParameter | None = None) -> LocalELFit:
     """Profile maximizer with coefficients ``fixed_idx`` pinned.
 
     The pinned coordinates take the values A_10(u0) = ``fixed_value`` and
     scaled slopes h * A'_10(u0) = h * ``fixed_slope``.
     """
-    p = data.p
+    return _fit_constrained(_window(data, kernel, h, u0), data.y, g, fixed_value,
+                            fixed_slope, fixed_idx, init)
+
+
+def _fit_constrained(win, y, g, fixed_value, fixed_slope, fixed_idx, init=None):
+    p = win.z.shape[1] // 2
     fixed_idx = np.asarray(sorted(set(int(i) for i in fixed_idx)))
     if len(fixed_idx) == 0 or len(fixed_idx) >= p:
         raise ConfigError("need 1 <= p1 < p pinned coefficients")
@@ -455,12 +471,8 @@ def fit_local_constrained(
 
     fixed_vec = np.zeros(2 * p)
     fixed_vec[fixed_idx] = fixed_value
-    fixed_vec[p + fixed_idx] = h * fixed_slope
+    fixed_vec[p + fixed_idx] = win.h * fixed_slope
     free_mask = np.ones(2 * p, dtype=bool)
     free_mask[fixed_idx] = False
     free_mask[p + fixed_idx] = False
-    free_idx = np.nonzero(free_mask)[0]
-
-    if init is None:
-        init = lls_init(data, kernel, h, u0)
-    return _fit(data, kernel, h, u0, g, init.vector, free_idx=free_idx, fixed_vec=fixed_vec)
+    return _fit(win, y, g, init, free_idx=np.nonzero(free_mask)[0], fixed_vec=fixed_vec)

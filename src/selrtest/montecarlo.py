@@ -19,7 +19,7 @@ from . import streams
 from .errors import ConfigError, DegenerateRSS1, NumericalError
 from .estfun import make_identity
 from .kernels import Kernel, kernel_by_name
-from .local_el import Dataset, _local_linear_fitted
+from .local_el import Dataset, _local_linear_fitted, _windows
 from .selr import Hypothesis, selr_simple, zero_coef
 
 __all__ = [
@@ -115,7 +115,7 @@ def f_type_stat(data: Dataset, kernel: Kernel, h: float,
     """(RSS0 - RSS1) / RSS1 with RSS1 from the local linear fit."""
     resid0 = data.y if null_fitted is None else data.y - null_fitted
     rss0 = float(resid0 @ resid0)
-    resid1 = data.y - _local_linear_fitted(data, kernel, h)
+    resid1 = data.y - _local_linear_fitted(data, _windows(data, kernel, h))
     rss1 = float(resid1 @ resid1)
     if rss0 == 0.0 and rss1 == 0.0:
         return 0.0

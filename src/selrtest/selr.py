@@ -11,6 +11,7 @@ proportional to |Omega| / h, or by a null-simulation bootstrap.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,12 +35,11 @@ from .estfun import EstimatingFunction
 from .kernels import Kernel, kernel_constants
 from .local_el import (
     Dataset,
+    _fit,
+    _fit_constrained,
     _local_linear_fitted,
-    _moments,
-    _window,
-    fit_local,
-    fit_local_constrained,
-    solve_lagrange,
+    _log_ratio,
+    _windows,
 )
 
 __all__ = [
@@ -148,7 +148,6 @@ class TestCalibration:
     omega_len: float
     h: float
     kind: str
-    k0_factor_note: str = ""
 
 
 @dataclass
@@ -211,74 +210,61 @@ def _eval_points(data: Dataset, omega) -> np.ndarray:
     return idx
 
 
-def _null_term(data, kernel, h, u0, g, beta0_vec):
-    """sum_i w_i log(1 + alpha' G_i) at the fixed parameter beta0."""
-    active, wa, z = _window(data, kernel, h, u0)
-    moments = _moments(g, data.y[active] - z @ beta0_vec, z)
-    alpha = solve_lagrange(moments, wa)
-    return float(wa @ np.log1p(moments @ alpha))
+def _walk(data: Dataset, eval_idx, window_at):
+    """(j, window) for the evaluation points in increasing u, built one at a
+    time; the window is None where it holds no observation."""
+    for j in eval_idx[np.argsort(data.u[eval_idx])].tolist():
+        try:
+            yield j, window_at(j)
+        except EmptyWindow:
+            yield j, None
 
 
 def sel_entropy(data: Dataset, kernel: Kernel, h: float, omega=None) -> float:
     """Saturated-model term: double sum of w log w over all windows."""
-    omega = _resolve_omega(data, omega)
-    total = 0.0
-    for j in _eval_points(data, omega):
-        _, wa, _ = _window(data, kernel, h, data.u[j])
-        total += float(np.sum(wa * np.log(wa)))
-    return total
+    window_at = _windows(data, kernel, h)
+    return sum(window_at(j).entropy for j in _eval_points(data, _resolve_omega(data, omega)))
 
 
-def _full_fits(data, kernel, h, g, omega, eval_idx=None):
-    """Unconstrained local fits at each evaluation point, warm-started in
-    sorted order; returns {j: LocalELFit or None}."""
-    if eval_idx is None:
-        eval_idx = _eval_points(data, omega)
-    order = eval_idx[np.argsort(data.u[eval_idx])]
-    fits: dict[int, object] = {}
+def _full_fits(y, g, walk):
+    """Unconstrained local fit in each window of ``walk``, yielding
+    (j, window, fit) with fit None where it fails.  Each fit is
+    warm-started from the previous window's, falling back to the local
+    least-squares start when the carried parameter is infeasible."""
     prev = None
-    for j in order:
-        u0 = float(data.u[j])
+    for j, win in walk:
         fit = None
-        # warm start from the neighboring window, falling back to the local
-        # least-squares start when the carried parameter is infeasible here
-        for init in ([prev, None] if prev is not None else [None]):
-            try:
-                fit = fit_local(data, kernel, h, u0, g, init=init)
-                break
-            except (Infeasible, MaxIterations, SingularDesign, EmptyWindow):
-                continue
-        fits[j] = fit
+        if win is not None:
+            for init in [prev, None] if prev is not None else [None]:
+                try:
+                    fit = _fit(win, y, g, init)
+                    break
+                except (Infeasible, MaxIterations, SingularDesign):
+                    continue
         if fit is not None:
             prev = fit.beta
-    return fits
+        yield j, win, fit
 
 
 def sel_full(data: Dataset, kernel: Kernel, h: float, g: EstimatingFunction, omega=None) -> float:
     """Sum of maximized local log-EL values over the evaluation points."""
-    omega = _resolve_omega(data, omega)
-    fits = _full_fits(data, kernel, h, g, omega)
-    return float(sum(f.logel for f in fits.values() if f is not None))
+    eval_idx = _eval_points(data, _resolve_omega(data, omega))
+    walk = _walk(data, eval_idx, _windows(data, kernel, h))
+    return float(sum(f.logel for _, _, f in _full_fits(data.y, g, walk) if f is not None))
 
 
 def _calibration(kind, k0, p, p1, omega_len, h, kernel, retained_frac, no_est=False):
     consts = kernel_constants(kernel)
     if kind == "goodness_of_fit":
-        factor = k0 if no_est else k0 - 1
-        note = "k0" if no_est else "k0-1"
-        dof = factor * p * omega_len * consts.c_K / h
+        dim = (k0 if no_est else k0 - 1) * p
     elif kind in ("simple_null", "parametric_null"):
-        dof = p * omega_len * consts.c_K / h
-        note = "p"
+        dim = p
     elif kind == "composite_null":
-        dof = p1 * omega_len * consts.c_K / h
-        note = "p1"
+        dim = p1
     else:
         raise ConfigError(f"unknown hypothesis kind {kind!r}")
-    dof *= retained_frac
-    return TestCalibration(
-        r_K=consts.r_K, df=dof, omega_len=omega_len, h=h, kind=kind, k0_factor_note=note
-    ), consts
+    dof = dim * omega_len * consts.c_K / h * retained_frac
+    return TestCalibration(r_K=consts.r_K, df=dof, omega_len=omega_len, h=h, kind=kind), consts
 
 
 def asymptotic_pvalue(stat: float, cal: TestCalibration) -> float:
@@ -293,18 +279,19 @@ def asymptotic_pvalue(stat: float, cal: TestCalibration) -> float:
     return float(gamma_dist.sf(cal.r_K * stat, a=cal.df / 2.0, scale=2.0))
 
 
-def _assemble(kind, data, eval_idx, terms, omega, h, kernel, k0, p1=None, no_est=False,
-              diagnostics=False) -> TestResult:
+def _assemble(kind, data, eval_idx, terms, omega, h, kernel, k0, p1=None,
+              no_est=False) -> TestResult:
     """Sum the per-point contributions into a calibrated result.
 
-    ``terms`` holds one (contribution, status) pair per evaluation point in
-    ``eval_idx``; a contribution of None marks a skipped window, which also
+    ``terms`` maps each evaluation point j to a (contribution, status)
+    pair; a contribution of None marks a skipped window, which also
     removes its share of the degrees of freedom.
     """
     per_point = []
     stat = 0.0
     n_skipped = n_clamped = 0
-    for j, (contrib, status) in zip(eval_idx, terms):
+    for j in eval_idx:
+        contrib, status = terms[j]
         u0 = float(data.u[j])
         if contrib is None:
             n_skipped += 1
@@ -331,31 +318,28 @@ def _assemble(kind, data, eval_idx, terms, omega, h, kernel, k0, p1=None, no_est
         c_K=consts.c_K,
         n_infeasible_points=n_skipped,
         n_clamped=n_clamped,
-        per_point=per_point if diagnostics else None,
+        per_point=per_point,
     )
 
 
-def selr_gof(
-    data: Dataset,
-    kernel: Kernel,
-    h: float,
-    g: EstimatingFunction,
-    spec: Hypothesis,
-    diagnostics: bool = False,
-) -> TestResult:
+def selr_gof(data: Dataset, kernel: Kernel, h: float, g: EstimatingFunction,
+             spec: Hypothesis) -> TestResult:
     """Goodness-of-fit statistic for the estimating-equation constraints."""
+    return _gof(data, kernel, h, g, spec, _windows(data, kernel, h))
+
+
+def _gof(data, kernel, h, g, spec, window_at) -> TestResult:
     omega = _resolve_omega(data, spec.omega)
     eval_idx = _eval_points(data, omega)
-    fits = _full_fits(data, kernel, h, g, omega, eval_idx)
-    terms = [(None, None) if f is None else (f.entropy - f.logel, f.status)
-             for f in (fits[j] for j in eval_idx)]
+    terms = {j: (None, None) if f is None else (f.entropy - f.logel, f.status)
+             for j, _, f in _full_fits(data.y, g, _walk(data, eval_idx, window_at))}
     res = _assemble("goodness_of_fit", data, eval_idx, terms, omega, h, kernel, g.k0,
-                    no_est=spec.no_estimated_coefficients, diagnostics=diagnostics)
+                    no_est=spec.no_estimated_coefficients)
     if res.df <= 0:
         warnings.warn(
             "goodness-of-fit with a single constraint is degenerate (df = 0)",
             DegenerateTestWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return res
 
@@ -375,15 +359,8 @@ def _transform_simple(data: Dataset, a0: Sequence[CoefFn]) -> Dataset:
     return Dataset(data.u, data.x, data.y - _coef_sum(data, a0, range(data.p)))
 
 
-def selr_simple(
-    data: Dataset,
-    kernel: Kernel,
-    h: float,
-    g: EstimatingFunction,
-    spec: Hypothesis,
-    include_full_term: bool | None = None,
-    diagnostics: bool = False,
-) -> TestResult:
+def selr_simple(data: Dataset, kernel: Kernel, h: float, g: EstimatingFunction,
+                spec: Hypothesis, include_full_term: bool | None = None) -> TestResult:
     """Likelihood-ratio statistic against a simple null A = A0.
 
     The data are first shifted so the null becomes A* = 0 and the local
@@ -391,76 +368,66 @@ def selr_simple(
     the unconstrained-fit term is asymptotically negligible and omitted
     unless ``include_full_term`` forces it back in.
     """
+    return _simple(data, kernel, h, g, spec, include_full_term, _windows(data, kernel, h))
+
+
+def _simple(data, kernel, h, g, spec, include_full_term, window_at) -> TestResult:
     if spec.a0 is None:
         raise ConfigError("simple_null needs coefficient functions a0")
+    # the shift changes y only, so the windows of data are those of star
     star = _transform_simple(data, spec.a0)
     omega = _resolve_omega(star, spec.omega)
     eval_idx = _eval_points(star, omega)
     if include_full_term is None:
         include_full_term = g.k0 > 1
+    walk = _walk(star, eval_idx, window_at)
+    rows = _full_fits(star.y, g, walk) if include_full_term else (
+        (j, win, None) for j, win in walk)
     beta0 = np.zeros(2 * star.p)
-
-    null_terms: dict[int, float | None] = {}
-    for j in eval_idx:
+    terms = {}
+    full = 0.0  # the omitted unconstrained-fit term
+    for j, win, fit in rows:
+        if include_full_term:
+            full = None if fit is None else fit.entropy - fit.logel
         try:
-            null_terms[j] = _null_term(star, kernel, h, float(star.u[j]), g, beta0)
-        except (Infeasible, MaxIterations, EmptyWindow):
-            null_terms[j] = None
-
-    if include_full_term:
-        fits = _full_fits(star, kernel, h, g, omega, eval_idx)
-        full_terms = {j: None if f is None else f.entropy - f.logel for j, f in fits.items()}
-    else:
-        full_terms = dict.fromkeys(eval_idx, 0.0)
-
-    terms = []
-    for j in eval_idx:
-        nt, ft = null_terms[j], full_terms[j]
-        terms.append((None if nt is None or ft is None else nt - ft, "converged"))
-    return _assemble("simple_null", star, eval_idx, terms, omega, h, kernel, g.k0,
-                     diagnostics=diagnostics)
+            null = None if win is None else _log_ratio(win, g, star.y, beta0)[0]
+        except (Infeasible, MaxIterations):
+            null = None
+        terms[j] = (None if null is None or full is None else null - full, "converged")
+    return _assemble("simple_null", star, eval_idx, terms, omega, h, kernel, g.k0)
 
 
-def selr_composite(
-    data: Dataset,
-    kernel: Kernel,
-    h: float,
-    g: EstimatingFunction,
-    spec: Hypothesis,
-    diagnostics: bool = False,
-) -> TestResult:
+def selr_composite(data: Dataset, kernel: Kernel, h: float, g: EstimatingFunction,
+                   spec: Hypothesis) -> TestResult:
     """Likelihood-ratio statistic against a composite null pinning A1 = A10."""
+    return _composite(data, kernel, h, g, spec, _windows(data, kernel, h))
+
+
+def _composite(data, kernel, h, g, spec, window_at) -> TestResult:
     if spec.a10 is None or spec.fixed_idx is None:
         raise ConfigError("composite_null needs a10 and fixed_idx")
     omega = _resolve_omega(data, spec.omega)
-    eval_idx = _eval_points(data, omega)
     fixed_idx = np.asarray(spec.fixed_idx)
     p1 = len(fixed_idx)
     if not 1 <= p1 < data.p:
         raise ConfigError("composite null needs 1 <= p1 < p pinned coefficients")
-
-    fits = _full_fits(data, kernel, h, g, omega, eval_idx)
-    terms = []
-    for j in eval_idx:
-        full = fits[j]
+    eval_idx = _eval_points(data, omega)
+    terms = {}
+    for j, win, full in _full_fits(data.y, g, _walk(data, eval_idx, window_at)):
         if full is None:
-            terms.append((None, None))
+            terms[j] = (None, None)
             continue
-        u0 = float(data.u[j])
-        uarr = np.array([u0])
+        uarr = np.array([win.u0])
         fixed_value = np.array([fn.value(uarr)[0] for fn in spec.a10])
         fixed_slope = np.array([fn.deriv(uarr)[0] for fn in spec.a10])
         try:
-            constrained = fit_local_constrained(
-                data, kernel, h, u0, g, fixed_value, fixed_slope, fixed_idx,
-                init=full.beta,
-            )
-        except (Infeasible, MaxIterations, SingularDesign, EmptyWindow):
-            terms.append((None, None))
+            constrained = _fit_constrained(win, data.y, g, fixed_value, fixed_slope,
+                                           fixed_idx, init=full.beta)
+        except (Infeasible, MaxIterations, SingularDesign):
+            terms[j] = (None, None)
             continue
-        terms.append((full.logel - constrained.logel, full.status))
-    return _assemble("composite_null", data, eval_idx, terms, omega, h, kernel, g.k0,
-                     p1=p1, diagnostics=diagnostics)
+        terms[j] = (full.logel - constrained.logel, full.status)
+    return _assemble("composite_null", data, eval_idx, terms, omega, h, kernel, g.k0, p1=p1)
 
 
 def bias_correct(
@@ -491,29 +458,27 @@ def _family_fitted(data: Dataset, family: ParametricFamily, theta) -> np.ndarray
     return np.sum(coefs * data.x, axis=1)
 
 
-def selr_test(
-    data: Dataset,
-    kernel: Kernel,
-    h: float,
-    g: EstimatingFunction,
-    spec: Hypothesis,
-    include_full_term: bool | None = None,
-    diagnostics: bool = False,
-) -> TestResult:
+def selr_test(data: Dataset, kernel: Kernel, h: float, g: EstimatingFunction,
+              spec: Hypothesis, include_full_term: bool | None = None) -> TestResult:
     """Dispatch on the hypothesis kind; parametric nulls are bias-corrected
     and reduced to a simple zero null."""
+    return _statistic(data, kernel, h, g, spec, include_full_term=include_full_term,
+                      window_at=_windows(data, kernel, h))
+
+
+def _statistic(data, kernel, h, g, spec, include_full_term=None, *, window_at):
+    """:func:`selr_test` with ``window_at(j)`` giving the window at u_j, so a
+    replicate loop can pass the windows of its fixed design."""
     if spec.kind == "goodness_of_fit":
-        return selr_gof(data, kernel, h, g, spec, diagnostics=diagnostics)
+        return _gof(data, kernel, h, g, spec, window_at)
     if spec.kind == "simple_null":
-        return selr_simple(data, kernel, h, g, spec,
-                           include_full_term=include_full_term, diagnostics=diagnostics)
+        return _simple(data, kernel, h, g, spec, include_full_term, window_at)
     if spec.kind == "composite_null":
-        return selr_composite(data, kernel, h, g, spec, diagnostics=diagnostics)
+        return _composite(data, kernel, h, g, spec, window_at)
     if spec.kind == "parametric_null":
         _, star = bias_correct(data, spec.family, spec.theta_init)
         zero_spec = Hypothesis.simple([zero_coef()] * star.p, omega=spec.omega)
-        res = selr_simple(star, kernel, h, g, zero_spec,
-                          include_full_term=include_full_term, diagnostics=diagnostics)
+        res = _simple(star, kernel, h, g, zero_spec, include_full_term, window_at)
         res.hypothesis = "parametric_null"
         return res
     raise ConfigError(f"unknown hypothesis kind {spec.kind!r}")
@@ -523,8 +488,10 @@ def selr_test(
 # bootstrap calibration
 
 
-def _null_fitted_values(data: Dataset, kernel: Kernel, h: float, spec: Hypothesis) -> np.ndarray:
-    """Regression function fixed under the null, used to generate replicates."""
+def _null_fitted_values(data: Dataset, kernel: Kernel, h: float, spec: Hypothesis,
+                        window_at=None) -> np.ndarray:
+    """Regression function fixed under the null, used to generate replicates;
+    ``window_at`` builds the windows of ``data`` at its observations."""
     if spec.kind == "simple_null":
         return _coef_sum(data, spec.a0, range(data.p))
     if spec.kind == "parametric_null":
@@ -536,24 +503,26 @@ def _null_fitted_values(data: Dataset, kernel: Kernel, h: float, spec: Hypothesi
         free_mask = np.ones(data.p, dtype=bool)
         free_mask[fixed_idx] = False
         reduced = Dataset(data.u, data.x[:, free_mask], data.y - pinned)
-        return pinned + _local_linear_fitted(reduced, kernel, h)
+        return pinned + _local_linear_fitted(reduced, _windows(reduced, kernel, h))
     # goodness_of_fit: nuisance coefficients fixed at their local linear fit
-    return _local_linear_fitted(data, kernel, h)
+    return _local_linear_fitted(data, window_at or _windows(data, kernel, h))
 
 
-def _sigma2_hat(data: Dataset, kernel: Kernel, h: float, resid: np.ndarray) -> np.ndarray:
+def _sigma2_hat(data: Dataset, kernel: Kernel, h: float, resid: np.ndarray,
+                window_at=None) -> np.ndarray:
     """Kernel estimate of the conditional variance of the null residuals."""
+    window_at = window_at or _windows(data, kernel, h)
     sigma2 = np.empty(data.n)
     sq = resid**2
     w = np.zeros(data.n)
     for i in range(data.n):
-        active, wa, _ = _window(data, kernel, h, float(data.u[i]))
+        win = window_at(i)
         # dot over all n, zeros included: a dot over the active set alone
         # sums in another order, and some replicate statistics move by 1%
         # when sigma2 moves by one ulp
-        w[active] = wa
+        w[win.active] = win.w
         sigma2[i] = float(w @ sq)
-        w[active] = 0.0
+        w[win.active] = 0.0
     return np.maximum(sigma2, 1e-12)
 
 
@@ -568,15 +537,17 @@ def _replicate_errors(resid, sigma2, scheme, gen):
     raise ConfigError(f"unknown bootstrap scheme {scheme!r}")
 
 
-def _bootstrap(data, kernel, h, spec, B, scheme, seed, statistic, observed):
+def _bootstrap(data, kernel, h, spec, B, scheme, seed, statistic, observed, window_at):
     """Null sample of ``statistic`` over B replicates, and its p-value.
 
     Replicate b draws its errors from the stream keyed by (seed, b), so the
-    sample does not depend on how replicates are scheduled.
+    sample does not depend on how replicates are scheduled.  ``window_at``
+    gives the windows of ``data`` at bandwidth h, for the null fit and the
+    variance smoother.
     """
-    m = _null_fitted_values(data, kernel, h, spec)
+    m = _null_fitted_values(data, kernel, h, spec, window_at)
     resid = data.y - m
-    sigma2 = _sigma2_hat(data, kernel, h, resid) if scheme == "gaussian" else None
+    sigma2 = _sigma2_hat(data, kernel, h, resid, window_at) if scheme == "gaussian" else None
     sample = []
     for b in range(B):
         errs = _replicate_errors(resid, sigma2, scheme, streams.substream(seed, b))
@@ -619,14 +590,16 @@ def bootstrap_null(
     """
     if B < 1:
         raise ConfigError("need at least one bootstrap replicate")
+    # replicates share u and x, so every window is built once for all of them
+    window_at = functools.cache(_windows(data, kernel, h))
+
+    def statistic(dset):
+        return _statistic(dset, kernel, h, g, spec, include_full_term=include_full_term,
+                          window_at=window_at).statistic
+
     if observed is None:
-        observed = selr_test(data, kernel, h, g, spec,
-                             include_full_term=include_full_term).statistic
-
-    def statistic(rep):
-        return selr_test(rep, kernel, h, g, spec, include_full_term=include_full_term).statistic
-
-    return _bootstrap(data, kernel, h, spec, B, scheme, seed, statistic, observed)
+        observed = statistic(data)
+    return _bootstrap(data, kernel, h, spec, B, scheme, seed, statistic, observed, window_at)
 
 
 @dataclass(frozen=True)
@@ -654,8 +627,12 @@ def select_bandwidth(
     if not h_grid:
         raise ConfigError("bandwidth grid is empty")
 
+    window_at = {h: _windows(data, kernel, h) for h in h_grid}
+    if B > 0:  # replicates share u and x: build each window once for all of them
+        window_at = {h: functools.cache(at) for h, at in window_at.items()}
+
     def standardized(dset, h):
-        res = selr_test(dset, kernel, h, g, spec)
+        res = _statistic(dset, kernel, h, g, spec, window_at=window_at[h])
         if res.df <= 0:
             raise ConfigError("bandwidth selection needs positive df")
         return (res.r_K * res.statistic - res.df) / np.sqrt(2.0 * res.df)
@@ -669,5 +646,6 @@ def select_bandwidth(
         _, p_boot = _bootstrap(
             data, kernel, min(h_grid), spec, B, scheme, seed,
             lambda rep: max(standardized(rep, h) for h in h_grid), observed,
+            window_at[min(h_grid)],
         )
     return BandwidthSelection(h=h_hat, statistic=observed, per_h=per_h, p_bootstrap=p_boot)

@@ -40,8 +40,7 @@ from selrtest import (
     streams,
     zero_coef,
 )
-from selrtest.local_el import _design, implied_probabilities
-from selrtest.selr import _window
+from selrtest.local_el import _design, _window, implied_probabilities
 
 TRIWEIGHT = kernel_by_name("triweight")
 N_JOBS = min(8, os.cpu_count() or 1)
@@ -335,7 +334,8 @@ def test_criterion_7_solver_oracles():
     for u0 in np.sort(u):
         fit = fit_local(data, TRIWEIGHT, 0.5, float(u0), g2, init=prev)
         prev = fit.beta
-        active, wa, z = _window(data, TRIWEIGHT, 0.5, float(u0))
+        win = _window(data, TRIWEIGHT, 0.5, float(u0))
+        active, wa, z = win.active, win.w, win.z
         resid = y[active] - z @ fit.beta.vector
         moments = (g2.batch(resid)[:, :, None] * z[:, None, :]).reshape(len(active), -1)
         total += float(wa @ np.log1p(moments @ fit.alpha))

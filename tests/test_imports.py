@@ -1,9 +1,11 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private function or class it defines is used somewhere in the package.
 
-An AST check standing in for a linter: a name bound by ``import`` or
+AST checks standing in for a linter: a name bound by ``import`` or
 ``from ... import`` must be read somewhere in the module or listed in its
-``__all__``.  ``__init__.py`` is skipped because its imports are the
-package's re-exports.
+``__all__`` (``__init__.py`` is skipped because its imports are the
+package's re-exports), and a module-level ``_private`` function or class
+must be read by name or attribute in some module of the package.
 """
 
 import ast
@@ -13,9 +15,8 @@ import pytest
 
 import selrtest
 
-MODULES = sorted(
-    p for p in pathlib.Path(selrtest.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = sorted(pathlib.Path(selrtest.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -45,3 +46,36 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def orphans(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of each module-level private function or class that no
+    module reads; an import alone is not a use."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in used
+    )
+
+
+def test_orphan_checker_flags_an_unused_private():
+    sources = {
+        "a.py": "def _called(): pass\ndef _orphan(): pass\nclass _Via: pass\n",
+        "b.py": "import a\nfrom a import _called, _orphan\nx = _called()\ny = a._Via\n",
+    }
+    assert orphans(sources) == [("a.py", "_orphan")]
+
+
+def test_no_orphan_private_definitions():
+    assert orphans({p.name: p.read_text() for p in PACKAGE}) == []

@@ -27,7 +27,7 @@ from selrtest.errors import (
     SingularDesign,
     ThinWindowWarning,
 )
-from selrtest.local_el import LocalParameter, _design, _ProfileObjective
+from selrtest.local_el import LocalParameter, _design, _ProfileObjective, _window
 
 from conftest import random_dataset
 
@@ -110,6 +110,19 @@ def test_moment_vectors_kron_oracle(rng):
     resid = data.y[active] - z @ beta.vector
     for row, e, zi in zip(got, resid, z):
         np.testing.assert_allclose(row, np.kron(g.evaluator(e), zi), atol=1e-12)
+
+
+def test_moment_vectors_default_active_is_the_window(rng):
+    # the triweight vanishes at |t| = 1, so u = 0.25 lies outside the window
+    # at u0 = 0.5, h = 0.25 although |u - u0| <= h
+    u = np.array([0.25, 0.4, 0.5, 0.6, 0.7])
+    data = Dataset(u, np.ones((5, 1)), rng.normal(size=5))
+    beta = LocalParameter([0.1], [0.2])
+    active = local_weights(data, TRIWEIGHT, 0.25, 0.5).active
+    assert len(active) == 4
+    got = moment_vectors(data, 0.25, 0.5, beta, make_identity())
+    np.testing.assert_array_equal(
+        got, moment_vectors(data, 0.25, 0.5, beta, make_identity(), active=active))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +232,7 @@ def test_fit_local_exact_linear_model(rng):
 
 def test_profile_gradient_finite_difference(rng):
     data = random_dataset(rng, n=50)
-    obj = _ProfileObjective(data, TRIWEIGHT, 0.4, 0.5, make_identity())
+    obj = _ProfileObjective(_window(data, TRIWEIGHT, 0.4, 0.5), data.y, make_identity())
     x0 = lls_init(data, TRIWEIGHT, 0.4, 0.5).vector + 0.05
     _, grad = obj.value_grad(x0)
     step = 1e-6

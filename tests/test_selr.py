@@ -1,6 +1,7 @@
 """Test statistics, calibration, bootstrap and bandwidth selection."""
 
 import warnings
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,14 +31,15 @@ from selrtest import (
     selr_test,
     zero_coef,
 )
-from selrtest import selr
+from selrtest import local_el, selr
 from selrtest.errors import (
     DegenerateTestWarning,
     Infeasible,
     NumericalError,
     ReplicateFailureWarning,
 )
-from selrtest.selr import CoefFn, _window
+from selrtest.local_el import _window
+from selrtest.selr import CoefFn
 from selrtest.selr import TestCalibration as Calibration
 
 from conftest import random_dataset
@@ -141,7 +143,8 @@ def test_gof_decomposition_identity(rng):
     for u0 in np.sort(data.u):
         fit = fit_local(data, TRIWEIGHT, h, float(u0), G2, init=prev)
         prev = fit.beta
-        active, wa, z = _window(data, TRIWEIGHT, h, float(u0))
+        win = _window(data, TRIWEIGHT, h, float(u0))
+        active, wa, z = win.active, win.w, win.z
         resid = data.y[active] - z @ fit.beta.vector
         moments = (G2.batch(resid)[:, :, None] * z[:, None, :]).reshape(len(active), -1)
         total += float(wa @ np.log1p(moments @ fit.alpha))
@@ -227,7 +230,8 @@ def test_simple_matches_bisection_double_loop_oracle(rng):
 
     total = 0.0
     for u0 in data.u:
-        active, wa, z = _window(data, TRIWEIGHT, h, float(u0))
+        win = _window(data, TRIWEIGHT, h, float(u0))
+        active, wa, z = win.active, win.w, win.z
         moments = data.y[active][:, None] * z
         alpha = dual_2d(moments, wa)
         total += float(wa @ np.log1p(moments @ alpha))
@@ -441,6 +445,26 @@ def test_bootstrap_schemes_run(rng):
         bootstrap_null(data, TRIWEIGHT, 0.45, make_identity(), spec, B=0)
 
 
+def test_bootstrap_builds_each_window_once(monkeypatch, rng):
+    """Replicates share u and x, so one bootstrap_null call builds the window
+    at each (design, centre) once rather than once per replicate."""
+    data = small_dataset(rng, n=60)
+    built = Counter()
+    build = local_el._window
+
+    def counting_window(dset, kernel, h, u0):
+        built[dset.u.tobytes(), dset.x.tobytes(), float(u0)] += 1
+        return build(dset, kernel, h, u0)
+
+    monkeypatch.setattr(local_el, "_window", counting_window)
+    spec = Hypothesis.simple([zero_coef()])
+    sample, _ = bootstrap_null(data, TRIWEIGHT, 0.4, make_identity(), spec, B=5,
+                               scheme="gaussian", include_full_term=True)
+    assert len(sample) == 5
+    assert len(built) == data.n
+    assert max(built.values()) == 1
+
+
 # ---------------------------------------------------------------------------
 # bandwidth selection
 
@@ -479,7 +503,7 @@ def test_replicate_failures(monkeypatch, rng, method, n_fail):
     B = 20
     replicates = []
 
-    def fake_selr_test(dset, kernel, h, g, spec, **kwargs):
+    def fake_statistic(dset, kernel, h, g, spec, **kwargs):
         if dset is not data:
             if not replicates or replicates[-1] is not dset:
                 replicates.append(dset)
@@ -487,7 +511,7 @@ def test_replicate_failures(monkeypatch, rng, method, n_fail):
                 raise Infeasible("forced replicate failure")
         return SimpleNamespace(statistic=float(dset.y @ dset.y), r_K=1.0, df=2.0)
 
-    monkeypatch.setattr(selr, "selr_test", fake_selr_test)
+    monkeypatch.setattr(selr, "_statistic", fake_statistic)
 
     def run():
         if method == "bootstrap_null":
