@@ -13,6 +13,7 @@ entropy = sum_i w_i log w_i over the active window.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -49,6 +50,7 @@ __all__ = [
 _DUAL_GTOL = 1e-12
 _DUAL_MAX_ITER = 100
 _OUTER_GTOL = 1e-7
+_KEEP_BYTES = 8 * 2**20  # windows a _WindowStore keeps for reuse
 
 
 @dataclass(frozen=True)
@@ -139,8 +141,7 @@ class _LocalWindow:
     """One kernel window: what every local term at u0 needs except y.
 
     ``active`` indexes the observations with positive kernel weight, ``w``
-    holds their normalized weights, ``z`` the local design rows and
-    ``entropy`` the sum of w log w.
+    holds their normalized weights and ``z`` the local design rows.
     """
 
     u0: float
@@ -148,7 +149,12 @@ class _LocalWindow:
     active: np.ndarray
     w: np.ndarray
     z: np.ndarray
-    entropy: float
+
+    @functools.cached_property
+    def entropy(self) -> float:
+        """Sum of w log w, computed on first use: the null term, the
+        smoother and the variance estimate never read it."""
+        return float(np.sum(self.w * np.log(self.w)))
 
 
 def _window(data: Dataset, kernel: Kernel, h: float, u0: float) -> _LocalWindow:
@@ -170,17 +176,40 @@ def _window(data: Dataset, kernel: Kernel, h: float, u0: float) -> _LocalWindow:
             stacklevel=3,
         )
     w = raw[active] / total
-    return _LocalWindow(float(u0), float(h), active, w, _design(data, active, u0, h),
-                        float(np.sum(w * np.log(w))))
+    return _LocalWindow(float(u0), float(h), active, w, _design(data, active, u0, h))
 
 
 def _windows(data: Dataset, kernel: Kernel, h: float):
-    """Window builder of one design: j -> the window centred at u_j.
-
-    A window depends on (u, x, kernel, h) only, so a loop that redraws only
-    y wraps the builder in ``functools.cache`` to build each window once.
-    """
+    """Window builder of one design: j -> the window centred at u_j."""
     return lambda j: _window(data, kernel, h, float(data.u[j]))
+
+
+class _WindowStore:
+    """Windows of one design (u, x, kernel) for a loop that redraws only y.
+
+    ``at(h)`` maps j to the window centred at u_j, built on first use and
+    kept while the kept windows hold fewer than ``_KEEP_BYTES`` bytes; later
+    windows are rebuilt on every call.  A window holds O(n h) rows, so all n
+    of them would take O(n^2 h p) memory.
+    """
+
+    def __init__(self, data: Dataset, kernel: Kernel):
+        self.data = data
+        self.kernel = kernel
+        self.kept = {}
+        self.nbytes = 0
+
+    def at(self, h: float):
+        return lambda j: self._get(h, j)
+
+    def _get(self, h, j):
+        win = self.kept.get((h, j))
+        if win is None:
+            win = _window(self.data, self.kernel, h, float(self.data.u[j]))
+            if self.nbytes < _KEEP_BYTES:
+                self.kept[h, j] = win
+                self.nbytes += win.active.nbytes + win.w.nbytes + win.z.nbytes
+        return win
 
 
 def local_weights(data: Dataset, kernel: Kernel, h: float, u0: float) -> LocalWeights:
@@ -327,8 +356,14 @@ def _log_ratio(win: _LocalWindow, g: EstimatingFunction, y: np.ndarray, beta_vec
     return float(win.w @ np.log1p(moments @ alpha)), alpha
 
 
-def local_logel(data: Dataset, kernel: Kernel, h: float, u0: float, beta: LocalParameter,
-                g: EstimatingFunction) -> tuple[float, float]:
+def local_logel(
+    data: Dataset,
+    kernel: Kernel,
+    h: float,
+    u0: float,
+    beta: LocalParameter,
+    g: EstimatingFunction,
+) -> tuple[float, float]:
     """Local log empirical likelihood and window entropy at (u0, beta)."""
     win = _window(data, kernel, h, u0)
     value, _ = _log_ratio(win, g, data.y, beta.vector)
@@ -438,16 +473,29 @@ def _fit(win, y, g, init=None, free_idx=None, fixed_vec=None) -> LocalELFit:
     )
 
 
-def fit_local(data: Dataset, kernel: Kernel, h: float, u0: float, g: EstimatingFunction,
-              init: LocalParameter | None = None) -> LocalELFit:
+def fit_local(
+    data: Dataset,
+    kernel: Kernel,
+    h: float,
+    u0: float,
+    g: EstimatingFunction,
+    init: LocalParameter | None = None,
+) -> LocalELFit:
     """Profile maximizer of the local log-EL over the full 2p parameters."""
     return _fit(_window(data, kernel, h, u0), data.y, g, init)
 
 
-def fit_local_constrained(data: Dataset, kernel: Kernel, h: float, u0: float,
-                          g: EstimatingFunction, fixed_value: np.ndarray,
-                          fixed_slope: np.ndarray, fixed_idx,
-                          init: LocalParameter | None = None) -> LocalELFit:
+def fit_local_constrained(
+    data: Dataset,
+    kernel: Kernel,
+    h: float,
+    u0: float,
+    g: EstimatingFunction,
+    fixed_value: np.ndarray,
+    fixed_slope: np.ndarray,
+    fixed_idx,
+    init: LocalParameter | None = None,
+) -> LocalELFit:
     """Profile maximizer with coefficients ``fixed_idx`` pinned.
 
     The pinned coordinates take the values A_10(u0) = ``fixed_value`` and

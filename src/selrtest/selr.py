@@ -11,7 +11,6 @@ proportional to |Omega| / h, or by a null-simulation bootstrap.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -40,6 +39,7 @@ from .local_el import (
     _local_linear_fitted,
     _log_ratio,
     _windows,
+    _WindowStore,
 )
 
 __all__ = [
@@ -322,8 +322,13 @@ def _assemble(kind, data, eval_idx, terms, omega, h, kernel, k0, p1=None,
     )
 
 
-def selr_gof(data: Dataset, kernel: Kernel, h: float, g: EstimatingFunction,
-             spec: Hypothesis) -> TestResult:
+def selr_gof(
+    data: Dataset,
+    kernel: Kernel,
+    h: float,
+    g: EstimatingFunction,
+    spec: Hypothesis,
+) -> TestResult:
     """Goodness-of-fit statistic for the estimating-equation constraints."""
     return _gof(data, kernel, h, g, spec, _windows(data, kernel, h))
 
@@ -359,8 +364,14 @@ def _transform_simple(data: Dataset, a0: Sequence[CoefFn]) -> Dataset:
     return Dataset(data.u, data.x, data.y - _coef_sum(data, a0, range(data.p)))
 
 
-def selr_simple(data: Dataset, kernel: Kernel, h: float, g: EstimatingFunction,
-                spec: Hypothesis, include_full_term: bool | None = None) -> TestResult:
+def selr_simple(
+    data: Dataset,
+    kernel: Kernel,
+    h: float,
+    g: EstimatingFunction,
+    spec: Hypothesis,
+    include_full_term: bool | None = None,
+) -> TestResult:
     """Likelihood-ratio statistic against a simple null A = A0.
 
     The data are first shifted so the null becomes A* = 0 and the local
@@ -397,8 +408,13 @@ def _simple(data, kernel, h, g, spec, include_full_term, window_at) -> TestResul
     return _assemble("simple_null", star, eval_idx, terms, omega, h, kernel, g.k0)
 
 
-def selr_composite(data: Dataset, kernel: Kernel, h: float, g: EstimatingFunction,
-                   spec: Hypothesis) -> TestResult:
+def selr_composite(
+    data: Dataset,
+    kernel: Kernel,
+    h: float,
+    g: EstimatingFunction,
+    spec: Hypothesis,
+) -> TestResult:
     """Likelihood-ratio statistic against a composite null pinning A1 = A10."""
     return _composite(data, kernel, h, g, spec, _windows(data, kernel, h))
 
@@ -458,8 +474,14 @@ def _family_fitted(data: Dataset, family: ParametricFamily, theta) -> np.ndarray
     return np.sum(coefs * data.x, axis=1)
 
 
-def selr_test(data: Dataset, kernel: Kernel, h: float, g: EstimatingFunction,
-              spec: Hypothesis, include_full_term: bool | None = None) -> TestResult:
+def selr_test(
+    data: Dataset,
+    kernel: Kernel,
+    h: float,
+    g: EstimatingFunction,
+    spec: Hypothesis,
+    include_full_term: bool | None = None,
+) -> TestResult:
     """Dispatch on the hypothesis kind; parametric nulls are bias-corrected
     and reduced to a simple zero null."""
     return _statistic(data, kernel, h, g, spec, include_full_term=include_full_term,
@@ -590,8 +612,8 @@ def bootstrap_null(
     """
     if B < 1:
         raise ConfigError("need at least one bootstrap replicate")
-    # replicates share u and x, so every window is built once for all of them
-    window_at = functools.cache(_windows(data, kernel, h))
+    # replicates share u and x, so they reuse the windows the store keeps
+    window_at = _WindowStore(data, kernel).at(h)
 
     def statistic(dset):
         return _statistic(dset, kernel, h, g, spec, include_full_term=include_full_term,
@@ -627,25 +649,23 @@ def select_bandwidth(
     if not h_grid:
         raise ConfigError("bandwidth grid is empty")
 
-    window_at = {h: _windows(data, kernel, h) for h in h_grid}
-    if B > 0:  # replicates share u and x: build each window once for all of them
-        window_at = {h: functools.cache(at) for h, at in window_at.items()}
-
-    def standardized(dset, h):
-        res = _statistic(dset, kernel, h, g, spec, window_at=window_at[h])
+    def standardized(dset, h, window_at):
+        res = _statistic(dset, kernel, h, g, spec, window_at=window_at)
         if res.df <= 0:
             raise ConfigError("bandwidth selection needs positive df")
         return (res.r_K * res.statistic - res.df) / np.sqrt(2.0 * res.df)
 
-    per_h = {h: standardized(data, h) for h in h_grid}
+    per_h = {h: standardized(data, h, _windows(data, kernel, h)) for h in h_grid}
     h_hat = max(per_h, key=per_h.get)
     observed = per_h[h_hat]
 
     p_boot = None
     if B > 0:
+        # replicates share u and x, so they reuse the windows the store keeps
+        windows = _WindowStore(data, kernel)
         _, p_boot = _bootstrap(
             data, kernel, min(h_grid), spec, B, scheme, seed,
-            lambda rep: max(standardized(rep, h) for h in h_grid), observed,
-            window_at[min(h_grid)],
+            lambda rep: max(standardized(rep, h, windows.at(h)) for h in h_grid), observed,
+            windows.at(min(h_grid)),
         )
     return BandwidthSelection(h=h_hat, statistic=observed, per_h=per_h, p_bootstrap=p_boot)

@@ -123,6 +123,11 @@ def test_moment_vectors_default_active_is_the_window(rng):
     got = moment_vectors(data, 0.25, 0.5, beta, make_identity())
     np.testing.assert_array_equal(
         got, moment_vectors(data, 0.25, 0.5, beta, make_identity(), active=active))
+    # the uniform kernel is positive at |t| = 1, so its window holds u = 0.25
+    # too; the default rows (|u - u0| < h) leave it out, as documented
+    uniform = local_weights(data, kernel_by_name("uniform"), 0.25, 0.5).active
+    assert len(uniform) == 5
+    assert len(got) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -465,8 +465,54 @@ def test_bootstrap_builds_each_window_once(monkeypatch, rng):
     assert max(built.values()) == 1
 
 
+def test_bootstrap_rebuilds_windows_past_the_cap(monkeypatch, rng):
+    """Past the kept-bytes cap the remaining windows are rebuilt on every
+    use, and the bootstrap sample stays the same."""
+    data = small_dataset(rng, n=60)
+    spec = Hypothesis.simple([zero_coef()])
+    args = (data, TRIWEIGHT, 0.4, make_identity(), spec)
+    kept_all, _ = bootstrap_null(*args, B=5, include_full_term=True)
+    built = Counter()
+    build = local_el._window
+
+    def counting_window(dset, kernel, h, u0):
+        built[float(u0)] += 1
+        return build(dset, kernel, h, u0)
+
+    monkeypatch.setattr(local_el, "_window", counting_window)
+    monkeypatch.setattr(local_el, "_KEEP_BYTES", 10_000)
+    sample, _ = bootstrap_null(*args, B=5, include_full_term=True)
+    np.testing.assert_array_equal(sample, kept_all)
+    # observed statistic, variance smoother and 5 replicates: 7 uses a centre
+    assert set(built.values()) == {1, 7}
+    assert 0 < sum(c == 1 for c in built.values()) < data.n
+
+
 # ---------------------------------------------------------------------------
 # bandwidth selection
+
+
+def test_select_bandwidth_builds_replicate_windows_once(monkeypatch, rng):
+    """The observed statistics build each (h, centre) window once, and the
+    replicates share one more build of it."""
+    data = small_dataset(rng, n=50)
+    built = Counter()
+    build = local_el._window
+
+    def counting_window(dset, kernel, h, u0):
+        built[h, float(u0)] += 1
+        return build(dset, kernel, h, u0)
+
+    monkeypatch.setattr(local_el, "_window", counting_window)
+    spec = Hypothesis.simple([zero_coef()])
+    select_bandwidth(data, TRIWEIGHT, make_identity(), spec, [0.3, 0.45])
+    assert len(built) == 2 * data.n
+    assert set(built.values()) == {1}
+    built.clear()
+    sel = select_bandwidth(data, TRIWEIGHT, make_identity(), spec, [0.3, 0.45], B=4)
+    assert sel.p_bootstrap is not None
+    assert len(built) == 2 * data.n
+    assert set(built.values()) == {2}
 
 
 def test_select_bandwidth_single_grid(rng):
