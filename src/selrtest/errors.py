@@ -49,7 +49,11 @@ class MaxIterations(NumericalError):
     """Iteration limit reached without meeting the convergence tolerance."""
 
 
-class DerivativeUnavailable(SelrError):
+class NoRetainedWindows(NumericalError):
+    """Every evaluation window of a statistic was skipped."""
+
+
+class DerivativeUnavailable(ConfigError):
     """Derivative requested from a hard-indicator estimating function."""
 
 

@@ -51,6 +51,9 @@ _DUAL_GTOL = 1e-12
 _DUAL_MAX_ITER = 100
 _OUTER_GTOL = 1e-7
 _KEEP_BYTES = 8 * 2**20  # windows a _WindowStore keeps for reuse
+_BATCH_ROWS = 2048  # moment rows one batched dual solve holds
+_BATCH_MAX_ITER = 20  # Newton steps before the batch hands a window off
+_BATCH_MARGIN = 1e-6  # smallest 1 + alpha'G at an optimum the batch certifies
 
 
 @dataclass(frozen=True)
@@ -356,6 +359,145 @@ def _log_ratio(win: _LocalWindow, g: EstimatingFunction, y: np.ndarray, beta_vec
     return float(win.w @ np.log1p(moments @ alpha)), alpha
 
 
+def _log_ratios(tagged, g, y, beta_vec):
+    """For each (tag, window) pair of ``tagged``, (tag, value of
+    :func:`_log_ratio`); the value is None where that raises
+    :class:`Infeasible` or :class:`MaxIterations`, or where the window is None.
+
+    ``tagged`` is consumed lazily: consecutive windows are solved together,
+    at most ``_BATCH_ROWS`` moment rows at a time (a larger window alone).
+    """
+    tags, wins, rows = [], [], 0
+    for tag, win in tagged:
+        m = 0 if win is None else len(win.active)
+        if wins and rows + m > _BATCH_ROWS:
+            yield from zip(tags, _batch_log_ratios(wins, g, y, beta_vec))
+            tags, wins, rows = [], [], 0
+        tags.append(tag)
+        wins.append(win)
+        rows += m
+    if wins:
+        yield from zip(tags, _batch_log_ratios(wins, g, y, beta_vec))
+
+
+def _batch_log_ratios(wins, g, y, beta_vec) -> list:
+    """:func:`_log_ratios` of one chunk: one damped Newton over all windows.
+
+    The moment rows of the windows lie side by side in a (d, M) array and
+    every per-window sum is a ``reduceat`` over the window's segment.  The
+    batch certifies a window when the scalar solver's own stopping rule
+    holds there within ``_BATCH_MAX_ITER`` steps and every 1 + alpha'G_i
+    is at least ``_BATCH_MARGIN``.  It hands every other window (singular
+    or non-finite step, step underflow, iteration cap, near-boundary
+    optimum) to :func:`_log_ratio`, so the scalar solver decides its fate.
+    """
+    out = [None] * len(wins)
+    live = np.array([e for e, win in enumerate(wins) if win is not None], dtype=int)
+    if len(live) == 0:
+        return out
+    counts = np.array([len(wins[e].active) for e in live])
+    z = np.concatenate([wins[e].z for e in live])
+    resid = y[np.concatenate([wins[e].active for e in live])] - z @ beta_vec
+    moments = _moments(g, resid, z)
+    del z, resid  # temporaries go early: the chunk's peak sets the process RSS
+    gt = np.ascontiguousarray(moments.T)  # (d, M), G_i in column i
+    del moments
+    w = np.concatenate([wins[e].w for e in live])
+    starts = np.cumsum(counts) - counts
+    wsum = np.add.reduceat(w, starts)
+    gtol = _DUAL_GTOL * np.maximum(1.0, np.maximum.reduceat(np.abs(gt).max(axis=0), starts))
+    x = np.zeros(len(w))  # alpha'G_i, kept up to date along the steps
+    f = np.zeros(len(live))  # dual value sum_i w_i log(1 + x_i) of each window
+    failed = np.zeros(len(live), dtype=bool)
+    handoff = []
+    # a trial step past the feasible region makes log1p NaN or -inf, and
+    # the line search rejects it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(_BATCH_MAX_ITER + 1):
+            wd = w / (1.0 + x)
+            grad = _segment_sums(gt, wd, starts)
+            # the scalar solver's stopping rule: small gradient, conserved mass
+            done = (np.sqrt(np.einsum("ke,ke->e", grad, grad)) <= gtol) & (
+                np.abs(np.add.reduceat(wd, starts) - wsum) <= 1e-8)
+            leave = done | failed | (it == _BATCH_MAX_ITER)
+            if leave.any():
+                certified = done & (np.minimum.reduceat(x, starts) >= _BATCH_MARGIN - 1.0)
+                for e, value in zip(live[certified], f[certified]):
+                    out[e] = float(value)
+                handoff.extend(live[leave & ~certified])
+                keep = ~leave
+                rows = np.repeat(keep, counts)
+                # one array at a time, so at most one old copy is alive
+                gt = gt[:, rows]
+                w = w[rows]
+                x = x[rows]
+                wd = wd[rows]
+                counts, live, f, wsum, gtol, grad = (
+                    counts[keep], live[keep], f[keep], wsum[keep], gtol[keep], grad[:, keep])
+                if len(live) == 0:
+                    break
+                starts = np.cumsum(counts) - counts
+            wd /= 1.0 + x  # now w_i / (1 + x_i)^2, the Hessian's row weights
+            step = _newton_steps(gt, wd, grad, starts)
+            del wd
+            failed = ~np.isfinite(step).all(axis=0)
+            step[:, failed] = 0.0
+            # 1 + alpha'G is linear along the step, so halving only rescales gs
+            gs = np.einsum("km,km->m", gt, np.repeat(step, counts, axis=1))
+            c = np.ones(len(live))
+            xc = x + gs
+            while True:
+                terms = np.log1p(xc)
+                terms *= w
+                fc = np.add.reduceat(terms, starts)
+                del terms
+                # as the scalar: strictly inside the feasible region and not
+                # worse; a window whose step underflowed stays where it was
+                worse = ~((np.minimum.reduceat(xc, starts) > 1e-12 - 1.0) & (fc >= f - 1e-14))
+                worse &= c > 0
+                if not worse.any():
+                    break
+                c[worse] *= 0.5
+                underflow = c <= 1e-14
+                c[underflow] = 0.0
+                failed |= underflow
+                xc = np.repeat(c, counts)
+                xc *= gs
+                xc += x
+            x, f = xc, fc
+    for e in handoff:
+        try:
+            out[e] = _log_ratio(wins[e], g, y, beta_vec)[0]
+        except (Infeasible, MaxIterations):
+            pass
+    return out
+
+
+def _segment_sums(rows, v, starts) -> np.ndarray:
+    """Sum of rows[k] * v over each segment beginning at ``starts``, (d, E)."""
+    buf = np.empty_like(v)
+    return np.array([np.add.reduceat(np.multiply(r, v, out=buf), starts) for r in rows])
+
+
+def _newton_steps(gt, v, grad, starts) -> np.ndarray:
+    """Newton step H^-1 grad of every window, (d, E), with H the sum of
+    v_i G_i G_i' over the window's rows; NaN where H is singular."""
+    d, n_win = grad.shape
+    hess = np.empty((n_win, d, d))
+    for i in range(d):
+        hess[:, i, i:] = hess[:, i:, i] = _segment_sums(gt[i:], gt[i] * v, starts).T
+    singular = np.zeros(n_win, dtype=bool)
+    try:
+        step = np.linalg.solve(hess, grad.T[:, :, None])
+    except np.linalg.LinAlgError:
+        singular = np.linalg.det(hess) == 0
+        hess[singular] = np.eye(d)
+        step = np.linalg.solve(hess, grad.T[:, :, None])
+    step = step[:, :, 0].T.copy()
+    step[:, singular] = np.nan
+    return step
+
+
 def local_logel(
     data: Dataset,
     kernel: Kernel,
@@ -432,14 +574,19 @@ class _ProfileObjective:
         return neg_logel, grad_full[self.free_idx]
 
 
-def _fit(win, y, g, init=None, free_idx=None, fixed_vec=None) -> LocalELFit:
-    """Profile fit in one window from ``init`` (default: the LLS fit)."""
-    init_vec = _lls(win, y) if init is None else init.vector
+def _require_derivative(g: EstimatingFunction) -> None:
+    """Refuse an estimating function the profile fit cannot differentiate."""
     if not g.has_derivative:
         raise DerivativeUnavailable(
             "profile optimization needs a differentiable estimating function; "
             "use identity or smoothed_indicator"
         )
+
+
+def _fit(win, y, g, init=None, free_idx=None, fixed_vec=None) -> LocalELFit:
+    """Profile fit in one window from ``init`` (default: the LLS fit)."""
+    init_vec = _lls(win, y) if init is None else init.vector
+    _require_derivative(g)
     obj = _ProfileObjective(win, y, g, free_idx=free_idx, fixed_vec=fixed_vec)
     x0 = init_vec[obj.free_idx] if free_idx is not None else init_vec
     obj.penalty_ref = x0.copy()

@@ -26,6 +26,7 @@ from .errors import (
     EmptyWindow,
     Infeasible,
     MaxIterations,
+    NoRetainedWindows,
     NumericalError,
     ReplicateFailureWarning,
     SingularDesign,
@@ -37,7 +38,8 @@ from .local_el import (
     _fit,
     _fit_constrained,
     _local_linear_fitted,
-    _log_ratio,
+    _log_ratios,
+    _require_derivative,
     _windows,
     _WindowStore,
 )
@@ -285,7 +287,9 @@ def _assemble(kind, data, eval_idx, terms, omega, h, kernel, k0, p1=None,
 
     ``terms`` maps each evaluation point j to a (contribution, status)
     pair; a contribution of None marks a skipped window, which also
-    removes its share of the degrees of freedom.
+    removes its share of the degrees of freedom.  Raises
+    :class:`NoRetainedWindows` when every window was skipped, so a
+    bootstrap counts that replicate as failed.
     """
     per_point = []
     stat = 0.0
@@ -301,6 +305,8 @@ def _assemble(kind, data, eval_idx, terms, omega, h, kernel, k0, p1=None,
             n_clamped += 1
         stat += contrib
         per_point.append({"u0": u0, "contribution": contrib, "status": status})
+    if n_skipped == len(eval_idx):
+        raise NoRetainedWindows(f"all {n_skipped} evaluation windows were skipped")
     retained = 1.0 - n_skipped / len(eval_idx)
     cal, consts = _calibration(
         kind, k0, data.p, p1, omega[1] - omega[0], h, kernel, retained, no_est=no_est
@@ -394,16 +400,13 @@ def _simple(data, kernel, h, g, spec, include_full_term, window_at) -> TestResul
     walk = _walk(star, eval_idx, window_at)
     rows = _full_fits(star.y, g, walk) if include_full_term else (
         (j, win, None) for j, win in walk)
-    beta0 = np.zeros(2 * star.p)
+    # the null terms are solved a chunk of windows at a time
+    tagged = (((j, fit), win) for j, win, fit in rows)
     terms = {}
     full = 0.0  # the omitted unconstrained-fit term
-    for j, win, fit in rows:
+    for (j, fit), null in _log_ratios(tagged, g, star.y, np.zeros(2 * star.p)):
         if include_full_term:
             full = None if fit is None else fit.entropy - fit.logel
-        try:
-            null = None if win is None else _log_ratio(win, g, star.y, beta0)[0]
-        except (Infeasible, MaxIterations):
-            null = None
         terms[j] = (None if null is None or full is None else null - full, "converged")
     return _assemble("simple_null", star, eval_idx, terms, omega, h, kernel, g.k0)
 
@@ -491,6 +494,9 @@ def selr_test(
 def _statistic(data, kernel, h, g, spec, include_full_term=None, *, window_at):
     """:func:`selr_test` with ``window_at(j)`` giving the window at u_j, so a
     replicate loop can pass the windows of its fixed design."""
+    full_term = g.k0 > 1 if include_full_term is None else include_full_term
+    if spec.kind in ("goodness_of_fit", "composite_null") or full_term:
+        _require_derivative(g)  # before any window is built
     if spec.kind == "goodness_of_fit":
         return _gof(data, kernel, h, g, spec, window_at)
     if spec.kind == "simple_null":

@@ -109,6 +109,23 @@ def test_exit_codes(tmp_path, csv_path):
     assert main(["test", "--input", csv_path, "--h", "0.4", "--g", "wavelet"]) == 2
 
 
+def test_hard_indicator_gof_refused_up_front(csv_path_p2, capsys):
+    # the profile fit needs a derivative: a configuration error (exit 2)
+    code = main(["test", "--input", csv_path_p2, "--h", "0.3", "--gof",
+                 "--g", "symmetric:0.8,2.0", "--omega", "0.1,0.9"])
+    assert code == 2
+    assert "differentiable" in capsys.readouterr().err
+
+
+def test_all_windows_skipped_exits_numerical(tmp_path, rng, capsys):
+    n = 60
+    u = rng.random(n)
+    path = tmp_path / "positive.csv"
+    write_csv(Dataset(u, np.ones((n, 1)), 1.0 + rng.random(n)), str(path))
+    assert main(["test", "--input", str(path), "--h", "0.3"]) == 4
+    assert "skipped" in capsys.readouterr().err
+
+
 def test_test_subcommand_rejects_threads(csv_path, capsys):
     # --threads belongs to simulate; the test subcommand has no parallel path
     with pytest.raises(SystemExit) as exc:

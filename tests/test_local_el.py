@@ -19,15 +19,26 @@ from selrtest import (
     make_smoothed_indicator,
     make_symmetric_indicator,
     moment_vectors,
+    parse_g_spec,
     solve_lagrange,
 )
+from selrtest import local_el
 from selrtest.errors import (
     DerivativeUnavailable,
     EmptyWindow,
+    MaxIterations,
     SingularDesign,
     ThinWindowWarning,
 )
-from selrtest.local_el import LocalParameter, _design, _ProfileObjective, _window
+from selrtest.local_el import (
+    LocalParameter,
+    _design,
+    _LocalWindow,
+    _log_ratio,
+    _log_ratios,
+    _ProfileObjective,
+    _window,
+)
 
 from conftest import random_dataset
 
@@ -192,6 +203,86 @@ def test_implied_probabilities_sum_to_one(rng):
     np.testing.assert_allclose(moments.T @ p, 0.0, atol=1e-8)
     with pytest.raises(Infeasible):
         implied_probabilities(moments, weights, alpha * 1e6)
+
+
+def scalar_log_ratio(win, g, y, beta):
+    """The per-window oracle of the batched solver: None where it skips."""
+    try:
+        return _log_ratio(win, g, y, beta)[0]
+    except (Infeasible, MaxIterations):
+        return None
+
+
+def assert_batch_matches_scalar(wins, g, y, beta):
+    got = [v for _, v in _log_ratios(enumerate(wins), g, y, beta)]
+    want = [scalar_log_ratio(win, g, y, beta) for win in wins]
+    assert [v is None for v in got] == [v is None for v in want]
+    for a, b in zip(got, want):
+        if b is not None:
+            assert a == pytest.approx(b, rel=1e-12, abs=0)
+    return got
+
+
+@pytest.mark.filterwarnings("ignore::selrtest.errors.ThinWindowWarning")
+@pytest.mark.parametrize("spec", ["identity", "smoothed:0.8,2.0:0.3"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_log_ratios_match_scalar_solver(monkeypatch, rng, p, spec):
+    """The batched null-term dual gives each window the scalar solver's
+    value (within 1e-12 relative) and skips the same windows."""
+    monkeypatch.setattr(local_el, "_BATCH_ROWS", 300)  # several chunks
+    data = random_dataset(rng, n=80, p=p)
+    g = parse_g_spec(spec)
+    skipped = solved = 0
+    for h, shift in [(0.3, 0.0), (0.1, 0.8), (0.06, 0.0)]:
+        wins = [_window(data, TRIWEIGHT, h, float(u0)) for u0 in data.u]
+        for beta in (np.zeros(2 * p), 0.2 * rng.normal(size=2 * p)):
+            got = assert_batch_matches_scalar(wins, g, data.y + shift, beta)
+            skipped += sum(v is None for v in got)
+            solved += sum(v is not None for v in got)
+    assert skipped > 0 and solved > 0
+
+
+def test_log_ratios_edge_windows():
+    """Hand-built windows side by side in one batch: all-zero moments,
+    one-signed residuals, three points, a near-boundary optimum, a
+    singular Hessian and a missing window."""
+    g = make_identity()
+
+    def window(start, t, w):
+        t = np.asarray(t)
+        return _LocalWindow(0.0, 1.0, start + np.arange(len(t)), np.asarray(w) / np.sum(w),
+                            np.column_stack([np.ones_like(t), t]))
+
+    t5 = [-0.6, -0.2, 0.1, 0.5, 0.8]
+    # The only positive residual (622.76) sits on a point of weight 2.1e-12.
+    # At the optimum 1 + alpha'G is about 1e-10 there, where rounding keeps
+    # the scalar solver short of its tolerance (MaxIterations).  The window
+    # was found by search as one where the batch's stopping rule does hold
+    # at that rounding floor, so only the margin rule hands it off.
+    t_edge = np.array([-0.73, -0.21, -0.74, 0.45, 0.58, -0.36, 0.76, 0.04, -0.31])
+    r_edge = [-0.79, -0.8, -0.06, -1.06, -0.63, -1.44, -1.76, -0.4, 622.76]
+    w_edge = (1 - t_edge[:-1] ** 2) ** 3
+    w_edge = np.append(w_edge / w_edge.sum() * (1 - 2.1e-12), 2.1e-12)
+    wins = [
+        window(0, t5, np.ones(5)),  # y = 0: every moment row is zero
+        window(5, t5, [1, 2, 3, 2, 1]),  # every residual positive
+        window(10, [-0.5, 0.1, 0.7], [1, 3, 1]),  # three points
+        window(13, t_edge, w_edge),
+        window(22, np.zeros(4), [1, 2, 2, 1]),  # every t = 0: singular Hessian
+        None,
+    ]
+    y = np.concatenate([np.zeros(5), [0.3, 1.2, 0.5, 2.0, 0.1], [0.4, -0.9, 0.6], r_edge,
+                        [0.5, -1.0, 0.3, -0.2]])
+    with pytest.raises(MaxIterations):
+        _log_ratio(wins[3], g, y, np.zeros(2))
+    got = assert_batch_matches_scalar(wins[:5], g, y, np.zeros(2))
+    assert got[0] == 0.0
+    assert got[1] is None  # Infeasible
+    assert got[2] is not None and got[2] > 0
+    assert got[3] is None  # MaxIterations
+    assert got[4] is not None and got[4] > 0
+    tagged = [v for _, v in _log_ratios(enumerate(wins), g, y, np.zeros(2))]
+    assert tagged[:5] == got and tagged[5] is None
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from selrtest import (
     kernel_constants,
     make_identity,
     make_smoothed_indicator,
+    make_symmetric_indicator,
     sel_entropy,
     sel_full,
     select_bandwidth,
@@ -34,7 +35,9 @@ from selrtest import (
 from selrtest import local_el, selr
 from selrtest.errors import (
     DegenerateTestWarning,
+    DerivativeUnavailable,
     Infeasible,
+    NoRetainedWindows,
     NumericalError,
     ReplicateFailureWarning,
 )
@@ -402,6 +405,69 @@ def test_selr_test_unknown_kind(rng):
         selr_test(data, TRIWEIGHT, 0.4, make_identity(), bad)
 
 
+def test_all_windows_skipped_raises(rng):
+    """A statistic with every window skipped is refused, not reported as 0."""
+    data = small_dataset(rng, n=60)
+    positive = Dataset(data.u, data.x, np.abs(data.y) + 1.0)  # no window holds 0
+    with pytest.raises(NoRetainedWindows):
+        selr_simple(positive, TRIWEIGHT, 0.3, make_identity(), Hypothesis.simple([zero_coef()]))
+
+
+@pytest.mark.parametrize("spec", [
+    Hypothesis.goodness_of_fit(),
+    Hypothesis.composite([const_coef(0.0)], [1]),
+    Hypothesis.simple([zero_coef()] * 2),
+])
+def test_hard_indicator_refused_before_any_window(monkeypatch, rng, spec):
+    """A statistic that needs the profile fit refuses a G without derivative
+    up front; the simple null with k0 > 1 includes the full term by default."""
+    data = small_dataset(rng, n=40, p=2)
+    built = []
+    monkeypatch.setattr(local_el, "_window", lambda *args: built.append(args))
+    g = make_symmetric_indicator([0.0, 0.8, 2.0])
+    with pytest.raises(DerivativeUnavailable) as exc:
+        selr_test(data, TRIWEIGHT, 0.4, g, spec)
+    assert isinstance(exc.value, ConfigError)
+    assert built == []
+
+
+def test_hard_indicator_simple_null_without_full_term(rng):
+    data = small_dataset(rng, n=60)
+    g = make_symmetric_indicator([0.0, 0.8, 2.0])
+    res = selr_test(data, TRIWEIGHT, 0.4, g, Hypothesis.simple([zero_coef()]),
+                    include_full_term=False)
+    assert np.isfinite(res.statistic) and res.df > 0
+
+
+def test_simple_solves_null_terms_in_bounded_chunks(monkeypatch, rng):
+    """At n = 800 one selr_simple call hands the batched dual solver at most
+    _BATCH_ROWS moment rows at a time, and still builds each window once."""
+    data = small_dataset(rng, n=800)
+    built = Counter()
+    build = local_el._window
+
+    def counting_window(dset, kernel, h, u0):
+        built[float(u0)] += 1
+        return build(dset, kernel, h, u0)
+
+    chunk_rows = []
+    solve = local_el._batch_log_ratios
+
+    def recording_solve(wins, *args):
+        chunk_rows.append(sum(len(win.active) for win in wins if win is not None))
+        return solve(wins, *args)
+
+    monkeypatch.setattr(local_el, "_window", counting_window)
+    monkeypatch.setattr(local_el, "_batch_log_ratios", recording_solve)
+    selr_simple(data, TRIWEIGHT, 0.3, make_identity(), Hypothesis.simple([zero_coef()]))
+    assert len(chunk_rows) > 1
+    assert max(chunk_rows) <= local_el._BATCH_ROWS
+    windows = [build(data, TRIWEIGHT, 0.3, float(u0)) for u0 in data.u]
+    assert sum(chunk_rows) == sum(len(win.active) for win in windows)
+    assert len(built) == data.n
+    assert set(built.values()) == {1}
+
+
 # ---------------------------------------------------------------------------
 # bootstrap
 
@@ -486,6 +552,27 @@ def test_bootstrap_rebuilds_windows_past_the_cap(monkeypatch, rng):
     # observed statistic, variance smoother and 5 replicates: 7 uses a centre
     assert set(built.values()) == {1, 7}
     assert 0 < sum(c == 1 for c in built.values()) < data.n
+
+
+def test_bootstrap_counts_all_skipped_replicates_as_failed(monkeypatch, rng):
+    """A replicate whose windows are all skipped fails instead of adding a
+    statistic of 0 to the null sample."""
+    data = small_dataset(rng, n=60)
+    draw = selr._replicate_errors
+    drawn = []
+
+    def errors(resid, sigma2, scheme, gen):
+        errs = draw(resid, sigma2, scheme, gen)
+        drawn.append(errs)
+        # the first two replicates put every response far above the null
+        return np.abs(errs) + 10.0 if len(drawn) <= 2 else errs
+
+    monkeypatch.setattr(selr, "_replicate_errors", errors)
+    spec = Hypothesis.simple([zero_coef()])
+    with pytest.warns(ReplicateFailureWarning, match="2/5"):
+        sample, _ = bootstrap_null(data, TRIWEIGHT, 0.4, make_identity(), spec, B=5)
+    assert len(sample) == 3
+    assert np.all(sample > 0)
 
 
 # ---------------------------------------------------------------------------
