@@ -584,29 +584,43 @@ def _require_derivative(g: EstimatingFunction) -> None:
 
 
 def _fit(win, y, g, init=None, free_idx=None, fixed_vec=None) -> LocalELFit:
-    """Profile fit in one window from ``init`` (default: the LLS fit)."""
-    init_vec = _lls(win, y) if init is None else init.vector
-    _require_derivative(g)
-    obj = _ProfileObjective(win, y, g, free_idx=free_idx, fixed_vec=fixed_vec)
-    x0 = init_vec[obj.free_idx] if free_idx is not None else init_vec
-    obj.penalty_ref = x0.copy()
-    f0, _ = obj.value_grad(x0)
-    if f0 >= 1e8:
-        raise Infeasible(f"initial parameter infeasible at u0={win.u0:g}")
-    res = minimize(
-        obj.value_grad,
-        x0,
-        jac=True,
-        method="BFGS",
-        options={"gtol": _OUTER_GTOL, "maxiter": 200},
-    )
-    xhat, fhat = res.x, res.fun
-    status = "converged" if res.success else "max_iter"
-    if fhat > f0 + 1e-12:
-        # ascent failed to improve on the warm start; keep the start
-        xhat, fhat = x0, f0
-        status = "max_iter"
-    beta_vec = obj.embed(xhat)
+    """Profile fit in one window from ``init`` (default: the LLS fit).
+
+    With the identity G and all 2p parameters free (``free_idx`` None) the
+    fit is exactly identified: 2p moments for 2p parameters.  The maximum
+    is then the root of sum_i w_i r_i z_i = 0, which is the LLS fit, where
+    alpha = 0 and the log-EL reaches its upper bound, the entropy.  That fit
+    is returned without a search and ``init`` is ignored, the maximum being
+    unique.  Its value still comes from the dual at that fit, not set to 0,
+    so a window whose rounding leaves a nonzero gradient gets its true
+    value; a singular local design raises :class:`SingularDesign`.
+    """
+    if g.kind == "identity" and free_idx is None:
+        beta_vec, status, inner_iters, outer_iters = _lls(win, y), "converged", 0, 0
+    else:
+        init_vec = _lls(win, y) if init is None else init.vector
+        _require_derivative(g)
+        obj = _ProfileObjective(win, y, g, free_idx=free_idx, fixed_vec=fixed_vec)
+        x0 = init_vec[obj.free_idx] if free_idx is not None else init_vec
+        obj.penalty_ref = x0.copy()
+        f0, _ = obj.value_grad(x0)
+        if f0 >= 1e8:
+            raise Infeasible(f"initial parameter infeasible at u0={win.u0:g}")
+        res = minimize(
+            obj.value_grad,
+            x0,
+            jac=True,
+            method="BFGS",
+            options={"gtol": _OUTER_GTOL, "maxiter": 200},
+        )
+        xhat, fhat = res.x, res.fun
+        status = "converged" if res.success else "max_iter"
+        if fhat > f0 + 1e-12:
+            # ascent failed to improve on the warm start; keep the start
+            xhat, fhat = x0, f0
+            status = "max_iter"
+        beta_vec = obj.embed(xhat)
+        inner_iters, outer_iters = obj.inner_iters, int(res.nit)
     value, alpha = _log_ratio(win, g, y, beta_vec)
     return LocalELFit(
         u0=win.u0,
@@ -615,8 +629,8 @@ def _fit(win, y, g, init=None, free_idx=None, fixed_vec=None) -> LocalELFit:
         logel=win.entropy - value,
         entropy=win.entropy,
         status=status,
-        inner_iters=obj.inner_iters,
-        outer_iters=int(res.nit),
+        inner_iters=inner_iters,
+        outer_iters=outer_iters,
     )
 
 
@@ -628,7 +642,11 @@ def fit_local(
     g: EstimatingFunction,
     init: LocalParameter | None = None,
 ) -> LocalELFit:
-    """Profile maximizer of the local log-EL over the full 2p parameters."""
+    """Profile maximizer of the local log-EL over the full 2p parameters.
+
+    For the identity G this is the local least-squares fit, found in closed
+    form; ``init`` is then ignored.
+    """
     return _fit(_window(data, kernel, h, u0), data.y, g, init)
 
 

@@ -168,6 +168,7 @@ class TestResult:
     B: int | None = None
     n_infeasible_points: int = 0
     n_clamped: int = 0
+    retained_frac: float = 1.0
     per_point: list | None = None
 
     def to_dict(self) -> dict:
@@ -190,6 +191,8 @@ class TestResult:
             "p_bootstrap": _num(self.p_bootstrap),
             "B": self.B,
             "n_skipped": self.n_infeasible_points,
+            "n_clamped": self.n_clamped,
+            "retained_frac": _num(self.retained_frac),
             "per_point": self.per_point or [],
         }
 
@@ -232,7 +235,10 @@ def _full_fits(y, g, walk):
     """Unconstrained local fit in each window of ``walk``, yielding
     (j, window, fit) with fit None where it fails.  Each fit is
     warm-started from the previous window's, falling back to the local
-    least-squares start when the carried parameter is infeasible."""
+    least-squares start when the carried parameter is infeasible.  For the
+    identity G the fit is the closed-form LLS fit (see
+    :func:`local_el._fit`): no start matters, and a window with a singular
+    local design is always skipped."""
     prev = None
     for j, win in walk:
         fit = None
@@ -324,6 +330,7 @@ def _assemble(kind, data, eval_idx, terms, omega, h, kernel, k0, p1=None,
         c_K=consts.c_K,
         n_infeasible_points=n_skipped,
         n_clamped=n_clamped,
+        retained_frac=retained,
         per_point=per_point,
     )
 
@@ -382,8 +389,12 @@ def selr_simple(
 
     The data are first shifted so the null becomes A* = 0 and the local
     linear fit is unbiased under it.  With a single constraint (k0 = 1)
-    the unconstrained-fit term is asymptotically negligible and omitted
-    unless ``include_full_term`` forces it back in.
+    the unconstrained-fit term is omitted unless ``include_full_term``
+    forces it back in.  For the identity G that term is exactly 0, not
+    merely negligible: the unconstrained fit is the local least-squares
+    fit, where the local log-EL equals the window entropy.  Forcing it in
+    changes the statistic only where the LLS fit fails (a singular local
+    design), which skips the window.
     """
     return _simple(data, kernel, h, g, spec, include_full_term, _windows(data, kernel, h))
 

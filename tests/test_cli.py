@@ -126,6 +126,31 @@ def test_all_windows_skipped_exits_numerical(tmp_path, rng, capsys):
     assert "skipped" in capsys.readouterr().err
 
 
+def test_report_counts_clamped_and_retained(tmp_path, rng):
+    # y > 0 for u < 0.3, so the null a1 = 0 is outside the hull of the
+    # windows there and they are skipped
+    n = 80
+    u = rng.random(n)
+    y = np.where(u < 0.3, 1.0 + rng.random(n), rng.normal(size=n))
+    path = tmp_path / "shifted.csv"
+    write_csv(Dataset(u, np.ones((n, 1)), y), str(path))
+    report = tmp_path / "r.json"
+    assert main(["test", "--input", str(path), "--h", "0.15", "--output", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    contribs = [pt["contribution"] for pt in doc["per_point"]]
+    assert doc["n_clamped"] == sum(c is not None and c < 0 for c in contribs)
+    assert doc["n_skipped"] == contribs.count(None) > 0
+    assert 0.0 < doc["retained_frac"] < 1.0
+    assert doc["retained_frac"] == pytest.approx(1.0 - doc["n_skipped"] / len(contribs))
+    # a testing interval clear of the shifted region keeps every window
+    report_all = tmp_path / "all.json"
+    assert main(["test", "--input", str(path), "--h", "0.15", "--omega", "0.45,1",
+                 "--output", str(report_all)]) == 0
+    full = json.loads(report_all.read_text())
+    assert full["retained_frac"] == 1.0
+    assert full["n_skipped"] == 0
+
+
 def test_test_subcommand_rejects_threads(csv_path, capsys):
     # --threads belongs to simulate; the test subcommand has no parallel path
     with pytest.raises(SystemExit) as exc:

@@ -40,6 +40,7 @@ from selrtest.errors import (
     NoRetainedWindows,
     NumericalError,
     ReplicateFailureWarning,
+    SingularDesign,
 )
 from selrtest.local_el import _window
 from selrtest.selr import CoefFn
@@ -118,6 +119,30 @@ def test_sel_full_equals_entropy_on_exact_fit(rng):
     full = sel_full(data, TRIWEIGHT, h, make_identity(), omega=(0.0, 1.0))
     ent = sel_entropy(data, TRIWEIGHT, h, omega=(0.0, 1.0))
     assert abs(full - ent) < 1e-8
+
+
+def test_identity_full_fit_skips_singular_local_design(rng):
+    # x2 vanishes on (0.4, 0.6), so every window centred there has a
+    # singular local design and no LLS fit.  The identity full fit is that
+    # LLS fit, so such a window is skipped even when the walk carries a
+    # warm start from a neighbour that did fit.
+    n = 100
+    u = np.linspace(0.005, 0.995, n)
+    x2 = np.cos(7.0 * u)
+    x2[(u > 0.4) & (u < 0.6)] = 0.0
+    data = Dataset(u, np.column_stack([np.ones(n), x2]), rng.normal(size=n))
+    h = 0.08
+    walk = selr._walk(data, np.arange(n), selr._windows(data, TRIWEIGHT, h))
+    rows = list(selr._full_fits(data.y, make_identity(), walk))
+    singular = [fit for _, win, fit in rows if not np.any(x2[win.active])]
+    assert len(singular) >= 5
+    assert all(fit is None for fit in singular)
+    prev = next(fit for _, win, fit in rows if fit is not None and win.u0 < 0.4)
+    with pytest.raises(SingularDesign):
+        local_el._fit(_window(data, TRIWEIGHT, h, 0.5), data.y, make_identity(), prev.beta)
+    spec = Hypothesis.simple([zero_coef()] * 2)
+    res = selr_simple(data, TRIWEIGHT, h, make_identity(), spec, include_full_term=True)
+    assert res.n_infeasible_points >= len(singular)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +300,13 @@ def test_simple_nonnegative_and_df(rng):
 def test_simple_full_term_default_by_k0(rng):
     data = small_dataset(rng, n=45)
     spec = Hypothesis.simple([zero_coef()], omega=(0.0, 1.0))
-    # with k0 = 1 the full term vanishes at the optimum, so forcing it back
-    # in changes the statistic by at most solver noise
+    # with the identity G the full fit is the LLS fit, where the full term
+    # is exactly 0, so forcing it back in leaves the statistic as it is
     a = selr_simple(data, TRIWEIGHT, 0.5, make_identity(), spec).statistic
     b = selr_simple(
         data, TRIWEIGHT, 0.5, make_identity(), spec, include_full_term=True
     ).statistic
-    assert b <= a + 1e-8
-    assert abs(a - b) < 1e-4
+    assert abs(a - b) <= 1e-12 * abs(a)
 
 
 def test_simple_needs_a0(rng):
@@ -347,7 +371,8 @@ def test_result_dict_schema(rng):
     doc = selr_simple(data, TRIWEIGHT, 0.4, make_identity(), spec).to_dict()
     assert set(doc) == {
         "hypothesis", "kernel", "h", "statistic", "scaled", "df", "r_K", "c_K",
-        "p_asymptotic", "p_bootstrap", "B", "n_skipped", "per_point",
+        "p_asymptotic", "p_bootstrap", "B", "n_skipped", "n_clamped", "retained_frac",
+        "per_point",
     }
     assert doc["hypothesis"] == "simple_null"
     assert doc["p_bootstrap"] is None
