@@ -54,6 +54,9 @@ _KEEP_BYTES = 8 * 2**20  # windows a _WindowStore keeps for reuse
 _BATCH_ROWS = 2048  # moment rows one batched dual solve holds
 _BATCH_MAX_ITER = 20  # Newton steps before the batch hands a window off
 _BATCH_MARGIN = 1e-6  # smallest 1 + alpha'G at an optimum the batch certifies
+_PROFILE_MAX_ITER = 50  # Newton steps before the profile batch hands a window off
+_PROFILE_DECREMENT = 1e-18  # Newton decrement at which a batched profile fit is done
+_PROFILE_MIN_STEP = 1e-3  # shortest damped step before a batched profile fit stalls
 
 
 @dataclass(frozen=True)
@@ -359,57 +362,118 @@ def _log_ratio(win: _LocalWindow, g: EstimatingFunction, y: np.ndarray, beta_vec
     return float(win.w @ np.log1p(moments @ alpha)), alpha
 
 
-def _log_ratios(tagged, g, y, beta_vec):
-    """For each (tag, window) pair of ``tagged``, (tag, value of
-    :func:`_log_ratio`); the value is None where that raises
-    :class:`Infeasible` or :class:`MaxIterations`, or where the window is None.
+def _log_ratios(tagged, g, y, beta_vec=None):
+    """For each (tag, window) pair of ``tagged``, (tag, value, alpha) with
+    the value and multiplier of :func:`_log_ratio` at ``beta_vec``; both
+    are None where that raises :class:`Infeasible` or :class:`MaxIterations`,
+    or where the window is None.  With ``beta_vec`` None the items are
+    (tag, window, beta) triples, each window at its own beta.
 
     ``tagged`` is consumed lazily: consecutive windows are solved together,
     at most ``_BATCH_ROWS`` moment rows at a time (a larger window alone).
     """
-    tags, wins, rows = [], [], 0
-    for tag, win in tagged:
-        m = 0 if win is None else len(win.active)
-        if wins and rows + m > _BATCH_ROWS:
-            yield from zip(tags, _batch_log_ratios(wins, g, y, beta_vec))
-            tags, wins, rows = [], [], 0
-        tags.append(tag)
-        wins.append(win)
+    for group in _chunks(tagged):
+        beta = beta_vec
+        if beta is None:
+            beta = np.array([item[2] for item in group if item[1] is not None])
+        for item, res in zip(group, _batch_log_ratios([item[1] for item in group], g, y, beta)):
+            yield (item[0], None, None) if res is None else (item[0], *res)
+
+
+def _chunks(tagged):
+    """Consecutive items of ``tagged``, whose second field is a window or
+    None, in lists holding at most ``_BATCH_ROWS`` rows (a larger window alone)."""
+    group, rows = [], 0
+    for item in tagged:
+        m = 0 if item[1] is None else len(item[1].active)
+        if group and rows + m > _BATCH_ROWS:
+            yield group
+            group, rows = [], 0
+        group.append(item)
         rows += m
-    if wins:
-        yield from zip(tags, _batch_log_ratios(wins, g, y, beta_vec))
+    if group:
+        yield group
 
 
-def _batch_log_ratios(wins, g, y, beta_vec) -> list:
-    """:func:`_log_ratios` of one chunk: one damped Newton over all windows.
+def _batch_log_ratios(wins, g, y, beta) -> list:
+    """:func:`_log_ratios` of one chunk, (value, alpha) or None per window;
+    ``beta`` is the beta of every window, or holds one row per window that
+    is not None.
 
-    The moment rows of the windows lie side by side in a (d, M) array and
-    every per-window sum is a ``reduceat`` over the window's segment.  The
-    batch certifies a window when the scalar solver's own stopping rule
-    holds there within ``_BATCH_MAX_ITER`` steps and every 1 + alpha'G_i
-    is at least ``_BATCH_MARGIN``.  It hands every other window (singular
-    or non-finite step, step underflow, iteration cap, near-boundary
-    optimum) to :func:`_log_ratio`, so the scalar solver decides its fate.
+    Every window goes through one :func:`_batch_dual`; the windows it does
+    not certify are handed to :func:`_log_ratio`, so the scalar solver
+    decides their fate.
     """
     out = [None] * len(wins)
-    live = np.array([e for e, win in enumerate(wins) if win is not None], dtype=int)
-    if len(live) == 0:
+    live = [e for e, win in enumerate(wins) if win is not None]
+    if not live:
         return out
     counts = np.array([len(wins[e].active) for e in live])
-    z = np.concatenate([wins[e].z for e in live])
-    resid = y[np.concatenate([wins[e].active for e in live])] - z @ beta_vec
-    moments = _moments(g, resid, z)
-    del z, resid  # temporaries go early: the chunk's peak sets the process RSS
-    gt = np.ascontiguousarray(moments.T)  # (d, M), G_i in column i
-    del moments
-    w = np.concatenate([wins[e].w for e in live])
+    values, alphas, certified = _batch_dual(
+        _stacked_moments(g, y[np.concatenate([wins[e].active for e in live])],
+                         np.concatenate([wins[e].z for e in live]), beta, counts),
+        np.concatenate([wins[e].w for e in live]), counts)
+    for k, (e, ok, value) in enumerate(zip(live, certified.tolist(), values.tolist())):
+        if ok:
+            out[e] = value, alphas[k]
+            continue
+        try:
+            out[e] = _log_ratio(wins[e], g, y, beta if beta.ndim == 1 else beta[k])
+        except (Infeasible, MaxIterations):
+            pass
+    return out
+
+
+def _stacked_moments(g, y, z, beta, counts) -> np.ndarray:
+    """Moment rows of stacked windows in a (d, M) array, G_i in column i.
+
+    Window e owns ``counts[e]`` consecutive rows of the responses ``y`` and
+    local design ``z``; its residuals are taken at ``beta``, or at its own
+    row ``beta[e]`` when ``beta`` is 2-d.
+    """
+    fitted = z @ beta if beta.ndim == 1 else _rowdot(z, np.repeat(beta, counts, axis=0))
+    moments = _moments(g, y - fitted, z)
+    return np.ascontiguousarray(moments.T)
+
+
+def _rowdot(a, b) -> np.ndarray:
+    """Row-wise inner products of two (M, k) arrays."""
+    return np.einsum("mk,mk->m", a, b)
+
+
+def _batch_dual(gt, w, counts, alpha=None):
+    """Damped Newton on the dual of every window at once.
+
+    Window e owns ``counts[e]`` consecutive columns of ``gt`` (d, M) and
+    entries of ``w``, and every per-window sum is a ``reduceat`` over its
+    segment.  The search starts from ``alpha`` (E, d), or from 0 as the
+    scalar solver does; a window whose start is not strictly feasible
+    starts from 0.  A window is certified when the scalar solver's own
+    stopping rule holds there within ``_BATCH_MAX_ITER`` steps and every
+    1 + alpha'G_i is at least ``_BATCH_MARGIN``; the others (singular or
+    non-finite step, step underflow, iteration cap, near-boundary optimum)
+    are not.  Returns the dual values (E,), the multipliers (E, d) and the
+    certified mask (E,).
+    """
+    d, n_win = gt.shape[0], len(counts)
+    values, alphas = np.zeros(n_win), np.zeros((n_win, d))
+    certified = np.zeros(n_win, dtype=bool)
+    live = np.arange(n_win)
     starts = np.cumsum(counts) - counts
     wsum = np.add.reduceat(w, starts)
     gtol = _DUAL_GTOL * np.maximum(1.0, np.maximum.reduceat(np.abs(gt).max(axis=0), starts))
-    x = np.zeros(len(w))  # alpha'G_i, kept up to date along the steps
-    f = np.zeros(len(live))  # dual value sum_i w_i log(1 + x_i) of each window
-    failed = np.zeros(len(live), dtype=bool)
-    handoff = []
+    if alpha is None:
+        a = np.zeros((n_win, d))
+        x = np.zeros(len(w))  # alpha'G_i, kept up to date along the steps
+        f = np.zeros(n_win)  # dual value sum_i w_i log(1 + x_i) of each window
+    else:
+        a = np.array(alpha, dtype=float)
+        x = np.einsum("km,km->m", gt, np.repeat(a.T, counts, axis=1))
+        cold = np.minimum.reduceat(x, starts) <= 1e-12 - 1.0
+        a[cold] = 0.0
+        x[np.repeat(cold, counts)] = 0.0
+        f = np.add.reduceat(w * np.log1p(x), starts)
+    failed = np.zeros(n_win, dtype=bool)
     # a trial step past the feasible region makes log1p NaN or -inf, and
     # the line search rejects it
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -421,10 +485,10 @@ def _batch_log_ratios(wins, g, y, beta_vec) -> list:
                 np.abs(np.add.reduceat(wd, starts) - wsum) <= 1e-8)
             leave = done | failed | (it == _BATCH_MAX_ITER)
             if leave.any():
-                certified = done & (np.minimum.reduceat(x, starts) >= _BATCH_MARGIN - 1.0)
-                for e, value in zip(live[certified], f[certified]):
-                    out[e] = float(value)
-                handoff.extend(live[leave & ~certified])
+                ok = done & (np.minimum.reduceat(x, starts) >= _BATCH_MARGIN - 1.0)
+                if ok.any():
+                    idx = live[ok]
+                    values[idx], alphas[idx], certified[idx] = f[ok], a[ok], True
                 keep = ~leave
                 rows = np.repeat(keep, counts)
                 # one array at a time, so at most one old copy is alive
@@ -432,8 +496,9 @@ def _batch_log_ratios(wins, g, y, beta_vec) -> list:
                 w = w[rows]
                 x = x[rows]
                 wd = wd[rows]
-                counts, live, f, wsum, gtol, grad = (
-                    counts[keep], live[keep], f[keep], wsum[keep], gtol[keep], grad[:, keep])
+                counts, live, f, a, wsum, gtol, grad = (
+                    counts[keep], live[keep], f[keep], a[keep], wsum[keep], gtol[keep],
+                    grad[:, keep])
                 if len(live) == 0:
                     break
                 starts = np.cumsum(counts) - counts
@@ -465,12 +530,8 @@ def _batch_log_ratios(wins, g, y, beta_vec) -> list:
                 xc *= gs
                 xc += x
             x, f = xc, fc
-    for e in handoff:
-        try:
-            out[e] = _log_ratio(wins[e], g, y, beta_vec)[0]
-        except (Infeasible, MaxIterations):
-            pass
-    return out
+            a += c[:, None] * step.T
+    return values, alphas, certified
 
 
 def _segment_sums(rows, v, starts) -> np.ndarray:
@@ -486,16 +547,21 @@ def _newton_steps(gt, v, grad, starts) -> np.ndarray:
     hess = np.empty((n_win, d, d))
     for i in range(d):
         hess[:, i, i:] = hess[:, i:, i] = _segment_sums(gt[i:], gt[i] * v, starts).T
-    singular = np.zeros(n_win, dtype=bool)
+    return _solve_or_nan(hess, grad.T[:, :, None])[:, :, 0].T.copy()
+
+
+def _solve_or_nan(a, b) -> np.ndarray:
+    """Solutions x of the stacked systems a[e] x[e] = b[e]; NaN where a[e]
+    is singular."""
     try:
-        step = np.linalg.solve(hess, grad.T[:, :, None])
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        singular = np.linalg.det(hess) == 0
-        hess[singular] = np.eye(d)
-        step = np.linalg.solve(hess, grad.T[:, :, None])
-    step = step[:, :, 0].T.copy()
-    step[:, singular] = np.nan
-    return step
+        singular = np.linalg.det(a) == 0
+        a = a.copy()
+        a[singular] = np.eye(a.shape[-1])
+        x = np.linalg.solve(a, b)
+        x[singular] = np.nan
+        return x
 
 
 def local_logel(
@@ -535,6 +601,32 @@ def _local_linear_fitted(data: Dataset, window_at) -> np.ndarray:
     for i in range(data.n):
         fitted[i] = data.x[i] @ _lls(window_at(i), data.y)[: data.p]
     return fitted
+
+
+def _lls_fits(tagged, y, g):
+    """For each (tag, window) of ``tagged``, (tag, window, fit) with fit the
+    identity-G full fit of :func:`_fit`, or None where that raises.
+
+    Each window's LLS fit comes first; the dual values there come from one
+    :func:`_log_ratios` pass, which hands the windows it cannot certify to
+    the scalar solver as :func:`_fit` would.
+    """
+    def with_lls():
+        for tag, win in tagged:
+            beta = None
+            if win is not None:
+                try:
+                    beta = _lls(win, y)
+                except SingularDesign:
+                    pass
+            yield (tag, win, beta), None if beta is None else win, beta
+
+    for (tag, win, beta), value, alpha in _log_ratios(with_lls(), g, y):
+        fit = None if value is None else LocalELFit(
+            u0=win.u0, beta=LocalParameter.from_vector(beta), alpha=alpha,
+            logel=win.entropy - value, entropy=win.entropy, status="converged",
+            inner_iters=0, outer_iters=0)
+        yield tag, win, fit
 
 
 class _ProfileObjective:
@@ -664,13 +756,22 @@ def fit_local_constrained(
     """Profile maximizer with coefficients ``fixed_idx`` pinned.
 
     The pinned coordinates take the values A_10(u0) = ``fixed_value`` and
-    scaled slopes h * A'_10(u0) = h * ``fixed_slope``.
+    scaled slopes h * A'_10(u0) = h * ``fixed_slope``.  The search starts
+    from ``init`` (default: the LLS fit) with the pins set.
     """
-    return _fit_constrained(_window(data, kernel, h, u0), data.y, g, fixed_value,
-                            fixed_slope, fixed_idx, init)
+    win = _window(data, kernel, h, u0)
+    item = (None, win, fixed_value, fixed_slope, init)
+    [(_, fit)] = _constrained_fits([item], data.y, g, fixed_idx)
+    if fit is None:
+        fit = _fit_constrained(win, data.y, g, fixed_value, fixed_slope, fixed_idx, init)
+    return fit
 
 
-def _fit_constrained(win, y, g, fixed_value, fixed_slope, fixed_idx, init=None):
+def _pin(win, fixed_value, fixed_slope, fixed_idx):
+    """The pins of a constrained fit in ``win``: a 2p vector holding
+    ``fixed_value`` and h * ``fixed_slope`` on the coordinates of the
+    pinned coefficients ``fixed_idx`` and 0 elsewhere, and the indices of
+    the free coordinates."""
     p = win.z.shape[1] // 2
     fixed_idx = np.asarray(sorted(set(int(i) for i in fixed_idx)))
     if len(fixed_idx) == 0 or len(fixed_idx) >= p:
@@ -688,4 +789,153 @@ def _fit_constrained(win, y, g, fixed_value, fixed_slope, fixed_idx, init=None):
     free_mask = np.ones(2 * p, dtype=bool)
     free_mask[fixed_idx] = False
     free_mask[p + fixed_idx] = False
-    return _fit(win, y, g, init, free_idx=np.nonzero(free_mask)[0], fixed_vec=fixed_vec)
+    return fixed_vec, np.nonzero(free_mask)[0]
+
+
+def _fit_constrained(win, y, g, fixed_value, fixed_slope, fixed_idx, init=None):
+    """Constrained profile fit of one window by BFGS from ``init`` (default:
+    the LLS fit) with the pins of :func:`_pin` set."""
+    fixed_vec, free_idx = _pin(win, fixed_value, fixed_slope, fixed_idx)
+    return _fit(win, y, g, init, free_idx=free_idx, fixed_vec=fixed_vec)
+
+
+def _constrained_fits(items, y, g, fixed_idx):
+    """For each item (tag, window, fixed_value, fixed_slope, init) of
+    ``items``, (item, fit) with fit the maximizer :func:`_fit_constrained`
+    seeks from the same start, found by :func:`_batch_profile` for the
+    identity G.  The fit is None where the window is None, where G is not
+    the identity and where the batch does not certify it: the caller hands
+    those windows to :func:`_fit_constrained`, so every skip decision is
+    that function's.
+
+    ``items`` is consumed lazily, at most ``_BATCH_ROWS`` moment rows at a
+    time (a larger window alone).
+    """
+    if g.kind != "identity":
+        yield from ((item, None) for item in items)
+        return
+    for group in _chunks(items):
+        todo = [e for e, item in enumerate(group) if item[1] is not None]
+        starts = []
+        for e in todo:
+            _, win, fixed_value, fixed_slope, init = group[e]
+            start, free_idx = _pin(win, fixed_value, fixed_slope, fixed_idx)
+            start[free_idx] = (_lls(win, y) if init is None else init.vector)[free_idx]
+            starts.append(start)
+        fits = [None] * len(group)
+        if todo:
+            batch = _batch_profile([group[e][1] for e in todo], y, g, np.array(starts), free_idx)
+            for e, fit in zip(todo, batch):
+                fits[e] = fit
+        yield from zip(group, fits)
+
+
+def _batch_profile(wins, y, g, beta, free_idx) -> list:
+    """Identity-G constrained profile fits of several windows at once by
+    damped Newton; a LocalELFit per window, or None where it hands off.
+
+    ``beta`` (E, 2p) holds each window's start, pinned coordinates set;
+    only the coordinates ``free_idx`` move, to minimize the dual value
+    f(beta) = max_alpha sum_i w_i log(1 + alpha'G_i(beta)).  Each step is
+    the Newton step of :func:`_profile_steps`, shortened to 1 / (1 +
+    lambda) with lambda^2 = g'H^-1 g the Newton decrement, and halved until
+    the dual batch certifies a value not worse.  Every dual is solved by
+    :func:`_batch_dual`, warm-started from the window's last multiplier.
+    A window is done when lambda^2 falls to ``_PROFILE_DECREMENT``, and
+    every value it reports is one the dual batch certified.  A window is
+    handed off where the dual batch does not certify its start, where the
+    Hessian of f is not positive definite (the profile need not be convex
+    away from the optimum, and a step there may reach another local
+    maximum than BFGS would), and where a step stalls or
+    ``_PROFILE_MAX_ITER`` steps do not finish it.
+    """
+    n_win = len(wins)
+    out = [None] * n_win
+    counts = np.array([len(win.active) for win in wins])
+    z = np.concatenate([win.z for win in wins])
+    w = np.concatenate([win.w for win in wins])
+    yv = y[np.concatenate([win.active for win in wins])]
+    live = np.arange(n_win)
+    beta = beta.copy()
+    f, alpha, keep = _batch_dual(_stacked_moments(g, yv, z, beta, counts), w, counts)
+    duals = keep.astype(int)
+    for it in range(_PROFILE_MAX_ITER + 1):
+        if not keep.all():
+            rows = np.repeat(keep, counts)
+            z, w, yv = z[rows], w[rows], yv[rows]
+            counts, live, beta, alpha, f = (
+                counts[keep], live[keep], beta[keep], alpha[keep], f[keep])
+        if len(live) == 0:
+            break
+        grad, step = _profile_steps(yv, z, w, beta, alpha, counts, free_idx)
+        decrement = -np.einsum("eq,eq->e", grad, step)
+        done = np.abs(decrement) <= _PROFILE_DECREMENT
+        for e in np.nonzero(done)[0]:
+            win = wins[live[e]]
+            out[live[e]] = LocalELFit(
+                u0=win.u0, beta=LocalParameter.from_vector(beta[e]), alpha=alpha[e].copy(),
+                logel=win.entropy - float(f[e]), entropy=win.entropy, status="converged",
+                inner_iters=int(duals[live[e]]), outer_iters=it)
+        keep = ~done & np.isfinite(step).all(axis=1) & (it < _PROFILE_MAX_ITER)
+        full_step = np.zeros_like(beta)
+        full_step[:, free_idx] = step
+        c = np.where(keep, 1.0 / (1.0 + np.sqrt(np.abs(decrement))), 0.0)
+        search = keep.copy()
+        while search.any():
+            rows = np.repeat(search, counts)
+            trial = beta[search] + c[search, None] * full_step[search]
+            ft, at, ok = _batch_dual(
+                _stacked_moments(g, yv[rows], z[rows], trial, counts[search]), w[rows],
+                counts[search], alpha[search])
+            idx = np.nonzero(search)[0]
+            duals[live[idx[ok]]] += 1
+            ok &= ft <= f[search] + 1e-14
+            acc = idx[ok]
+            beta[acc], alpha[acc], f[acc] = trial[ok], at[ok], ft[ok]
+            search[acc] = False
+            c[search] *= 0.5
+            stalled = search & (c < _PROFILE_MIN_STEP)
+            keep &= ~stalled
+            search &= ~stalled
+    return out
+
+
+def _profile_steps(yv, z, w, beta, alpha, counts, free_idx):
+    """Gradient (E, q) and Newton step (E, q) in the free coordinates of
+    the identity-G dual value f(beta) of stacked windows, at beta and the
+    windows' dual optima alpha; the step is NaN where the Hessian of f is
+    not positive definite.
+
+    With G_i = r_i z_i, dG_i/dbeta = -z_i z_i', p_i = w_i / (1 + alpha'G_i),
+    v_i = p_i / (1 + alpha'G_i) and a_i = alpha'z_i, the gradient is the
+    envelope gradient J'alpha with J = -sum_i p_i z_i z_i', and the Hessian
+    of f is L_bb + L_ab' A^-1 L_ab with A = sum_i v_i G_i G_i' (the dual
+    Hessian), L_ab = J + sum_i v_i a_i G_i z_i' and L_bb = -sum_i v_i a_i^2
+    z_i z_i' (all restricted to the free coordinates).
+    """
+    starts = np.cumsum(counts) - counts
+    resid = yv - _rowdot(z, np.repeat(beta, counts, axis=0))
+    gm = resid[:, None] * z
+    zf = z[:, free_idx]
+    alpha_rows = np.repeat(alpha, counts, axis=0)
+    p = w / (1.0 + _rowdot(gm, alpha_rows))
+    v = p * p / w
+    va = v * _rowdot(z, alpha_rows)
+
+    def gram(a, b, weight):  # sum_i weight_i a_i b_i' of each window, (E, ka, kb)
+        return np.stack([np.add.reduceat(a * (weight * col)[:, None], starts)
+                         for col in b.T], axis=-1)
+
+    jac = -gram(z, zf, p)
+    grad = np.einsum("edq,ed->eq", jac, alpha)
+    cross = jac + gram(gm, zf, va)
+    with np.errstate(invalid="ignore"):
+        hess = np.einsum("edq,edr->eqr", cross, _solve_or_nan(gram(gm, gm, v), cross))
+        hess -= gram(zf, zf, va * va / v)
+        convex = np.isfinite(hess).all(axis=(1, 2))
+        # Sylvester's criterion: every leading principal minor is positive
+        for k in range(1, hess.shape[1] + 1):
+            convex[convex] = np.linalg.det(hess[convex, :k, :k]) > 0
+        step = -_solve_or_nan(hess, grad[:, :, None])[:, :, 0]
+    step[~convex] = np.nan
+    return grad, step

@@ -35,8 +35,10 @@ from .estfun import EstimatingFunction
 from .kernels import Kernel, kernel_constants
 from .local_el import (
     Dataset,
+    _constrained_fits,
     _fit,
     _fit_constrained,
+    _lls_fits,
     _local_linear_fitted,
     _log_ratios,
     _require_derivative,
@@ -237,8 +239,12 @@ def _full_fits(y, g, walk):
     warm-started from the previous window's, falling back to the local
     least-squares start when the carried parameter is infeasible.  For the
     identity G the fit is the closed-form LLS fit (see
-    :func:`local_el._fit`): no start matters, and a window with a singular
-    local design is always skipped."""
+    :func:`local_el._fit`), computed by :func:`local_el._lls_fits`: no
+    start matters, and a window with a singular local design is always
+    skipped."""
+    if g.kind == "identity":
+        yield from _lls_fits(walk, y, g)
+        return
     prev = None
     for j, win in walk:
         fit = None
@@ -415,7 +421,7 @@ def _simple(data, kernel, h, g, spec, include_full_term, window_at) -> TestResul
     tagged = (((j, fit), win) for j, win, fit in rows)
     terms = {}
     full = 0.0  # the omitted unconstrained-fit term
-    for (j, fit), null in _log_ratios(tagged, g, star.y, np.zeros(2 * star.p)):
+    for (j, fit), null, _ in _log_ratios(tagged, g, star.y, np.zeros(2 * star.p)):
         if include_full_term:
             full = None if fit is None else fit.entropy - fit.logel
         terms[j] = (None if null is None or full is None else null - full, "converged")
@@ -442,21 +448,31 @@ def _composite(data, kernel, h, g, spec, window_at) -> TestResult:
     if not 1 <= p1 < data.p:
         raise ConfigError("composite null needs 1 <= p1 < p pinned coefficients")
     eval_idx = _eval_points(data, omega)
+
+    def pinned():
+        for j, win, full in _full_fits(data.y, g, _walk(data, eval_idx, window_at)):
+            if full is None:
+                yield (j, None), None, None, None, None
+                continue
+            uarr = np.array([win.u0])
+            yield ((j, full), win, np.array([fn.value(uarr)[0] for fn in spec.a10]),
+                   np.array([fn.deriv(uarr)[0] for fn in spec.a10]), full.beta)
+
     terms = {}
-    for j, win, full in _full_fits(data.y, g, _walk(data, eval_idx, window_at)):
+    # the batch fits what it can certify and hands the rest to the BFGS fit
+    for ((j, full), win, fixed_value, fixed_slope, init), constrained in _constrained_fits(
+            pinned(), data.y, g, fixed_idx):
         if full is None:
             terms[j] = (None, None)
             continue
-        uarr = np.array([win.u0])
-        fixed_value = np.array([fn.value(uarr)[0] for fn in spec.a10])
-        fixed_slope = np.array([fn.deriv(uarr)[0] for fn in spec.a10])
-        try:
-            constrained = _fit_constrained(win, data.y, g, fixed_value, fixed_slope,
-                                           fixed_idx, init=full.beta)
-        except (Infeasible, MaxIterations, SingularDesign):
-            terms[j] = (None, None)
-            continue
-        terms[j] = (full.logel - constrained.logel, full.status)
+        if constrained is None:
+            try:
+                constrained = _fit_constrained(win, data.y, g, fixed_value, fixed_slope,
+                                               fixed_idx, init)
+            except (Infeasible, MaxIterations, SingularDesign):
+                terms[j] = (None, None)
+                continue
+        terms[j] = (full.logel - constrained.logel, constrained.status)
     return _assemble("composite_null", data, eval_idx, terms, omega, h, kernel, g.k0, p1=p1)
 
 

@@ -32,10 +32,15 @@ from selrtest.errors import (
 )
 from selrtest.local_el import (
     LocalParameter,
+    _BATCH_MARGIN,
+    _constrained_fits,
     _design,
+    _fit_constrained,
+    _lls,
     _LocalWindow,
     _log_ratio,
     _log_ratios,
+    _moments,
     _ProfileObjective,
     _window,
 )
@@ -214,7 +219,7 @@ def scalar_log_ratio(win, g, y, beta):
 
 
 def assert_batch_matches_scalar(wins, g, y, beta):
-    got = [v for _, v in _log_ratios(enumerate(wins), g, y, beta)]
+    got = [v for _, v, _ in _log_ratios(enumerate(wins), g, y, beta)]
     want = [scalar_log_ratio(win, g, y, beta) for win in wins]
     assert [v is None for v in got] == [v is None for v in want]
     for a, b in zip(got, want):
@@ -281,7 +286,7 @@ def test_log_ratios_edge_windows():
     assert got[2] is not None and got[2] > 0
     assert got[3] is None  # MaxIterations
     assert got[4] is not None and got[4] > 0
-    tagged = [v for _, v in _log_ratios(enumerate(wins), g, y, np.zeros(2))]
+    tagged = [v for _, v, _ in _log_ratios(enumerate(wins), g, y, np.zeros(2))]
     assert tagged[:5] == got and tagged[5] is None
 
 
@@ -380,3 +385,110 @@ def test_constrained_fit_validation(rng):
             data, TRIWEIGHT, 0.4, 0.5, make_identity(),
             fixed_value=[0.0], fixed_slope=[0.0], fixed_idx=[5],
         )
+
+
+def bfgs_constrained(win, y, g, fixed_value, fixed_slope, fixed_idx, init):
+    """The per-window oracle of the batched profile fit: None where it skips."""
+    try:
+        return _fit_constrained(win, y, g, fixed_value, fixed_slope, fixed_idx, init)
+    except (Infeasible, MaxIterations, SingularDesign):
+        return None
+
+
+@pytest.mark.filterwarnings("ignore::selrtest.errors.ThinWindowWarning")
+@pytest.mark.parametrize("p, fixed_idx", [(2, [1]), (3, [2]), (3, [0, 2])])
+def test_constrained_batch_matches_bfgs(monkeypatch, rng, p, fixed_idx):
+    """The batched profile fit, with BFGS for the windows it hands off,
+    gives every window the BFGS constrained log-EL (within 1e-9 relative)
+    and skips the same windows.  The pins are the true coefficients
+    a_k(u) = 0.3 (k + 1) + s_k u, nonzero slopes included."""
+    monkeypatch.setattr(local_el, "_BATCH_ROWS", 300)  # several chunks
+    slopes = np.array([0.5, -1.0, 0.8])[:p]
+    data = random_dataset(rng, n=100, p=p, hetero=1.0,
+                          coef=[lambda u, k=k: 0.3 * (k + 1) + slopes[k] * u for k in range(p)])
+    g = make_identity()
+    free = np.ones(2 * p, dtype=bool)
+    free[fixed_idx] = free[p + np.asarray(fixed_idx)] = False
+    certified, handed, skipped, steps = 0, 0, 0, []
+    for h in (0.2, 0.35, 0.6):
+        items = []
+        for j in range(0, data.n, 2):
+            u0 = float(data.u[j])
+            win = _window(data, TRIWEIGHT, h, u0)
+            try:
+                init = LocalParameter.from_vector(_lls(win, data.y))
+            except SingularDesign:
+                continue
+            fixed_value = 0.3 * (np.asarray(fixed_idx) + 1) + slopes[fixed_idx] * u0
+            items.append((j, win, fixed_value, slopes[fixed_idx], init))
+        for (_, win, fixed_value, fixed_slope, init), fit in _constrained_fits(
+                items, data.y, g, fixed_idx):
+            want = bfgs_constrained(win, data.y, g, fixed_value, fixed_slope, fixed_idx, init)
+            if fit is None:
+                handed += 1
+                fit = bfgs_constrained(win, data.y, g, fixed_value, fixed_slope, fixed_idx,
+                                       init)
+            else:
+                certified += 1
+                steps.append(fit.outer_iters)
+                assert fit.status == "converged"
+                np.testing.assert_array_equal(fit.beta.vector[~free], np.concatenate(
+                    [fixed_value, h * fixed_slope]))
+            assert (fit is None) == (want is None)
+            if want is None:
+                skipped += 1
+            else:
+                assert fit.logel == pytest.approx(want.logel, rel=1e-9, abs=0)
+    assert certified > 4 * handed
+    assert max(steps) > 0
+    if p == 3 and len(fixed_idx) == 1:
+        assert skipped > 0
+
+
+def test_constrained_batch_edge_windows(rng):
+    """Windows the batch hands off: a dual-infeasible start, a singular
+    local design and a near-boundary optimum; BFGS decides each."""
+    g = make_identity()
+    data = random_dataset(rng, n=80, p=2)
+    win = _window(data, TRIWEIGHT, 0.4, 0.5)
+    init = LocalParameter.from_vector(_lls(win, data.y))
+    # with a2 pinned at 50 every moment r_i x2_i is negative: 0 is outside
+    # the hull at the start, and BFGS skips the window
+    [(_, fit)] = _constrained_fits([(0, win, [50.0], [0.0], init)], data.y, g, [1])
+    assert fit is None
+    with pytest.raises(Infeasible):
+        fit_local_constrained(data, TRIWEIGHT, 0.4, 0.5, g, [50.0], [0.0], [1], init)
+
+    # x2 vanishes around u0 = 0.5: singular local design
+    n = 100
+    u = np.linspace(0.005, 0.995, n)
+    x2 = np.cos(7.0 * u)
+    x2[(u > 0.4) & (u < 0.6)] = 0.0
+    singular = Dataset(u, np.column_stack([np.ones(n), x2]), rng.normal(size=n))
+    win = _window(singular, TRIWEIGHT, 0.08, 0.5)
+    init = LocalParameter([0.1, 0.2], [0.0, 0.0])
+    for fixed_idx in ([0], [1]):
+        [(_, fit)] = _constrained_fits([(0, win, [0.0], [0.0], init)], singular.y, g,
+                                       fixed_idx)
+        assert fit is None
+        want = _fit_constrained(win, singular.y, g, [0.0], [0.0], fixed_idx, init)
+        got = fit_local_constrained(singular, TRIWEIGHT, 0.08, 0.5, g, [0.0], [0.0],
+                                    fixed_idx, init)
+        assert got.logel == want.logel and got.status == want.status
+    with pytest.raises(SingularDesign):
+        fit_local_constrained(singular, TRIWEIGHT, 0.08, 0.5, g, [0.0], [0.0], [1])
+
+    # found by search: the start is certified, but the constrained optimum
+    # has min(1 + alpha'G) below the batch's margin, so the batch stalls
+    # and hands the window to BFGS
+    data = random_dataset(np.random.default_rng(2), n=60, p=2, hetero=1.0)
+    u0 = float(data.u[40])
+    win = _window(data, TRIWEIGHT, 0.3, u0)
+    init = LocalParameter.from_vector(_lls(win, data.y))
+    [(_, fit)] = _constrained_fits([(0, win, [0.0], [0.0], init)], data.y, g, [1])
+    assert fit is None
+    want = _fit_constrained(win, data.y, g, [0.0], [0.0], [1], init)
+    resid = data.y[win.active] - win.z @ want.beta.vector
+    assert (1.0 + _moments(g, resid, win.z) @ want.alpha).min() < _BATCH_MARGIN
+    got = fit_local_constrained(data, TRIWEIGHT, 0.3, u0, g, [0.0], [0.0], [1])
+    assert got.logel == want.logel and got.status == want.status == "converged"

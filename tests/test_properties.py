@@ -1,9 +1,11 @@
-"""Property tests of the exactly identified (identity-G) local fit.
+"""Property tests of the identity-G local fits.
 
 With the identity G a window has 2p moments for 2p parameters, so the
 maximum of the local log-EL is the local least-squares fit, where the dual
 multiplier is 0 and the log-EL equals the window entropy.  These tests
-draw small seeded designs and check the consequences of that fact.
+draw small seeded designs and check the consequences of that fact, and
+the bounds that nesting gives the constrained fit and the composite
+statistic.
 """
 
 import warnings
@@ -17,13 +19,23 @@ from scipy.optimize import minimize
 from selrtest import (
     Dataset,
     Hypothesis,
+    const_coef,
+    fit_local_constrained,
     kernel_by_name,
     make_identity,
+    selr_composite,
     selr_gof,
     selr_simple,
     zero_coef,
 )
-from selrtest.errors import DegenerateTestWarning, SingularDesign, ThinWindowWarning
+from selrtest.errors import (
+    DegenerateTestWarning,
+    Infeasible,
+    MaxIterations,
+    NoRetainedWindows,
+    SingularDesign,
+    ThinWindowWarning,
+)
 from selrtest.local_el import _fit, _lls, _ProfileObjective, _window
 
 TRIWEIGHT = kernel_by_name("triweight")
@@ -33,10 +45,11 @@ SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def designs(draw, n_min=12, n_max=50):
-    """A seeded heteroscedastic design with p in {1, 2}, y on a drawn scale."""
+def designs(draw, n_min=12, n_max=50, p_min=1):
+    """A seeded heteroscedastic design with p in {p_min, ..., 2}, y on a
+    drawn scale."""
     n = draw(st.integers(n_min, n_max))
-    p = draw(st.integers(1, 2))
+    p = draw(st.integers(p_min, 2))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = gen.random(n)
@@ -130,3 +143,39 @@ def test_identity_gof_terms_vanish(data, h):
     assert terms
     assert max(abs(t) for t in terms) <= 1e-12
     assert res.df == 0.0
+
+
+@SETTINGS
+@given(designs(n_min=20, p_min=2), st.floats(0.2, 0.6), st.integers(0, 2**16),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_constrained_logel_bounded_by_entropy(data, h, j, value, slope):
+    win = _window_or_reject(data, h, j % data.n)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ThinWindowWarning)
+            fit = fit_local_constrained(data, TRIWEIGHT, h, win.u0, IDENTITY, [value],
+                                        [slope], [1])
+    except (Infeasible, MaxIterations):
+        assume(False)
+    assert fit.logel <= fit.entropy + 1e-12
+
+
+@SETTINGS
+@given(designs(n_min=30, p_min=2), st.floats(0.3, 0.6), st.floats(-1.0, 1.0))
+def test_composite_between_zero_and_simple(data, h, value):
+    # the composite null pins a2 = value only; the simple null pins a2 =
+    # value and a1 = 0, so its constrained set lies inside the composite's
+    pinned = const_coef(value)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ThinWindowWarning)
+            comp = selr_composite(data, TRIWEIGHT, h, IDENTITY,
+                                  Hypothesis.composite([pinned], [1]))
+            simple = selr_simple(data, TRIWEIGHT, h, IDENTITY,
+                                 Hypothesis.simple([zero_coef(), pinned]))
+    except NoRetainedWindows:
+        assume(False)
+    kept = [pt["contribution"] is not None for pt in comp.per_point]
+    assume(kept == [pt["contribution"] is not None for pt in simple.per_point])
+    assert comp.statistic >= -1e-8
+    assert comp.statistic <= simple.statistic + 1e-6

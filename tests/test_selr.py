@@ -2,6 +2,7 @@
 
 import warnings
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -121,16 +122,21 @@ def test_sel_full_equals_entropy_on_exact_fit(rng):
     assert abs(full - ent) < 1e-8
 
 
-def test_identity_full_fit_skips_singular_local_design(rng):
-    # x2 vanishes on (0.4, 0.6), so every window centred there has a
-    # singular local design and no LLS fit.  The identity full fit is that
-    # LLS fit, so such a window is skipped even when the walk carries a
-    # warm start from a neighbour that did fit.
-    n = 100
+def singular_middle_design(rng, n=100):
+    """p = 2 with x2 = 0 on (0.4, 0.6): at h = 0.08 every window centred
+    there has a singular local design."""
     u = np.linspace(0.005, 0.995, n)
     x2 = np.cos(7.0 * u)
     x2[(u > 0.4) & (u < 0.6)] = 0.0
-    data = Dataset(u, np.column_stack([np.ones(n), x2]), rng.normal(size=n))
+    return Dataset(u, np.column_stack([np.ones(n), x2]), rng.normal(size=n))
+
+
+def test_identity_full_fit_skips_singular_local_design(rng):
+    # The identity full fit is the LLS fit, so a window without one is
+    # skipped even when the walk carries a warm start from a neighbour
+    # that did fit.
+    data = singular_middle_design(rng)
+    n, x2 = data.n, data.x[:, 1]
     h = 0.08
     walk = selr._walk(data, np.arange(n), selr._windows(data, TRIWEIGHT, h))
     rows = list(selr._full_fits(data.y, make_identity(), walk))
@@ -143,6 +149,23 @@ def test_identity_full_fit_skips_singular_local_design(rng):
     spec = Hypothesis.simple([zero_coef()] * 2)
     res = selr_simple(data, TRIWEIGHT, h, make_identity(), spec, include_full_term=True)
     assert res.n_infeasible_points >= len(singular)
+
+
+def test_identity_full_fits_solve_each_window_once(monkeypatch, rng):
+    # the closed form ignores the start, so a failed window is not retried
+    data = singular_middle_design(rng)
+    calls = Counter()
+    lls = local_el._lls
+
+    def counting_lls(win, y):
+        calls[win.u0] += 1
+        return lls(win, y)
+
+    monkeypatch.setattr(local_el, "_lls", counting_lls)
+    walk = selr._walk(data, np.arange(data.n), selr._windows(data, TRIWEIGHT, 0.08))
+    rows = list(selr._full_fits(data.y, make_identity(), walk))
+    assert sum(fit is None for _, _, fit in rows) >= 5
+    assert sum(calls.values()) == data.n == len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +360,37 @@ def test_composite_nonnegative_nesting(rng):
     c_k = kernel_constants(TRIWEIGHT).c_K
     retained = 1.0 - res.n_infeasible_points / data.n
     assert abs(res.df - 1 * c_k / 0.5 * retained) < 1e-10
+
+
+def test_composite_reports_the_constrained_fit(monkeypatch, rng):
+    # a window the batch certifies reads "converged"; a handed-off window
+    # reads the status of its BFGS fit
+    data = small_dataset(rng, n=60, p=2)
+    spec = Hypothesis.composite([zero_coef()], [1], omega=(0.0, 1.0))
+    batch = local_el._batch_profile
+    handed = set()
+
+    def halved_batch(wins, y, g, beta, free_idx):
+        fits = batch(wins, y, g, beta, free_idx)
+        for e, win in enumerate(wins):
+            if e % 2:
+                fits[e] = None
+            if fits[e] is None:
+                handed.add(win.u0)
+        return fits
+
+    fit_constrained = selr._fit_constrained
+
+    def marked_bfgs(win, *args, **kwargs):
+        return replace(fit_constrained(win, *args, **kwargs), status="max_iter")
+
+    monkeypatch.setattr(local_el, "_batch_profile", halved_batch)
+    monkeypatch.setattr(selr, "_fit_constrained", marked_bfgs)
+    res = selr_composite(data, TRIWEIGHT, 0.5, make_identity(), spec)
+    kept = [pt for pt in res.per_point if pt["contribution"] is not None]
+    assert handed and len(handed) < len(kept)
+    for pt in kept:
+        assert pt["status"] == ("max_iter" if pt["u0"] in handed else "converged")
 
 
 def test_composite_requires_partial_pin(rng):
