@@ -52,6 +52,7 @@ _DUAL_MAX_ITER = 100
 _OUTER_GTOL = 1e-7
 _KEEP_BYTES = 8 * 2**20  # windows a _WindowStore keeps for reuse
 _BATCH_ROWS = 2048  # moment rows one batched dual solve holds
+_BLOCK_VALUES = 2**13  # kernel values one window block holds (centres x n)
 _BATCH_MAX_ITER = 20  # Newton steps before the batch hands a window off
 _BATCH_MARGIN = 1e-6  # smallest 1 + alpha'G at an optimum the batch certifies
 _PROFILE_MAX_ITER = 50  # Newton steps before the profile batch hands a window off
@@ -163,41 +164,64 @@ class _LocalWindow:
         return float(np.sum(self.w * np.log(self.w)))
 
 
-def _window(data: Dataset, kernel: Kernel, h: float, u0: float) -> _LocalWindow:
-    """The window at u0: weights w_i = K_h(u_i - u0) / sum_m K_h(u_m - u0)
-    on the observations with positive kernel weight, and local design rows
-    z_i = (x_i, t_i x_i) with t_i = (u_i - u0)/h.
-    """
+def _window_block(data: Dataset, kernel: Kernel, h: float, centres) -> list:
+    """The windows centred at the points of the array ``centres``, None where
+    one holds no observation.  The window at u0 has weights w_i = K_h(u_i - u0)
+    / sum_m K_h(u_m - u0) on the observations of positive weight, in index
+    order, and design rows z_i = (x_i, t_i x_i) with t_i = (u_i - u0)/h.
+    One kernel evaluation on a dense (centres, n) array serves the block; each
+    normaliser is its row sum over all n points, so a window is bit for bit the
+    one its centre alone gives.  Its arrays are slices of the block's arrays."""
     if h <= 0:
         raise ConfigError("bandwidth must be > 0")
-    raw = np.atleast_1d(kernel((data.u - u0) / h))
-    total = raw.sum()
-    if total <= 0:
-        raise EmptyWindow(f"no observation within [{u0 - h}, {u0 + h}]")
-    active = np.nonzero(raw > 0)[0]
-    if len(active) < 2 * data.p + 1:
-        warnings.warn(
-            f"window at u0={u0:g} holds {len(active)} < {2 * data.p + 1} points",
-            ThinWindowWarning,
-            stacklevel=3,
-        )
-    w = raw[active] / total
-    return _LocalWindow(float(u0), float(h), active, w, _design(data, active, u0, h))
+    raw = kernel((data.u - centres[:, None]) / h)
+    totals = raw.sum(axis=1)
+    rows, active = np.divmod(np.flatnonzero(raw > 0), data.n)
+    w = raw[rows, active] / totals[rows]
+    z = _design(data, active, centres[rows], h)
+    bounds = np.searchsorted(rows, np.arange(len(centres) + 1)).tolist()
+    wins = []
+    for u0, total, start, stop in zip(centres.tolist(), totals.tolist(), bounds, bounds[1:]):
+        if total > 0 and stop - start < 2 * data.p + 1:
+            warnings.warn(f"window at u0={u0:g} holds {stop - start} < {2 * data.p + 1} points",
+                          ThinWindowWarning, stacklevel=3)
+        wins.append(_LocalWindow(u0, float(h), active[start:stop], w[start:stop], z[start:stop])
+                    if total > 0 else None)
+    return wins
+
+
+def _window(data: Dataset, kernel: Kernel, h: float, u0: float) -> _LocalWindow:
+    """The window at u0; raises :class:`EmptyWindow` where it holds no observation."""
+    return _nonempty(_window_block(data, kernel, h, np.array([u0], dtype=float)), [u0])[0]
+
+
+def _source(n: int, build):
+    """Window source: ``windows(idx)`` yields (block, ``build(block)``) over blocks of ``idx``."""
+    size = max(1, _BLOCK_VALUES // n)
+    return lambda idx: ((idx[at:at + size], build(idx[at:at + size]))
+                        for at in range(0, len(idx), size))
 
 
 def _windows(data: Dataset, kernel: Kernel, h: float):
-    """Window builder of one design: j -> the window centred at u_j."""
-    return lambda j: _window(data, kernel, h, float(data.u[j]))
+    """Window source of one design: the windows at u_j, None where empty."""
+    return _source(data.n, lambda block: _window_block(data, kernel, h, data.u[block]))
+
+
+def _nonempty(wins, centres) -> list:
+    """``wins``, the windows at ``centres``; raises :class:`EmptyWindow` at a None."""
+    for u0, win in zip(centres, wins):
+        if win is None:
+            raise EmptyWindow(f"no observation in the window at u0={u0:g}")
+    return wins
 
 
 class _WindowStore:
     """Windows of one design (u, x, kernel) for a loop that redraws only y.
 
-    ``at(h)`` maps j to the window centred at u_j, built on first use and
-    kept while the kept windows hold fewer than ``_KEEP_BYTES`` bytes; later
-    windows are rebuilt on every call.  A window holds O(n h) rows, so all n
-    of them would take O(n^2 h p) memory.
-    """
+    ``at(h)`` is a window source like :func:`_windows`.  Windows are built on
+    first use, a block at a time, and copied out of their block to be kept
+    while the kept ones hold fewer than ``_KEEP_BYTES`` bytes (all n windows
+    take O(n^2 h p)); later windows are rebuilt on every use."""
 
     def __init__(self, data: Dataset, kernel: Kernel):
         self.data = data
@@ -206,16 +230,21 @@ class _WindowStore:
         self.nbytes = 0
 
     def at(self, h: float):
-        return lambda j: self._get(h, j)
+        return _source(self.data.n, lambda block: self._get(h, block.tolist()))
 
-    def _get(self, h, j):
-        win = self.kept.get((h, j))
-        if win is None:
-            win = _window(self.data, self.kernel, h, float(self.data.u[j]))
-            if self.nbytes < _KEEP_BYTES:
-                self.kept[h, j] = win
+    def _get(self, h, js) -> list:
+        missing = [j for j in js if (h, j) not in self.kept]
+        built = dict(zip(missing, _window_block(self.data, self.kernel, h, self.data.u[missing])
+                         if missing else []))
+        for j, win in built.items():
+            if self.nbytes >= _KEEP_BYTES:
+                break
+            if win is not None:
+                win = built[j] = _LocalWindow(win.u0, win.h, win.active.copy(), win.w.copy(),
+                                              win.z.copy())
                 self.nbytes += win.active.nbytes + win.w.nbytes + win.z.nbytes
-        return win
+            self.kept[h, j] = win
+        return [built[j] if j in built else self.kept[h, j] for j in js]
 
 
 def local_weights(data: Dataset, kernel: Kernel, h: float, u0: float) -> LocalWeights:
@@ -580,13 +609,22 @@ def local_logel(
 
 def _lls(win: _LocalWindow, y: np.ndarray) -> np.ndarray:
     """Local weighted least squares of y on the window's design."""
-    zw = win.z * win.w[:, None]
-    gram = zw.T @ win.z
-    rhs = zw.T @ y[win.active]
+    return _stacked_lls([win], y)[0]
+
+
+def _stacked_lls(wins, y: np.ndarray) -> np.ndarray:
+    """:func:`_lls` of each window of ``wins``, one row each; raises
+    :class:`SingularDesign` at the first rank-deficient one.  Each window has
+    its own zw'z products, then one stacked SVD and solve (LAPACK per matrix)."""
+    zws = [win.z * win.w[:, None] for win in wins]
+    gram = np.array([zw.T @ win.z for zw, win in zip(zws, wins)])
+    rhs = np.array([zw.T @ y[win.active] for zw, win in zip(zws, wins)])
     sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[0] <= 0 or sv[-1] / sv[0] < 1e-12:
-        raise SingularDesign(f"weighted design at u0={win.u0:g} is rank deficient")
-    return np.linalg.solve(gram, rhs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = np.flatnonzero((sv[:, 0] <= 0) | (sv[:, -1] / sv[:, 0] < 1e-12))
+    if len(singular):
+        raise SingularDesign(f"weighted design at u0={wins[singular[0]].u0:g} is rank deficient")
+    return np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
 
 
 def lls_init(data: Dataset, kernel: Kernel, h: float, u0: float) -> LocalParameter:
@@ -594,12 +632,14 @@ def lls_init(data: Dataset, kernel: Kernel, h: float, u0: float) -> LocalParamet
     return LocalParameter.from_vector(_lls(_window(data, kernel, h, u0), data.y))
 
 
-def _local_linear_fitted(data: Dataset, window_at) -> np.ndarray:
+def _local_linear_fitted(data: Dataset, windows) -> np.ndarray:
     """Local linear smoother: fitted value x_i' A_hat(u_i) at every observation,
-    with ``window_at(i)`` the window centred at u_i."""
+    with ``windows`` the window source of ``data`` (see :func:`_windows`)."""
     fitted = np.empty(data.n)
-    for i in range(data.n):
-        fitted[i] = data.x[i] @ _lls(window_at(i), data.y)[: data.p]
+    for block, wins in windows(np.arange(data.n)):
+        beta = _stacked_lls(_nonempty(wins, data.u[block]), data.y)
+        # a stack of (1, p) @ (p, 1) products takes the dot x_i' a_i row by row
+        fitted[block] = np.matmul(data.x[block, None, :], beta[:, :data.p, None])[:, 0, 0]
     return fitted
 
 
@@ -613,12 +653,10 @@ def _lls_fits(tagged, y, g):
     """
     def with_lls():
         for tag, win in tagged:
-            beta = None
-            if win is not None:
-                try:
-                    beta = _lls(win, y)
-                except SingularDesign:
-                    pass
+            try:
+                beta = None if win is None else _lls(win, y)
+            except SingularDesign:
+                beta = None
             yield (tag, win, beta), None if beta is None else win, beta
 
     for (tag, win, beta), value, alpha in _log_ratios(with_lls(), g, y):

@@ -19,8 +19,8 @@ from . import streams
 from .errors import ConfigError, DegenerateRSS1, NumericalError
 from .estfun import make_identity
 from .kernels import Kernel, kernel_by_name
-from .local_el import Dataset, _local_linear_fitted, _windows
-from .selr import Hypothesis, selr_simple, zero_coef
+from .local_el import Dataset, _local_linear_fitted, _windows, _WindowStore
+from .selr import Hypothesis, _statistic, zero_coef
 
 __all__ = [
     "SimulationConfig",
@@ -113,9 +113,14 @@ def generate(config: SimulationConfig, rng: np.random.Generator) -> Dataset:
 def f_type_stat(data: Dataset, kernel: Kernel, h: float,
                 null_fitted: np.ndarray | None = None) -> float:
     """(RSS0 - RSS1) / RSS1 with RSS1 from the local linear fit."""
+    return _f_type(data, _windows(data, kernel, h), null_fitted)
+
+
+def _f_type(data: Dataset, windows, null_fitted=None) -> float:
+    """:func:`f_type_stat` with ``windows`` the window source of ``data``."""
     resid0 = data.y if null_fitted is None else data.y - null_fitted
     rss0 = float(resid0 @ resid0)
-    resid1 = data.y - _local_linear_fitted(data, _windows(data, kernel, h))
+    resid1 = data.y - _local_linear_fitted(data, windows)
     rss1 = float(resid1 @ resid1)
     if rss0 == 0.0 and rss1 == 0.0:
         return 0.0
@@ -134,14 +139,15 @@ def _one_replicate(args):
     data = generate(config, rng)
     kern = kernel_by_name(config.kernel)
     g = make_identity()
+    windows = _WindowStore(data, kern).at(config.h)  # built once for both statistics
     try:
-        selr_val = selr_simple(data, kern, config.h, g, _zero_null_spec()).statistic
+        selr_val = _statistic(data, kern, config.h, g, _zero_null_spec(), windows=windows).statistic
     except NumericalError:
         selr_val = math.nan
     f_val = math.nan
     if want_f:
         try:
-            f_val = f_type_stat(data, kern, config.h)
+            f_val = _f_type(data, windows)
         except NumericalError:
             f_val = math.nan
     return selr_val, f_val

@@ -23,7 +23,6 @@ from . import streams
 from .errors import (
     ConfigError,
     DegenerateTestWarning,
-    EmptyWindow,
     Infeasible,
     MaxIterations,
     NoRetainedWindows,
@@ -41,6 +40,7 @@ from .local_el import (
     _lls_fits,
     _local_linear_fitted,
     _log_ratios,
+    _nonempty,
     _require_derivative,
     _windows,
     _WindowStore,
@@ -217,20 +217,17 @@ def _eval_points(data: Dataset, omega) -> np.ndarray:
     return idx
 
 
-def _walk(data: Dataset, eval_idx, window_at):
-    """(j, window) for the evaluation points in increasing u, built one at a
-    time; the window is None where it holds no observation."""
-    for j in eval_idx[np.argsort(data.u[eval_idx])].tolist():
-        try:
-            yield j, window_at(j)
-        except EmptyWindow:
-            yield j, None
+def _walk(data: Dataset, eval_idx, windows):
+    """(j, window) for the evaluation points in increasing u, built a block at
+    a time; the window is None where it holds no observation."""
+    for block, wins in windows(eval_idx[np.argsort(data.u[eval_idx])]):
+        yield from zip(block.tolist(), wins)
 
 
 def sel_entropy(data: Dataset, kernel: Kernel, h: float, omega=None) -> float:
     """Saturated-model term: double sum of w log w over all windows."""
-    window_at = _windows(data, kernel, h)
-    return sum(window_at(j).entropy for j in _eval_points(data, _resolve_omega(data, omega)))
+    blocks = _windows(data, kernel, h)(_eval_points(data, _resolve_omega(data, omega)))
+    return sum(win.entropy for block, wins in blocks for win in _nonempty(wins, data.u[block]))
 
 
 def _full_fits(y, g, walk):
@@ -352,11 +349,11 @@ def selr_gof(
     return _gof(data, kernel, h, g, spec, _windows(data, kernel, h))
 
 
-def _gof(data, kernel, h, g, spec, window_at) -> TestResult:
+def _gof(data, kernel, h, g, spec, windows) -> TestResult:
     omega = _resolve_omega(data, spec.omega)
     eval_idx = _eval_points(data, omega)
     terms = {j: (None, None) if f is None else (f.entropy - f.logel, f.status)
-             for j, _, f in _full_fits(data.y, g, _walk(data, eval_idx, window_at))}
+             for j, _, f in _full_fits(data.y, g, _walk(data, eval_idx, windows))}
     res = _assemble("goodness_of_fit", data, eval_idx, terms, omega, h, kernel, g.k0,
                     no_est=spec.no_estimated_coefficients)
     if res.df <= 0:
@@ -405,7 +402,7 @@ def selr_simple(
     return _simple(data, kernel, h, g, spec, include_full_term, _windows(data, kernel, h))
 
 
-def _simple(data, kernel, h, g, spec, include_full_term, window_at) -> TestResult:
+def _simple(data, kernel, h, g, spec, include_full_term, windows) -> TestResult:
     if spec.a0 is None:
         raise ConfigError("simple_null needs coefficient functions a0")
     # the shift changes y only, so the windows of data are those of star
@@ -414,7 +411,7 @@ def _simple(data, kernel, h, g, spec, include_full_term, window_at) -> TestResul
     eval_idx = _eval_points(star, omega)
     if include_full_term is None:
         include_full_term = g.k0 > 1
-    walk = _walk(star, eval_idx, window_at)
+    walk = _walk(star, eval_idx, windows)
     rows = _full_fits(star.y, g, walk) if include_full_term else (
         (j, win, None) for j, win in walk)
     # the null terms are solved a chunk of windows at a time
@@ -439,7 +436,7 @@ def selr_composite(
     return _composite(data, kernel, h, g, spec, _windows(data, kernel, h))
 
 
-def _composite(data, kernel, h, g, spec, window_at) -> TestResult:
+def _composite(data, kernel, h, g, spec, windows) -> TestResult:
     if spec.a10 is None or spec.fixed_idx is None:
         raise ConfigError("composite_null needs a10 and fixed_idx")
     omega = _resolve_omega(data, spec.omega)
@@ -450,7 +447,7 @@ def _composite(data, kernel, h, g, spec, window_at) -> TestResult:
     eval_idx = _eval_points(data, omega)
 
     def pinned():
-        for j, win, full in _full_fits(data.y, g, _walk(data, eval_idx, window_at)):
+        for j, win, full in _full_fits(data.y, g, _walk(data, eval_idx, windows)):
             if full is None:
                 yield (j, None), None, None, None, None
                 continue
@@ -515,25 +512,25 @@ def selr_test(
     """Dispatch on the hypothesis kind; parametric nulls are bias-corrected
     and reduced to a simple zero null."""
     return _statistic(data, kernel, h, g, spec, include_full_term=include_full_term,
-                      window_at=_windows(data, kernel, h))
+                      windows=_windows(data, kernel, h))
 
 
-def _statistic(data, kernel, h, g, spec, include_full_term=None, *, window_at):
-    """:func:`selr_test` with ``window_at(j)`` giving the window at u_j, so a
+def _statistic(data, kernel, h, g, spec, include_full_term=None, *, windows):
+    """:func:`selr_test` with ``windows`` the window source of ``data``, so a
     replicate loop can pass the windows of its fixed design."""
     full_term = g.k0 > 1 if include_full_term is None else include_full_term
     if spec.kind in ("goodness_of_fit", "composite_null") or full_term:
         _require_derivative(g)  # before any window is built
     if spec.kind == "goodness_of_fit":
-        return _gof(data, kernel, h, g, spec, window_at)
+        return _gof(data, kernel, h, g, spec, windows)
     if spec.kind == "simple_null":
-        return _simple(data, kernel, h, g, spec, include_full_term, window_at)
+        return _simple(data, kernel, h, g, spec, include_full_term, windows)
     if spec.kind == "composite_null":
-        return _composite(data, kernel, h, g, spec, window_at)
+        return _composite(data, kernel, h, g, spec, windows)
     if spec.kind == "parametric_null":
         _, star = bias_correct(data, spec.family, spec.theta_init)
         zero_spec = Hypothesis.simple([zero_coef()] * star.p, omega=spec.omega)
-        res = _simple(star, kernel, h, g, zero_spec, include_full_term, window_at)
+        res = _simple(star, kernel, h, g, zero_spec, include_full_term, windows)
         res.hypothesis = "parametric_null"
         return res
     raise ConfigError(f"unknown hypothesis kind {spec.kind!r}")
@@ -544,9 +541,9 @@ def _statistic(data, kernel, h, g, spec, include_full_term=None, *, window_at):
 
 
 def _null_fitted_values(data: Dataset, kernel: Kernel, h: float, spec: Hypothesis,
-                        window_at=None) -> np.ndarray:
+                        windows=None) -> np.ndarray:
     """Regression function fixed under the null, used to generate replicates;
-    ``window_at`` builds the windows of ``data`` at its observations."""
+    ``windows`` is the window source of ``data``."""
     if spec.kind == "simple_null":
         return _coef_sum(data, spec.a0, range(data.p))
     if spec.kind == "parametric_null":
@@ -560,24 +557,23 @@ def _null_fitted_values(data: Dataset, kernel: Kernel, h: float, spec: Hypothesi
         reduced = Dataset(data.u, data.x[:, free_mask], data.y - pinned)
         return pinned + _local_linear_fitted(reduced, _windows(reduced, kernel, h))
     # goodness_of_fit: nuisance coefficients fixed at their local linear fit
-    return _local_linear_fitted(data, window_at or _windows(data, kernel, h))
+    return _local_linear_fitted(data, windows or _windows(data, kernel, h))
 
 
 def _sigma2_hat(data: Dataset, kernel: Kernel, h: float, resid: np.ndarray,
-                window_at=None) -> np.ndarray:
+                windows=None) -> np.ndarray:
     """Kernel estimate of the conditional variance of the null residuals."""
-    window_at = window_at or _windows(data, kernel, h)
+    windows = windows or _windows(data, kernel, h)
     sigma2 = np.empty(data.n)
     sq = resid**2
     w = np.zeros(data.n)
-    for i in range(data.n):
-        win = window_at(i)
-        # dot over all n, zeros included: a dot over the active set alone
-        # sums in another order, and some replicate statistics move by 1%
-        # when sigma2 moves by one ulp
-        w[win.active] = win.w
-        sigma2[i] = float(w @ sq)
-        w[win.active] = 0.0
+    for block, wins in windows(np.arange(data.n)):
+        for i, win in zip(block.tolist(), _nonempty(wins, data.u[block])):
+            # a dot over all n, zeros included: any other order (the active set
+            # alone, a matvec per block) moves some replicates by 1% via one ulp
+            w[win.active] = win.w
+            sigma2[i] = float(w @ sq)
+            w[win.active] = 0.0
     return np.maximum(sigma2, 1e-12)
 
 
@@ -592,17 +588,17 @@ def _replicate_errors(resid, sigma2, scheme, gen):
     raise ConfigError(f"unknown bootstrap scheme {scheme!r}")
 
 
-def _bootstrap(data, kernel, h, spec, B, scheme, seed, statistic, observed, window_at):
+def _bootstrap(data, kernel, h, spec, B, scheme, seed, statistic, observed, windows):
     """Null sample of ``statistic`` over B replicates, and its p-value.
 
     Replicate b draws its errors from the stream keyed by (seed, b), so the
-    sample does not depend on how replicates are scheduled.  ``window_at``
+    sample does not depend on how replicates are scheduled.  ``windows``
     gives the windows of ``data`` at bandwidth h, for the null fit and the
     variance smoother.
     """
-    m = _null_fitted_values(data, kernel, h, spec, window_at)
+    m = _null_fitted_values(data, kernel, h, spec, windows)
     resid = data.y - m
-    sigma2 = _sigma2_hat(data, kernel, h, resid, window_at) if scheme == "gaussian" else None
+    sigma2 = _sigma2_hat(data, kernel, h, resid, windows) if scheme == "gaussian" else None
     sample = []
     for b in range(B):
         errs = _replicate_errors(resid, sigma2, scheme, streams.substream(seed, b))
@@ -646,15 +642,15 @@ def bootstrap_null(
     if B < 1:
         raise ConfigError("need at least one bootstrap replicate")
     # replicates share u and x, so they reuse the windows the store keeps
-    window_at = _WindowStore(data, kernel).at(h)
+    windows = _WindowStore(data, kernel).at(h)
 
     def statistic(dset):
         return _statistic(dset, kernel, h, g, spec, include_full_term=include_full_term,
-                          window_at=window_at).statistic
+                          windows=windows).statistic
 
     if observed is None:
         observed = statistic(data)
-    return _bootstrap(data, kernel, h, spec, B, scheme, seed, statistic, observed, window_at)
+    return _bootstrap(data, kernel, h, spec, B, scheme, seed, statistic, observed, windows)
 
 
 @dataclass(frozen=True)
@@ -682,8 +678,8 @@ def select_bandwidth(
     if not h_grid:
         raise ConfigError("bandwidth grid is empty")
 
-    def standardized(dset, h, window_at):
-        res = _statistic(dset, kernel, h, g, spec, window_at=window_at)
+    def standardized(dset, h, windows):
+        res = _statistic(dset, kernel, h, g, spec, windows=windows)
         if res.df <= 0:
             raise ConfigError("bandwidth selection needs positive df")
         return (res.r_K * res.statistic - res.df) / np.sqrt(2.0 * res.df)

@@ -1,11 +1,12 @@
 """Shared helpers for the test suite."""
 
 import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from selrtest import Dataset
+from selrtest import Dataset, local_el
 
 _REPORT_FILE = pathlib.Path(__file__).parent / "_acceptance_report.txt"
 
@@ -43,6 +44,20 @@ def random_dataset(rng, n=60, p=1, hetero=0.0, coef=None):
         for k, fn in enumerate(coef):
             y = y + fn(u) * x[:, k]
     return Dataset(u, x, y)
+
+
+def count_windows(monkeypatch, key=lambda dset, h, u0: u0):
+    """Counter of the windows built, by key(dataset, h, centre), counted
+    centre by centre in ``local_el._window_block``, which builds them all."""
+    built = Counter()
+    build = local_el._window_block
+
+    def counting_block(dset, kernel, h, centres):
+        built.update(key(dset, h, float(u0)) for u0 in np.atleast_1d(centres))
+        return build(dset, kernel, h, centres)
+
+    monkeypatch.setattr(local_el, "_window_block", counting_block)
+    return built
 
 
 def midpoint(f, a, b, panels=200_000):

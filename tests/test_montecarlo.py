@@ -12,14 +12,18 @@ from selrtest import (
     f_type_stat,
     generate,
     kernel_by_name,
+    make_identity,
     moment_match,
     null_table,
+    selr_simple,
     simulate_statistics,
     size_power_study,
 )
-from selrtest import streams
+from selrtest import montecarlo, streams
 from selrtest.local_el import _design
-from selrtest.montecarlo import _coefficient
+from selrtest.montecarlo import _coefficient, _zero_null_spec
+
+from conftest import count_windows
 from scipy.stats import chi2
 
 TRIWEIGHT = kernel_by_name("triweight")
@@ -84,6 +88,20 @@ def test_f_type_stat_normal_equations_oracle(rng):
 def test_f_type_stat_zero_data():
     data = Dataset([0.1, 0.4, 0.5, 0.9], np.ones((4, 1)), np.zeros(4))
     assert f_type_stat(data, TRIWEIGHT, 0.6) == 0.0
+
+
+def test_replicate_builds_each_window_once_for_both_statistics(monkeypatch):
+    """One replicate's SELR and F-type statistics share its design's windows,
+    and each equals the public statistic on that design bit for bit."""
+    cfg = SimulationConfig(n=60, c1=2.0, reps=1, seed=5)
+    built = count_windows(monkeypatch)
+    selr_val, f_val = montecarlo._one_replicate((cfg, 0, 0, True))
+    assert len(built) == cfg.n
+    assert set(built.values()) == {1}
+    data = generate(cfg, streams.substream(cfg.seed, 0))
+    assert selr_val == selr_simple(data, TRIWEIGHT, cfg.h, make_identity(),
+                                   _zero_null_spec()).statistic
+    assert f_val == f_type_stat(data, TRIWEIGHT, cfg.h)
 
 
 def test_simulate_statistics_parallel_deterministic():

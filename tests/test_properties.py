@@ -1,14 +1,19 @@
-"""Property tests of the identity-G local fits.
+"""Property tests of the windows and the identity-G local fits.
+
+Windows are built a block of centres at a time; the first tests hold every
+window, least-squares fit, smoothed value and variance estimate bit for bit
+to the one-window code they replaced, kept here as the oracle.
 
 With the identity G a window has 2p moments for 2p parameters, so the
 maximum of the local log-EL is the local least-squares fit, where the dual
-multiplier is 0 and the log-EL equals the window entropy.  These tests
+multiplier is 0 and the log-EL equals the window entropy.  The other tests
 draw small seeded designs and check the consequences of that fact, and
 the bounds that nesting gives the constrained fit and the composite
 statistic.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,20 +33,187 @@ from selrtest import (
     selr_simple,
     zero_coef,
 )
+from selrtest import local_el, selr
 from selrtest.errors import (
     DegenerateTestWarning,
+    EmptyWindow,
     Infeasible,
     MaxIterations,
     NoRetainedWindows,
     SingularDesign,
     ThinWindowWarning,
 )
-from selrtest.local_el import _fit, _lls, _ProfileObjective, _window
+from selrtest.kernels import tabulated_kernel
+from selrtest.local_el import (
+    _fit,
+    _lls,
+    _local_linear_fitted,
+    _ProfileObjective,
+    _stacked_lls,
+    _window,
+    _window_block,
+    _windows,
+)
 
 TRIWEIGHT = kernel_by_name("triweight")
 IDENTITY = make_identity()
 # the same examples on every run, and no example database in the tree
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+ORACLE_SETTINGS = settings(SETTINGS, max_examples=150)
+KERNELS = [kernel_by_name(family) for family in
+           ("uniform", "epanechnikov", "biweight", "triweight")] + [
+    # K(0) = 0, so a window centred at an observation can be empty
+    tabulated_kernel([-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 1.0, 0.0, 1.0, 0.0]),
+]
+
+
+# ---------------------------------------------------------------------------
+# windows, least squares and smoothers against the one-window code
+
+
+def _oracle_window(data, kernel, h, u0):
+    """(active, w, z) of the window at u0, built the one-window way."""
+    raw = np.atleast_1d(kernel((data.u - u0) / h))
+    total = raw.sum()
+    if total <= 0:
+        raise EmptyWindow(f"no observation within [{u0 - h}, {u0 + h}]")
+    active = np.nonzero(raw > 0)[0]
+    if len(active) < 2 * data.p + 1:
+        warnings.warn(
+            f"window at u0={u0:g} holds {len(active)} < {2 * data.p + 1} points",
+            ThinWindowWarning,
+            stacklevel=3,
+        )
+    w = raw[active] / total
+    t = (data.u[active] - u0) / h
+    x = data.x[active]
+    return active, w, np.hstack([x, t[:, None] * x])
+
+
+def _oracle_lls(active, w, z, y):
+    """The one-window local least-squares fit."""
+    zw = z * w[:, None]
+    gram = zw.T @ z
+    rhs = zw.T @ y[active]
+    sv = np.linalg.svd(gram, compute_uv=False)
+    if sv[0] <= 0 or sv[-1] / sv[0] < 1e-12:
+        raise SingularDesign("weighted design is rank deficient")
+    return np.linalg.solve(gram, rhs)
+
+
+def _oracle_or_none(data, kernel, h, u0):
+    try:
+        return _oracle_window(data, kernel, h, u0)
+    except EmptyWindow:
+        return None
+
+
+def _same_window(win, want, u0, h):
+    if want is None:
+        return win is None
+    return (win is not None and win.u0 == u0 and win.h == h
+            and all(np.array_equal(a, b) and a.dtype == b.dtype
+                    for a, b in zip((win.active, win.w, win.z), want)))
+
+
+def _thin_count(record):
+    return sum(issubclass(r.category, ThinWindowWarning) for r in record)
+
+
+@st.composite
+def window_cases(draw):
+    """A seeded design with p in 1..3, a kernel, a bandwidth from a few
+    empty or thin windows to all-wide ones, centres on and off the data, and
+    a block budget of one centre, three centres or the whole design."""
+    n = draw(st.integers(3, 80))
+    p = draw(st.integers(1, 3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = gen.random(n)
+    x = np.column_stack([np.ones(n), gen.normal(size=(n, p - 1))])
+    y = np.sin(2 * np.pi * u) + gen.normal(size=n)
+    kernel = draw(st.sampled_from(KERNELS))
+    h = 10.0 ** draw(st.floats(-2.7, 0.0))
+    off = gen.uniform(-0.3, 1.3, size=draw(st.integers(0, 10)))
+    budget = draw(st.sampled_from([1, 3 * n, 2**13]))
+    return Dataset(u, x, y), kernel, h, np.concatenate([u, off]), budget
+
+
+@ORACLE_SETTINGS
+@given(window_cases())
+def test_block_windows_equal_one_window_builds(case):
+    data, kernel, h, centres, budget = case
+    with warnings.catch_warnings(record=True) as want_warned:
+        warnings.simplefilter("always")
+        want = [_oracle_or_none(data, kernel, h, u0) for u0 in centres.tolist()]
+    with warnings.catch_warnings(record=True) as got_warned, \
+            mock.patch.object(local_el, "_BLOCK_VALUES", budget):
+        warnings.simplefilter("always")
+        size = max(1, budget // data.n)
+        got = [win for at in range(0, len(centres), size)
+               for win in _window_block(data, kernel, h, centres[at:at + size])]
+    assert _thin_count(got_warned) == _thin_count(want_warned)
+    assert all(_same_window(win, w, u0, h) for win, w, u0 in zip(got, want, centres))
+    # the walk visits the observations in increasing u, None where empty
+    with warnings.catch_warnings(), mock.patch.object(local_el, "_BLOCK_VALUES", budget):
+        warnings.simplefilter("ignore", ThinWindowWarning)
+        walk = list(selr._walk(data, np.arange(data.n), _windows(data, kernel, h)))
+    assert [j for j, _ in walk] == np.argsort(data.u).tolist()
+    assert all(_same_window(win, want[j], data.u[j], h) for j, win in walk)
+    # elsewhere an empty window raises
+    empty = [u0 for u0, w in zip(centres.tolist(), want) if w is None]
+    for u0 in empty[:3]:
+        with pytest.raises(EmptyWindow):
+            _window(data, kernel, h, u0)
+
+
+@ORACLE_SETTINGS
+@given(window_cases())
+def test_stacked_lls_and_smoothers_equal_one_window_solves(case):
+    data, kernel, h, _, budget = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ThinWindowWarning)
+        want = [_oracle_or_none(data, kernel, h, u0) for u0 in data.u.tolist()]
+        wins = _window_block(data, kernel, h, data.u)
+    fits = []
+    for win, w in zip(wins, want):
+        if w is None:
+            continue
+        try:
+            fits.append((win, _oracle_lls(*w, data.y)))
+        except SingularDesign:
+            fits.append((win, None))
+            with pytest.raises(SingularDesign):
+                _stacked_lls([win], data.y)
+    solved = [(win, beta) for win, beta in fits if beta is not None]
+    if solved:
+        np.testing.assert_array_equal(_stacked_lls([win for win, _ in solved], data.y),
+                                      np.array([beta for _, beta in solved]))
+    if len(solved) < len(fits):
+        with pytest.raises(SingularDesign):
+            _stacked_lls([win for win, _ in fits], data.y)
+    # the smoother and the variance estimate, through blocks of the budget
+    with warnings.catch_warnings(), mock.patch.object(local_el, "_BLOCK_VALUES", budget):
+        warnings.simplefilter("ignore", ThinWindowWarning)
+        windows = _windows(data, kernel, h)
+        if any(w is None for w in want):
+            with pytest.raises(EmptyWindow):
+                selr._sigma2_hat(data, kernel, h, data.y, windows)
+            return
+        sq = data.y**2
+        sigma2 = []
+        for active, w, _ in want:
+            dense = np.zeros(data.n)
+            dense[active] = w
+            sigma2.append(float(dense @ sq))
+        np.testing.assert_array_equal(selr._sigma2_hat(data, kernel, h, data.y, windows),
+                                      np.maximum(sigma2, 1e-12))
+        if len(solved) < len(want):
+            with pytest.raises(SingularDesign):
+                _local_linear_fitted(data, windows)
+            return
+        fitted = _local_linear_fitted(data, windows)
+    np.testing.assert_array_equal(
+        fitted, [data.x[i] @ beta[:data.p] for i, (_, beta) in enumerate(solved)])
 
 
 @st.composite

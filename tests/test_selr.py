@@ -47,7 +47,7 @@ from selrtest.local_el import _window
 from selrtest.selr import CoefFn
 from selrtest.selr import TestCalibration as Calibration
 
-from conftest import random_dataset
+from conftest import count_windows, random_dataset
 
 TRIWEIGHT = kernel_by_name("triweight")
 G2 = make_smoothed_indicator([0.0, 0.8, 3.5], width=0.3)
@@ -502,7 +502,7 @@ def test_hard_indicator_refused_before_any_window(monkeypatch, rng, spec):
     up front; the simple null with k0 > 1 includes the full term by default."""
     data = small_dataset(rng, n=40, p=2)
     built = []
-    monkeypatch.setattr(local_el, "_window", lambda *args: built.append(args))
+    monkeypatch.setattr(local_el, "_window_block", lambda *args: built.append(args))
     g = make_symmetric_indicator([0.0, 0.8, 2.0])
     with pytest.raises(DerivativeUnavailable) as exc:
         selr_test(data, TRIWEIGHT, 0.4, g, spec)
@@ -522,13 +522,8 @@ def test_simple_solves_null_terms_in_bounded_chunks(monkeypatch, rng):
     """At n = 800 one selr_simple call hands the batched dual solver at most
     _BATCH_ROWS moment rows at a time, and still builds each window once."""
     data = small_dataset(rng, n=800)
-    built = Counter()
-    build = local_el._window
-
-    def counting_window(dset, kernel, h, u0):
-        built[float(u0)] += 1
-        return build(dset, kernel, h, u0)
-
+    build = local_el._window_block
+    built = count_windows(monkeypatch)
     chunk_rows = []
     solve = local_el._batch_log_ratios
 
@@ -536,12 +531,11 @@ def test_simple_solves_null_terms_in_bounded_chunks(monkeypatch, rng):
         chunk_rows.append(sum(len(win.active) for win in wins if win is not None))
         return solve(wins, *args)
 
-    monkeypatch.setattr(local_el, "_window", counting_window)
     monkeypatch.setattr(local_el, "_batch_log_ratios", recording_solve)
     selr_simple(data, TRIWEIGHT, 0.3, make_identity(), Hypothesis.simple([zero_coef()]))
     assert len(chunk_rows) > 1
     assert max(chunk_rows) <= local_el._BATCH_ROWS
-    windows = [build(data, TRIWEIGHT, 0.3, float(u0)) for u0 in data.u]
+    windows = build(data, TRIWEIGHT, 0.3, data.u)
     assert sum(chunk_rows) == sum(len(win.active) for win in windows)
     assert len(built) == data.n
     assert set(built.values()) == {1}
@@ -594,14 +588,8 @@ def test_bootstrap_builds_each_window_once(monkeypatch, rng):
     """Replicates share u and x, so one bootstrap_null call builds the window
     at each (design, centre) once rather than once per replicate."""
     data = small_dataset(rng, n=60)
-    built = Counter()
-    build = local_el._window
-
-    def counting_window(dset, kernel, h, u0):
-        built[dset.u.tobytes(), dset.x.tobytes(), float(u0)] += 1
-        return build(dset, kernel, h, u0)
-
-    monkeypatch.setattr(local_el, "_window", counting_window)
+    built = count_windows(monkeypatch,
+                          lambda dset, h, u0: (dset.u.tobytes(), dset.x.tobytes(), u0))
     spec = Hypothesis.simple([zero_coef()])
     sample, _ = bootstrap_null(data, TRIWEIGHT, 0.4, make_identity(), spec, B=5,
                                scheme="gaussian", include_full_term=True)
@@ -617,20 +605,27 @@ def test_bootstrap_rebuilds_windows_past_the_cap(monkeypatch, rng):
     spec = Hypothesis.simple([zero_coef()])
     args = (data, TRIWEIGHT, 0.4, make_identity(), spec)
     kept_all, _ = bootstrap_null(*args, B=5, include_full_term=True)
-    built = Counter()
-    build = local_el._window
-
-    def counting_window(dset, kernel, h, u0):
-        built[float(u0)] += 1
-        return build(dset, kernel, h, u0)
-
-    monkeypatch.setattr(local_el, "_window", counting_window)
+    built = count_windows(monkeypatch)
     monkeypatch.setattr(local_el, "_KEEP_BYTES", 10_000)
     sample, _ = bootstrap_null(*args, B=5, include_full_term=True)
     np.testing.assert_array_equal(sample, kept_all)
     # observed statistic, variance smoother and 5 replicates: 7 uses a centre
     assert set(built.values()) == {1, 7}
     assert 0 < sum(c == 1 for c in built.values()) < data.n
+
+
+def test_store_counts_the_bytes_it_keeps_alive(monkeypatch, rng):
+    """A kept window is copied out of its block, which would otherwise stay
+    alive behind it, so the capped count is of all the store keeps."""
+    data = small_dataset(rng, n=60)
+    monkeypatch.setattr(local_el, "_KEEP_BYTES", 10_000)
+    store = local_el._WindowStore(data, TRIWEIGHT)
+    list(store.at(0.4)(np.arange(data.n)))
+    kept = list(store.kept.values())
+    assert 0 < len(kept) < data.n
+    arrays = [a for win in kept for a in (win.active, win.w, win.z)]
+    assert all(a.base is None for a in arrays)
+    assert store.nbytes == sum(a.nbytes for a in arrays)
 
 
 def test_bootstrap_counts_all_skipped_replicates_as_failed(monkeypatch, rng):
@@ -662,14 +657,7 @@ def test_select_bandwidth_builds_replicate_windows_once(monkeypatch, rng):
     """The observed statistics build each (h, centre) window once, and the
     replicates share one more build of it."""
     data = small_dataset(rng, n=50)
-    built = Counter()
-    build = local_el._window
-
-    def counting_window(dset, kernel, h, u0):
-        built[h, float(u0)] += 1
-        return build(dset, kernel, h, u0)
-
-    monkeypatch.setattr(local_el, "_window", counting_window)
+    built = count_windows(monkeypatch, lambda dset, h, u0: (h, u0))
     spec = Hypothesis.simple([zero_coef()])
     select_bandwidth(data, TRIWEIGHT, make_identity(), spec, [0.3, 0.45])
     assert len(built) == 2 * data.n
