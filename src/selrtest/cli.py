@@ -180,7 +180,8 @@ def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     seed = secrets.randbelow(2**31)
-    print(f"seed: {seed} (drawn; pass --seed {seed} to reproduce)")
+    # stderr, so a report written to stdout still parses
+    print(f"seed: {seed} (drawn; pass --seed {seed} to reproduce)", file=sys.stderr)
     return seed
 
 

@@ -391,43 +391,26 @@ def _log_ratio(win: _LocalWindow, g: EstimatingFunction, y: np.ndarray, beta_vec
     return float(win.w @ np.log1p(moments @ alpha)), alpha
 
 
-def _log_ratios(tagged, g, y, beta_vec=None):
-    """For each (tag, window) pair of ``tagged``, (tag, value, alpha) with
-    the value and multiplier of :func:`_log_ratio` at ``beta_vec``; both
-    are None where that raises :class:`Infeasible` or :class:`MaxIterations`,
-    or where the window is None.  With ``beta_vec`` None the items are
-    (tag, window, beta) triples, each window at its own beta.
-
-    ``tagged`` is consumed lazily: consecutive windows are solved together,
-    at most ``_BATCH_ROWS`` moment rows at a time (a larger window alone).
-    """
-    for group in _chunks(tagged):
-        beta = beta_vec
-        if beta is None:
-            beta = np.array([item[2] for item in group if item[1] is not None])
-        for item, res in zip(group, _batch_log_ratios([item[1] for item in group], g, y, beta)):
-            yield (item[0], None, None) if res is None else (item[0], *res)
-
-
-def _chunks(tagged):
-    """Consecutive items of ``tagged``, whose second field is a window or
-    None, in lists holding at most ``_BATCH_ROWS`` rows (a larger window alone)."""
+def _chunks(pairs):
+    """Consecutive (j, window) pairs of ``pairs``, the window possibly None,
+    in lists holding at most ``_BATCH_ROWS`` rows (a larger window alone)."""
     group, rows = [], 0
-    for item in tagged:
-        m = 0 if item[1] is None else len(item[1].active)
+    for pair in pairs:
+        m = 0 if pair[1] is None else len(pair[1].active)
         if group and rows + m > _BATCH_ROWS:
             yield group
             group, rows = [], 0
-        group.append(item)
+        group.append(pair)
         rows += m
     if group:
         yield group
 
 
-def _batch_log_ratios(wins, g, y, beta) -> list:
-    """:func:`_log_ratios` of one chunk, (value, alpha) or None per window;
-    ``beta`` is the beta of every window, or holds one row per window that
-    is not None.
+def _log_ratios(wins, g, y, beta) -> list:
+    """The value and multiplier of :func:`_log_ratio` in each window of
+    ``wins``, (value, alpha) or None where that raises :class:`Infeasible`
+    or :class:`MaxIterations`, or where the window is None.  ``beta`` is the
+    beta of every window, or holds one row per window that is not None.
 
     Every window goes through one :func:`_batch_dual`; the windows it does
     not certify are handed to :func:`_log_ratio`, so the scalar solver
@@ -609,22 +592,31 @@ def local_logel(
 
 def _lls(win: _LocalWindow, y: np.ndarray) -> np.ndarray:
     """Local weighted least squares of y on the window's design."""
-    return _stacked_lls([win], y)[0]
+    return _full_rank([win], _stacked_lls([win], y))[0]
 
 
 def _stacked_lls(wins, y: np.ndarray) -> np.ndarray:
-    """:func:`_lls` of each window of ``wins``, one row each; raises
-    :class:`SingularDesign` at the first rank-deficient one.  Each window has
-    its own zw'z products, then one stacked SVD and solve (LAPACK per matrix)."""
+    """:func:`_lls` of each window of ``wins``, one row each, NaN where the
+    window's design is rank deficient.  Each window has its own zw'z
+    products, then one stacked SVD and solve (LAPACK per matrix)."""
     zws = [win.z * win.w[:, None] for win in wins]
     gram = np.array([zw.T @ win.z for zw, win in zip(zws, wins)])
     rhs = np.array([zw.T @ y[win.active] for zw, win in zip(zws, wins)])
     sv = np.linalg.svd(gram, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
-        singular = np.flatnonzero((sv[:, 0] <= 0) | (sv[:, -1] / sv[:, 0] < 1e-12))
+        singular = (sv[:, 0] <= 0) | (sv[:, -1] / sv[:, 0] < 1e-12)
+    beta = np.full(rhs.shape, np.nan)
+    beta[~singular] = np.linalg.solve(gram[~singular], rhs[~singular, :, None])[:, :, 0]
+    return beta
+
+
+def _full_rank(wins, beta) -> np.ndarray:
+    """``beta``, the :func:`_stacked_lls` rows of ``wins``; raises
+    :class:`SingularDesign` at the first NaN row."""
+    singular = np.flatnonzero(np.isnan(beta[:, 0]))
     if len(singular):
         raise SingularDesign(f"weighted design at u0={wins[singular[0]].u0:g} is rank deficient")
-    return np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    return beta
 
 
 def lls_init(data: Dataset, kernel: Kernel, h: float, u0: float) -> LocalParameter:
@@ -637,34 +629,32 @@ def _local_linear_fitted(data: Dataset, windows) -> np.ndarray:
     with ``windows`` the window source of ``data`` (see :func:`_windows`)."""
     fitted = np.empty(data.n)
     for block, wins in windows(np.arange(data.n)):
-        beta = _stacked_lls(_nonempty(wins, data.u[block]), data.y)
+        beta = _full_rank(wins, _stacked_lls(_nonempty(wins, data.u[block]), data.y))
         # a stack of (1, p) @ (p, 1) products takes the dot x_i' a_i row by row
         fitted[block] = np.matmul(data.x[block, None, :], beta[:, :data.p, None])[:, 0, 0]
     return fitted
 
 
-def _lls_fits(tagged, y, g):
-    """For each (tag, window) of ``tagged``, (tag, window, fit) with fit the
-    identity-G full fit of :func:`_fit`, or None where that raises.
+def _lls_fits(wins, y, g) -> list:
+    """The identity-G full fit of :func:`_fit` in each window of ``wins``,
+    None where the window is None or that raises.
 
-    Each window's LLS fit comes first; the dual values there come from one
-    :func:`_log_ratios` pass, which hands the windows it cannot certify to
-    the scalar solver as :func:`_fit` would.
+    The LLS fits come from one :func:`_stacked_lls`, and the dual values
+    there from one :func:`_log_ratios`, which hands the windows it cannot
+    certify to the scalar solver as :func:`_fit` would.
     """
-    def with_lls():
-        for tag, win in tagged:
-            try:
-                beta = None if win is None else _lls(win, y)
-            except SingularDesign:
-                beta = None
-            yield (tag, win, beta), None if beta is None else win, beta
-
-    for (tag, win, beta), value, alpha in _log_ratios(with_lls(), g, y):
-        fit = None if value is None else LocalELFit(
-            u0=win.u0, beta=LocalParameter.from_vector(beta), alpha=alpha,
-            logel=win.entropy - value, entropy=win.entropy, status="converged",
-            inner_iters=0, outer_iters=0)
-        yield tag, win, fit
+    live = [e for e, win in enumerate(wins) if win is not None]
+    if not live:
+        return [None] * len(wins)
+    beta = np.full((len(wins), wins[live[0]].z.shape[1]), np.nan)
+    beta[live] = _stacked_lls([wins[e] for e in live], y)
+    solved = ~np.isnan(beta[:, 0])
+    duals = _log_ratios([win if ok else None for win, ok in zip(wins, solved)], g, y,
+                        beta[solved])
+    return [None if dual is None else LocalELFit(
+        u0=win.u0, beta=LocalParameter.from_vector(b), alpha=dual[1],
+        logel=win.entropy - dual[0], entropy=win.entropy, status="converged",
+        inner_iters=0, outer_iters=0) for win, b, dual in zip(wins, beta, duals)]
 
 
 class _ProfileObjective:
@@ -798,10 +788,10 @@ def fit_local_constrained(
     from ``init`` (default: the LLS fit) with the pins set.
     """
     win = _window(data, kernel, h, u0)
-    item = (None, win, fixed_value, fixed_slope, init)
-    [(_, fit)] = _constrained_fits([item], data.y, g, fixed_idx)
-    if fit is None:
-        fit = _fit_constrained(win, data.y, g, fixed_value, fixed_slope, fixed_idx, init)
+    pin = (fixed_value, fixed_slope)
+    [fit] = _constrained_fits([win], data.y, g, [pin], fixed_idx, [init])
+    if fit is None:  # a skipped window: the BFGS fit raises the reason
+        fit = _fit_constrained(win, data.y, g, *pin, fixed_idx, init)
     return fit
 
 
@@ -837,35 +827,39 @@ def _fit_constrained(win, y, g, fixed_value, fixed_slope, fixed_idx, init=None):
     return _fit(win, y, g, init, free_idx=free_idx, fixed_vec=fixed_vec)
 
 
-def _constrained_fits(items, y, g, fixed_idx):
-    """For each item (tag, window, fixed_value, fixed_slope, init) of
-    ``items``, (item, fit) with fit the maximizer :func:`_fit_constrained`
-    seeks from the same start, found by :func:`_batch_profile` for the
-    identity G.  The fit is None where the window is None, where G is not
-    the identity and where the batch does not certify it: the caller hands
-    those windows to :func:`_fit_constrained`, so every skip decision is
-    that function's.
+def _constrained_fits(wins, y, g, pins, fixed_idx, inits) -> list:
+    """The constrained fit of :func:`_fit_constrained` in each window of
+    ``wins``, None where the window is None or that raises.  Window e has
+    the pins ``pins[e]``, a (fixed_value, fixed_slope) pair, and the start
+    ``inits[e]`` (None: the LLS fit).
 
-    ``items`` is consumed lazily, at most ``_BATCH_ROWS`` moment rows at a
-    time (a larger window alone).
+    For the identity G, :func:`_batch_profile` seeks the same maximizer
+    from the same start in every window at once; the windows it does not
+    certify (and those whose LLS start is singular) are handed to
+    :func:`_fit_constrained`, so every skip decision is that function's.
     """
-    if g.kind != "identity":
-        yield from ((item, None) for item in items)
-        return
-    for group in _chunks(items):
-        todo = [e for e, item in enumerate(group) if item[1] is not None]
-        starts = []
+    fits = [None] * len(wins)
+    todo = [e for e, win in enumerate(wins) if win is not None]
+    if g.kind == "identity":
+        starts = {}
         for e in todo:
-            _, win, fixed_value, fixed_slope, init = group[e]
-            start, free_idx = _pin(win, fixed_value, fixed_slope, fixed_idx)
-            start[free_idx] = (_lls(win, y) if init is None else init.vector)[free_idx]
-            starts.append(start)
-        fits = [None] * len(group)
-        if todo:
-            batch = _batch_profile([group[e][1] for e in todo], y, g, np.array(starts), free_idx)
-            for e, fit in zip(todo, batch):
+            start, free_idx = _pin(wins[e], *pins[e], fixed_idx)
+            init = _stacked_lls([wins[e]], y)[0] if inits[e] is None else inits[e].vector
+            start[free_idx] = init[free_idx]
+            if not np.isnan(start).any():
+                starts[e] = start
+        if starts:
+            batch = _batch_profile([wins[e] for e in starts], y, g,
+                                   np.array(list(starts.values())), free_idx)
+            for e, fit in zip(starts, batch):
                 fits[e] = fit
-        yield from zip(group, fits)
+    for e in todo:
+        if fits[e] is None:
+            try:
+                fits[e] = _fit_constrained(wins[e], y, g, *pins[e], fixed_idx, inits[e])
+            except (Infeasible, MaxIterations, SingularDesign):
+                pass
+    return fits
 
 
 def _batch_profile(wins, y, g, beta, free_idx) -> list:

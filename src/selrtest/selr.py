@@ -34,9 +34,9 @@ from .estfun import EstimatingFunction
 from .kernels import Kernel, kernel_constants
 from .local_el import (
     Dataset,
+    _chunks,
     _constrained_fits,
     _fit,
-    _fit_constrained,
     _lls_fits,
     _local_linear_fitted,
     _log_ratios,
@@ -218,10 +218,11 @@ def _eval_points(data: Dataset, omega) -> np.ndarray:
 
 
 def _walk(data: Dataset, eval_idx, windows):
-    """(j, window) for the evaluation points in increasing u, built a block at
-    a time; the window is None where it holds no observation."""
-    for block, wins in windows(eval_idx[np.argsort(data.u[eval_idx])]):
-        yield from zip(block.tolist(), wins)
+    """(j, window) pairs of the evaluation points in increasing u, the window
+    None where it holds no observation, in the chunks of :func:`local_el._chunks`
+    that every batch stage takes; windows are built a block at a time."""
+    order = eval_idx[np.argsort(data.u[eval_idx])]
+    return _chunks(pair for block, wins in windows(order) for pair in zip(block.tolist(), wins))
 
 
 def sel_entropy(data: Dataset, kernel: Kernel, h: float, omega=None) -> float:
@@ -231,37 +232,40 @@ def sel_entropy(data: Dataset, kernel: Kernel, h: float, omega=None) -> float:
 
 
 def _full_fits(y, g, walk):
-    """Unconstrained local fit in each window of ``walk``, yielding
-    (j, window, fit) with fit None where it fails.  Each fit is
-    warm-started from the previous window's, falling back to the local
-    least-squares start when the carried parameter is infeasible.  For the
-    identity G the fit is the closed-form LLS fit (see
-    :func:`local_el._fit`), computed by :func:`local_el._lls_fits`: no
-    start matters, and a window with a singular local design is always
-    skipped."""
-    if g.kind == "identity":
-        yield from _lls_fits(walk, y, g)
-        return
+    """Unconstrained local fit in each window of each chunk of ``walk``,
+    yielding (chunk, fits) with a fit None where it fails.  Each fit is
+    warm-started from the previous window's, across chunks, falling back to
+    the local least-squares start when the carried parameter is infeasible.
+    For the identity G the fit is the closed-form LLS fit (see
+    :func:`local_el._fit`), computed by :func:`local_el._lls_fits`: no start
+    matters, and a window with a singular local design is always skipped."""
     prev = None
-    for j, win in walk:
-        fit = None
-        if win is not None:
-            for init in [prev, None] if prev is not None else [None]:
-                try:
-                    fit = _fit(win, y, g, init)
-                    break
-                except (Infeasible, MaxIterations, SingularDesign):
-                    continue
-        if fit is not None:
-            prev = fit.beta
-        yield j, win, fit
+    for chunk in walk:
+        if g.kind == "identity":
+            yield chunk, _lls_fits([win for _, win in chunk], y, g)
+            continue
+        fits = []
+        for _, win in chunk:
+            fit = None
+            if win is not None:
+                for init in [prev, None] if prev is not None else [None]:
+                    try:
+                        fit = _fit(win, y, g, init)
+                        break
+                    except (Infeasible, MaxIterations, SingularDesign):
+                        continue
+            if fit is not None:
+                prev = fit.beta
+            fits.append(fit)
+        yield chunk, fits
 
 
 def sel_full(data: Dataset, kernel: Kernel, h: float, g: EstimatingFunction, omega=None) -> float:
     """Sum of maximized local log-EL values over the evaluation points."""
     eval_idx = _eval_points(data, _resolve_omega(data, omega))
     walk = _walk(data, eval_idx, _windows(data, kernel, h))
-    return float(sum(f.logel for _, _, f in _full_fits(data.y, g, walk) if f is not None))
+    return float(sum(f.logel for _, fits in _full_fits(data.y, g, walk) for f in fits
+                     if f is not None))
 
 
 def _calibration(kind, k0, p, p1, omega_len, h, kernel, retained_frac, no_est=False):
@@ -353,7 +357,8 @@ def _gof(data, kernel, h, g, spec, windows) -> TestResult:
     omega = _resolve_omega(data, spec.omega)
     eval_idx = _eval_points(data, omega)
     terms = {j: (None, None) if f is None else (f.entropy - f.logel, f.status)
-             for j, _, f in _full_fits(data.y, g, _walk(data, eval_idx, windows))}
+             for chunk, fits in _full_fits(data.y, g, _walk(data, eval_idx, windows))
+             for (j, _), f in zip(chunk, fits)}
     res = _assemble("goodness_of_fit", data, eval_idx, terms, omega, h, kernel, g.k0,
                     no_est=spec.no_estimated_coefficients)
     if res.df <= 0:
@@ -413,15 +418,15 @@ def _simple(data, kernel, h, g, spec, include_full_term, windows) -> TestResult:
         include_full_term = g.k0 > 1
     walk = _walk(star, eval_idx, windows)
     rows = _full_fits(star.y, g, walk) if include_full_term else (
-        (j, win, None) for j, win in walk)
-    # the null terms are solved a chunk of windows at a time
-    tagged = (((j, fit), win) for j, win, fit in rows)
+        (chunk, [None] * len(chunk)) for chunk in walk)
     terms = {}
     full = 0.0  # the omitted unconstrained-fit term
-    for (j, fit), null, _ in _log_ratios(tagged, g, star.y, np.zeros(2 * star.p)):
-        if include_full_term:
-            full = None if fit is None else fit.entropy - fit.logel
-        terms[j] = (None if null is None or full is None else null - full, "converged")
+    for chunk, fits in rows:
+        nulls = _log_ratios([win for _, win in chunk], g, star.y, np.zeros(2 * star.p))
+        for (j, _), fit, null in zip(chunk, fits, nulls):
+            if include_full_term:
+                full = None if fit is None else fit.entropy - fit.logel
+            terms[j] = (None if null is None or full is None else null[0] - full, "converged")
     return _assemble("simple_null", star, eval_idx, terms, omega, h, kernel, g.k0)
 
 
@@ -445,31 +450,16 @@ def _composite(data, kernel, h, g, spec, windows) -> TestResult:
     if not 1 <= p1 < data.p:
         raise ConfigError("composite null needs 1 <= p1 < p pinned coefficients")
     eval_idx = _eval_points(data, omega)
-
-    def pinned():
-        for j, win, full in _full_fits(data.y, g, _walk(data, eval_idx, windows)):
-            if full is None:
-                yield (j, None), None, None, None, None
-                continue
-            uarr = np.array([win.u0])
-            yield ((j, full), win, np.array([fn.value(uarr)[0] for fn in spec.a10]),
-                   np.array([fn.deriv(uarr)[0] for fn in spec.a10]), full.beta)
-
     terms = {}
-    # the batch fits what it can certify and hands the rest to the BFGS fit
-    for ((j, full), win, fixed_value, fixed_slope, init), constrained in _constrained_fits(
-            pinned(), data.y, g, fixed_idx):
-        if full is None:
-            terms[j] = (None, None)
-            continue
-        if constrained is None:
-            try:
-                constrained = _fit_constrained(win, data.y, g, fixed_value, fixed_slope,
-                                               fixed_idx, init)
-            except (Infeasible, MaxIterations, SingularDesign):
-                terms[j] = (None, None)
-                continue
-        terms[j] = (full.logel - constrained.logel, constrained.status)
+    for chunk, fulls in _full_fits(data.y, g, _walk(data, eval_idx, windows)):
+        # a window whose full fit failed is skipped, so it gets no constrained fit
+        wins = [None if full is None else win for (_, win), full in zip(chunk, fulls)]
+        pins = [(np.array([fn.value(data.u[[j]])[0] for fn in spec.a10]),
+                 np.array([fn.deriv(data.u[[j]])[0] for fn in spec.a10])) for j, _ in chunk]
+        inits = [None if full is None else full.beta for full in fulls]
+        for (j, _), full, fit in zip(chunk, fulls, _constrained_fits(
+                wins, data.y, g, pins, fixed_idx, inits)):
+            terms[j] = (None, None) if fit is None else (full.logel - fit.logel, fit.status)
     return _assemble("composite_null", data, eval_idx, terms, omega, h, kernel, g.k0, p1=p1)
 
 
@@ -541,7 +531,7 @@ def _statistic(data, kernel, h, g, spec, include_full_term=None, *, windows):
 
 
 def _null_fitted_values(data: Dataset, kernel: Kernel, h: float, spec: Hypothesis,
-                        windows=None) -> np.ndarray:
+                        windows) -> np.ndarray:
     """Regression function fixed under the null, used to generate replicates;
     ``windows`` is the window source of ``data``."""
     if spec.kind == "simple_null":
@@ -557,13 +547,12 @@ def _null_fitted_values(data: Dataset, kernel: Kernel, h: float, spec: Hypothesi
         reduced = Dataset(data.u, data.x[:, free_mask], data.y - pinned)
         return pinned + _local_linear_fitted(reduced, _windows(reduced, kernel, h))
     # goodness_of_fit: nuisance coefficients fixed at their local linear fit
-    return _local_linear_fitted(data, windows or _windows(data, kernel, h))
+    return _local_linear_fitted(data, windows)
 
 
-def _sigma2_hat(data: Dataset, kernel: Kernel, h: float, resid: np.ndarray,
-                windows=None) -> np.ndarray:
-    """Kernel estimate of the conditional variance of the null residuals."""
-    windows = windows or _windows(data, kernel, h)
+def _sigma2_hat(data: Dataset, resid: np.ndarray, windows) -> np.ndarray:
+    """Kernel estimate of the conditional variance of the null residuals,
+    with ``windows`` the window source of ``data``."""
     sigma2 = np.empty(data.n)
     sq = resid**2
     w = np.zeros(data.n)
@@ -598,7 +587,7 @@ def _bootstrap(data, kernel, h, spec, B, scheme, seed, statistic, observed, wind
     """
     m = _null_fitted_values(data, kernel, h, spec, windows)
     resid = data.y - m
-    sigma2 = _sigma2_hat(data, kernel, h, resid, windows) if scheme == "gaussian" else None
+    sigma2 = _sigma2_hat(data, resid, windows) if scheme == "gaussian" else None
     sample = []
     for b in range(B):
         errs = _replicate_errors(resid, sigma2, scheme, streams.substream(seed, b))

@@ -166,7 +166,16 @@ def test_seed_echo_when_drawn(csv_path, capsys, tmp_path):
          "--output", str(report)]
     )
     assert code == 0
-    assert "pass --seed" in capsys.readouterr().out
+    assert "pass --seed" in capsys.readouterr().err
+
+
+def test_drawn_seed_leaves_stdout_report_parseable(csv_path, capsys):
+    code = main(["test", "--input", csv_path, "--h", "0.45", "--bootstrap", "2"])
+    assert code == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["B"] == 2 and 0.0 < report["p_bootstrap"] <= 1.0
+    assert "pass --seed" in err
 
 
 def test_simulate_table1(tmp_path, capsys):

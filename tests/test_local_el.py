@@ -33,6 +33,7 @@ from selrtest.errors import (
 from selrtest.local_el import (
     LocalParameter,
     _BATCH_MARGIN,
+    _chunks,
     _constrained_fits,
     _design,
     _fit_constrained,
@@ -219,7 +220,9 @@ def scalar_log_ratio(win, g, y, beta):
 
 
 def assert_batch_matches_scalar(wins, g, y, beta):
-    got = [v for _, v, _ in _log_ratios(enumerate(wins), g, y, beta)]
+    # in the chunks a walk of these windows would hand the batch
+    got = [None if res is None else res[0] for chunk in _chunks(enumerate(wins))
+           for res in _log_ratios([win for _, win in chunk], g, y, beta)]
     want = [scalar_log_ratio(win, g, y, beta) for win in wins]
     assert [v is None for v in got] == [v is None for v in want]
     for a, b in zip(got, want):
@@ -286,8 +289,9 @@ def test_log_ratios_edge_windows():
     assert got[2] is not None and got[2] > 0
     assert got[3] is None  # MaxIterations
     assert got[4] is not None and got[4] > 0
-    tagged = [v for _, v, _ in _log_ratios(enumerate(wins), g, y, np.zeros(2))]
-    assert tagged[:5] == got and tagged[5] is None
+    one_chunk = [None if res is None else res[0]
+                 for res in _log_ratios(wins, g, y, np.zeros(2))]
+    assert one_chunk[:5] == got and one_chunk[5] is None
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +391,20 @@ def test_constrained_fit_validation(rng):
         )
 
 
+def spy_handoffs(monkeypatch):
+    """The windows :func:`_batch_profile` hands off, by id, as it runs."""
+    handed = set()
+    batch = local_el._batch_profile
+
+    def spy(wins, *args):
+        fits = batch(wins, *args)
+        handed.update(id(win) for win, fit in zip(wins, fits) if fit is None)
+        return fits
+
+    monkeypatch.setattr(local_el, "_batch_profile", spy)
+    return handed
+
+
 def bfgs_constrained(win, y, g, fixed_value, fixed_slope, fixed_idx, init):
     """The per-window oracle of the batched profile fit: None where it skips."""
     try:
@@ -409,7 +427,8 @@ def test_constrained_batch_matches_bfgs(monkeypatch, rng, p, fixed_idx):
     g = make_identity()
     free = np.ones(2 * p, dtype=bool)
     free[fixed_idx] = free[p + np.asarray(fixed_idx)] = False
-    certified, handed, skipped, steps = 0, 0, 0, []
+    handed = spy_handoffs(monkeypatch)
+    certified, n_handed, skipped, steps = 0, 0, 0, []
     for h in (0.2, 0.35, 0.6):
         items = []
         for j in range(0, data.n, 2):
@@ -420,42 +439,43 @@ def test_constrained_batch_matches_bfgs(monkeypatch, rng, p, fixed_idx):
             except SingularDesign:
                 continue
             fixed_value = 0.3 * (np.asarray(fixed_idx) + 1) + slopes[fixed_idx] * u0
-            items.append((j, win, fixed_value, slopes[fixed_idx], init))
-        for (_, win, fixed_value, fixed_slope, init), fit in _constrained_fits(
-                items, data.y, g, fixed_idx):
-            want = bfgs_constrained(win, data.y, g, fixed_value, fixed_slope, fixed_idx, init)
-            if fit is None:
-                handed += 1
-                fit = bfgs_constrained(win, data.y, g, fixed_value, fixed_slope, fixed_idx,
-                                       init)
-            else:
-                certified += 1
-                steps.append(fit.outer_iters)
-                assert fit.status == "converged"
-                np.testing.assert_array_equal(fit.beta.vector[~free], np.concatenate(
-                    [fixed_value, h * fixed_slope]))
-            assert (fit is None) == (want is None)
-            if want is None:
-                skipped += 1
-            else:
-                assert fit.logel == pytest.approx(want.logel, rel=1e-9, abs=0)
-    assert certified > 4 * handed
+            items.append((win, (fixed_value, slopes[fixed_idx]), init))
+        for chunk in _chunks((item, item[0]) for item in items):
+            wins, pins, inits = zip(*(item for item, _ in chunk))
+            for win, pin, init, fit in zip(wins, pins, inits, _constrained_fits(
+                    wins, data.y, g, pins, fixed_idx, inits)):
+                want = bfgs_constrained(win, data.y, g, *pin, fixed_idx, init)
+                if id(win) not in handed:
+                    certified += 1
+                    steps.append(fit.outer_iters)
+                    assert fit.status == "converged"
+                    np.testing.assert_array_equal(fit.beta.vector[~free], np.concatenate(
+                        [pin[0], h * pin[1]]))
+                assert (fit is None) == (want is None)
+                if want is None:
+                    skipped += 1
+                else:
+                    assert fit.logel == pytest.approx(want.logel, rel=1e-9, abs=0)
+        n_handed += len(handed)
+        handed.clear()  # ids of freed windows may be reused
+    assert certified > 4 * n_handed
     assert max(steps) > 0
     if p == 3 and len(fixed_idx) == 1:
         assert skipped > 0
 
 
-def test_constrained_batch_edge_windows(rng):
+def test_constrained_batch_edge_windows(monkeypatch, rng):
     """Windows the batch hands off: a dual-infeasible start, a singular
     local design and a near-boundary optimum; BFGS decides each."""
     g = make_identity()
+    handed = spy_handoffs(monkeypatch)
     data = random_dataset(rng, n=80, p=2)
     win = _window(data, TRIWEIGHT, 0.4, 0.5)
     init = LocalParameter.from_vector(_lls(win, data.y))
     # with a2 pinned at 50 every moment r_i x2_i is negative: 0 is outside
     # the hull at the start, and BFGS skips the window
-    [(_, fit)] = _constrained_fits([(0, win, [50.0], [0.0], init)], data.y, g, [1])
-    assert fit is None
+    assert _constrained_fits([win], data.y, g, [([50.0], [0.0])], [1], [init]) == [None]
+    assert id(win) in handed
     with pytest.raises(Infeasible):
         fit_local_constrained(data, TRIWEIGHT, 0.4, 0.5, g, [50.0], [0.0], [1], init)
 
@@ -468,13 +488,18 @@ def test_constrained_batch_edge_windows(rng):
     win = _window(singular, TRIWEIGHT, 0.08, 0.5)
     init = LocalParameter([0.1, 0.2], [0.0, 0.0])
     for fixed_idx in ([0], [1]):
-        [(_, fit)] = _constrained_fits([(0, win, [0.0], [0.0], init)], singular.y, g,
-                                       fixed_idx)
-        assert fit is None
+        handed.clear()
+        [fit] = _constrained_fits([win], singular.y, g, [([0.0], [0.0])], fixed_idx, [init])
+        assert handed == {id(win)}
         want = _fit_constrained(win, singular.y, g, [0.0], [0.0], fixed_idx, init)
         got = fit_local_constrained(singular, TRIWEIGHT, 0.08, 0.5, g, [0.0], [0.0],
                                     fixed_idx, init)
-        assert got.logel == want.logel and got.status == want.status
+        assert fit.logel == got.logel == want.logel
+        assert fit.status == got.status == want.status
+    # without a start the LLS start is singular, so no batch runs: BFGS raises
+    handed.clear()
+    assert _constrained_fits([win], singular.y, g, [([0.0], [0.0])], [1], [None]) == [None]
+    assert not handed
     with pytest.raises(SingularDesign):
         fit_local_constrained(singular, TRIWEIGHT, 0.08, 0.5, g, [0.0], [0.0], [1])
 
@@ -485,10 +510,12 @@ def test_constrained_batch_edge_windows(rng):
     u0 = float(data.u[40])
     win = _window(data, TRIWEIGHT, 0.3, u0)
     init = LocalParameter.from_vector(_lls(win, data.y))
-    [(_, fit)] = _constrained_fits([(0, win, [0.0], [0.0], init)], data.y, g, [1])
-    assert fit is None
+    handed.clear()
+    [fit] = _constrained_fits([win], data.y, g, [([0.0], [0.0])], [1], [init])
+    assert handed == {id(win)}
     want = _fit_constrained(win, data.y, g, [0.0], [0.0], [1], init)
     resid = data.y[win.active] - win.z @ want.beta.vector
     assert (1.0 + _moments(g, resid, win.z) @ want.alpha).min() < _BATCH_MARGIN
     got = fit_local_constrained(data, TRIWEIGHT, 0.3, u0, g, [0.0], [0.0], [1])
-    assert got.logel == want.logel and got.status == want.status == "converged"
+    assert fit.logel == got.logel == want.logel
+    assert fit.status == got.status == want.status == "converged"

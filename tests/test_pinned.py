@@ -23,6 +23,7 @@ from selrtest import (
     selr_gof,
     selr_simple,
 )
+from selrtest.local_el import _windows
 from selrtest.selr import CoefFn, _null_fitted_values, _sigma2_hat
 
 from conftest import random_dataset
@@ -58,7 +59,8 @@ def compute() -> dict:
         2,
     )
     parametric = Hypothesis.parametric(family, [1.0, 1.0])
-    m = _null_fitted_values(data, TRIWEIGHT, H, simple)
+    windows = _windows(data, TRIWEIGHT, H)
+    m = _null_fitted_values(data, TRIWEIGHT, H, simple, windows)
     out = {
         "simple": _summary(selr_simple(data, TRIWEIGHT, H, g, simple)),
         "simple_full": _summary(
@@ -68,9 +70,11 @@ def compute() -> dict:
             Hypothesis.goodness_of_fit())),
         "composite": _summary(selr_composite(data, TRIWEIGHT, H, g, composite)),
         "f_type": [f_type_stat(data, TRIWEIGHT, H)],
-        "sigma2": _vector(_sigma2_hat(data, TRIWEIGHT, H, data.y - m)),
-        "fitted_composite": _vector(_null_fitted_values(data, TRIWEIGHT, H, composite)),
-        "fitted_parametric": _vector(_null_fitted_values(data, TRIWEIGHT, H, parametric)),
+        "sigma2": _vector(_sigma2_hat(data, data.y - m, windows)),
+        "fitted_composite": _vector(
+            _null_fitted_values(data, TRIWEIGHT, H, composite, windows)),
+        "fitted_parametric": _vector(
+            _null_fitted_values(data, TRIWEIGHT, H, parametric, windows)),
     }
     for scheme in ("gaussian", "wild"):
         sample, p = bootstrap_null(data, TRIWEIGHT, H, g, simple, B=5, scheme=scheme,

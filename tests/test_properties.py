@@ -154,9 +154,14 @@ def test_block_windows_equal_one_window_builds(case):
     assert _thin_count(got_warned) == _thin_count(want_warned)
     assert all(_same_window(win, w, u0, h) for win, w, u0 in zip(got, want, centres))
     # the walk visits the observations in increasing u, None where empty
-    with warnings.catch_warnings(), mock.patch.object(local_el, "_BLOCK_VALUES", budget):
+    with warnings.catch_warnings(), mock.patch.object(local_el, "_BLOCK_VALUES", budget), \
+            mock.patch.object(local_el, "_BATCH_ROWS", budget):
         warnings.simplefilter("ignore", ThinWindowWarning)
-        walk = list(selr._walk(data, np.arange(data.n), _windows(data, kernel, h)))
+        chunks = list(selr._walk(data, np.arange(data.n), _windows(data, kernel, h)))
+    # a chunk holds at most _BATCH_ROWS rows, or one window
+    assert all(len(chunk) == 1 or sum(len(win.active) for _, win in chunk if win is not None)
+               <= budget for chunk in chunks)
+    walk = [pair for chunk in chunks for pair in chunk]
     assert [j for j, _ in walk] == np.argsort(data.u).tolist()
     assert all(_same_window(win, want[j], data.u[j], h) for j, win in walk)
     # elsewhere an empty window raises
@@ -181,23 +186,21 @@ def test_stacked_lls_and_smoothers_equal_one_window_solves(case):
         try:
             fits.append((win, _oracle_lls(*w, data.y)))
         except SingularDesign:
-            fits.append((win, None))
-            with pytest.raises(SingularDesign):
-                _stacked_lls([win], data.y)
-    solved = [(win, beta) for win, beta in fits if beta is not None]
-    if solved:
-        np.testing.assert_array_equal(_stacked_lls([win for win, _ in solved], data.y),
-                                      np.array([beta for _, beta in solved]))
-    if len(solved) < len(fits):
-        with pytest.raises(SingularDesign):
-            _stacked_lls([win for win, _ in fits], data.y)
+            fits.append((win, np.full(2 * data.p, np.nan)))
+            with pytest.raises(SingularDesign, match=f"u0={win.u0:g} is rank deficient"):
+                _lls(win, data.y)
+    solved = [(win, beta) for win, beta in fits if not np.isnan(beta).any()]
+    if fits:
+        # a rank-deficient design gives a NaN row and leaves the others as they are
+        np.testing.assert_array_equal(_stacked_lls([win for win, _ in fits], data.y),
+                                      np.array([beta for _, beta in fits]))
     # the smoother and the variance estimate, through blocks of the budget
     with warnings.catch_warnings(), mock.patch.object(local_el, "_BLOCK_VALUES", budget):
         warnings.simplefilter("ignore", ThinWindowWarning)
         windows = _windows(data, kernel, h)
         if any(w is None for w in want):
             with pytest.raises(EmptyWindow):
-                selr._sigma2_hat(data, kernel, h, data.y, windows)
+                selr._sigma2_hat(data, data.y, windows)
             return
         sq = data.y**2
         sigma2 = []
@@ -205,7 +208,7 @@ def test_stacked_lls_and_smoothers_equal_one_window_solves(case):
             dense = np.zeros(data.n)
             dense[active] = w
             sigma2.append(float(dense @ sq))
-        np.testing.assert_array_equal(selr._sigma2_hat(data, kernel, h, data.y, windows),
+        np.testing.assert_array_equal(selr._sigma2_hat(data, data.y, windows),
                                       np.maximum(sigma2, 1e-12))
         if len(solved) < len(want):
             with pytest.raises(SingularDesign):

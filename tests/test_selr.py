@@ -139,11 +139,12 @@ def test_identity_full_fit_skips_singular_local_design(rng):
     n, x2 = data.n, data.x[:, 1]
     h = 0.08
     walk = selr._walk(data, np.arange(n), selr._windows(data, TRIWEIGHT, h))
-    rows = list(selr._full_fits(data.y, make_identity(), walk))
-    singular = [fit for _, win, fit in rows if not np.any(x2[win.active])]
+    rows = [(win, fit) for chunk, fits in selr._full_fits(data.y, make_identity(), walk)
+            for (_, win), fit in zip(chunk, fits)]
+    singular = [fit for win, fit in rows if not np.any(x2[win.active])]
     assert len(singular) >= 5
     assert all(fit is None for fit in singular)
-    prev = next(fit for _, win, fit in rows if fit is not None and win.u0 < 0.4)
+    prev = next(fit for win, fit in rows if fit is not None and win.u0 < 0.4)
     with pytest.raises(SingularDesign):
         local_el._fit(_window(data, TRIWEIGHT, h, 0.5), data.y, make_identity(), prev.beta)
     spec = Hypothesis.simple([zero_coef()] * 2)
@@ -155,17 +156,45 @@ def test_identity_full_fits_solve_each_window_once(monkeypatch, rng):
     # the closed form ignores the start, so a failed window is not retried
     data = singular_middle_design(rng)
     calls = Counter()
-    lls = local_el._lls
+    stacked_lls = local_el._stacked_lls
 
-    def counting_lls(win, y):
-        calls[win.u0] += 1
-        return lls(win, y)
+    def counting_lls(wins, y):
+        calls.update(win.u0 for win in wins)
+        return stacked_lls(wins, y)
 
-    monkeypatch.setattr(local_el, "_lls", counting_lls)
+    monkeypatch.setattr(local_el, "_stacked_lls", counting_lls)
     walk = selr._walk(data, np.arange(data.n), selr._windows(data, TRIWEIGHT, 0.08))
-    rows = list(selr._full_fits(data.y, make_identity(), walk))
-    assert sum(fit is None for _, _, fit in rows) >= 5
+    fits = [fit for _, chunk_fits in selr._full_fits(data.y, make_identity(), walk)
+            for fit in chunk_fits]
+    assert sum(fit is None for fit in fits) >= 5
     assert sum(calls.values()) == data.n == len(calls)
+
+
+@pytest.mark.filterwarnings("ignore::selrtest.errors.ThinWindowWarning")
+@pytest.mark.filterwarnings("ignore::selrtest.errors.DegenerateTestWarning")  # identity GOF
+@pytest.mark.parametrize("kind", ["simple", "simple_full", "gof", "composite"])
+def test_window_results_do_not_depend_on_chunk_mates(monkeypatch, rng, kind):
+    """Each batch stage gives a window the same contribution and status
+    whether its chunk holds up to _BATCH_ROWS moment rows or that window alone."""
+    spec = {"simple": Hypothesis.simple([zero_coef()] * 2),
+            "simple_full": Hypothesis.simple([zero_coef()] * 2),
+            "gof": Hypothesis.goodness_of_fit(),
+            "composite": Hypothesis.composite([const_coef(0.5)], [1])}[kind]
+    cases = [(singular_middle_design(rng), 0.08),  # skips the singular windows
+             (small_dataset(rng, n=120, p=2, hetero=1.0), 0.3)]
+
+    def per_point(data, h):
+        res = selr_test(data, TRIWEIGHT, h, make_identity(), spec,
+                        include_full_term=kind == "simple_full")
+        return [(pt["contribution"], pt["status"]) for pt in res.per_point]
+
+    chunked = [per_point(data, h) for data, h in cases]
+    monkeypatch.setattr(local_el, "_BATCH_ROWS", 1)
+    alone = [per_point(data, h) for data, h in cases]
+    assert alone == chunked
+    if kind != "simple":
+        assert any(c is None for c, _ in chunked[0])
+    assert all(c is not None for c, _ in chunked[1])
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +408,13 @@ def test_composite_reports_the_constrained_fit(monkeypatch, rng):
                 handed.add(win.u0)
         return fits
 
-    fit_constrained = selr._fit_constrained
+    fit_constrained = local_el._fit_constrained
 
     def marked_bfgs(win, *args, **kwargs):
         return replace(fit_constrained(win, *args, **kwargs), status="max_iter")
 
     monkeypatch.setattr(local_el, "_batch_profile", halved_batch)
-    monkeypatch.setattr(selr, "_fit_constrained", marked_bfgs)
+    monkeypatch.setattr(local_el, "_fit_constrained", marked_bfgs)
     res = selr_composite(data, TRIWEIGHT, 0.5, make_identity(), spec)
     kept = [pt for pt in res.per_point if pt["contribution"] is not None]
     assert handed and len(handed) < len(kept)
@@ -525,13 +554,13 @@ def test_simple_solves_null_terms_in_bounded_chunks(monkeypatch, rng):
     build = local_el._window_block
     built = count_windows(monkeypatch)
     chunk_rows = []
-    solve = local_el._batch_log_ratios
+    solve = selr._log_ratios
 
     def recording_solve(wins, *args):
         chunk_rows.append(sum(len(win.active) for win in wins if win is not None))
         return solve(wins, *args)
 
-    monkeypatch.setattr(local_el, "_batch_log_ratios", recording_solve)
+    monkeypatch.setattr(selr, "_log_ratios", recording_solve)
     selr_simple(data, TRIWEIGHT, 0.3, make_identity(), Hypothesis.simple([zero_coef()]))
     assert len(chunk_rows) > 1
     assert max(chunk_rows) <= local_el._BATCH_ROWS
