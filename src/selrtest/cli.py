@@ -50,6 +50,30 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the values of the config file at ``path`` the defaults of every
+    subcommand option they name, each checked as its flag would be."""
+    defaults = _read_config_file(path)
+    sub_action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for sp in sub_action.choices.values():
+        for action in sp._actions:
+            if action.dest not in defaults:
+                continue
+            value = defaults[action.dest]
+            try:
+                if action.type is not None:
+                    value = action.type(value)
+                elif isinstance(action.default, bool):
+                    value = value.lower() in ("1", "true", "yes")
+                if action.choices is not None and value not in action.choices:
+                    choices = ", ".join(map(str, action.choices))
+                    raise ValueError(f"{value!r} is not one of {choices}")
+            except ValueError as exc:
+                raise ConfigError(f"{path}: bad value for {action.dest}: {exc}") from None
+            sp.set_defaults(**{action.dest: value})
+            action.required = False
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="selrtest")
     parser.add_argument("--config", help="key=value defaults file; flags win")
@@ -326,24 +350,10 @@ def main(argv=None) -> int:
     pre, _ = pre_parser.parse_known_args(argv)
     if pre.config:
         try:
-            defaults = _read_config_file(pre.config)
+            _apply_config(parser, pre.config)
         except ConfigError as exc:
             print(f"error[config]: {exc}", file=sys.stderr)
             return 2
-        sub_action = next(
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        for sp in sub_action.choices.values():
-            for action in sp._actions:
-                if action.dest not in defaults:
-                    continue
-                value = defaults[action.dest]
-                if action.type is not None:
-                    value = action.type(value)
-                elif isinstance(action.default, bool):
-                    value = value.lower() in ("1", "true", "yes")
-                sp.set_defaults(**{action.dest: value})
-                action.required = False
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -51,7 +51,6 @@ _DUAL_GTOL = 1e-12
 _DUAL_MAX_ITER = 100
 _OUTER_GTOL = 1e-7
 _KEEP_BYTES = 8 * 2**20  # windows a _WindowStore keeps for reuse
-_BATCH_ROWS = 2048  # moment rows one batched dual solve holds
 _BLOCK_VALUES = 2**13  # kernel values one window block holds (centres x n)
 _BATCH_MAX_ITER = 20  # Newton steps before the batch hands a window off
 _BATCH_MARGIN = 1e-6  # smallest 1 + alpha'G at an optimum the batch certifies
@@ -389,21 +388,6 @@ def _log_ratio(win: _LocalWindow, g: EstimatingFunction, y: np.ndarray, beta_vec
     window's entropy minus its local log-EL, and the multiplier alpha."""
     _, moments, alpha = _dual(win, g, y, beta_vec)
     return float(win.w @ np.log1p(moments @ alpha)), alpha
-
-
-def _chunks(pairs):
-    """Consecutive (j, window) pairs of ``pairs``, the window possibly None,
-    in lists holding at most ``_BATCH_ROWS`` rows (a larger window alone)."""
-    group, rows = [], 0
-    for pair in pairs:
-        m = 0 if pair[1] is None else len(pair[1].active)
-        if group and rows + m > _BATCH_ROWS:
-            yield group
-            group, rows = [], 0
-        group.append(pair)
-        rows += m
-    if group:
-        yield group
 
 
 def _log_ratios(wins, g, y, beta) -> list:

@@ -34,7 +34,6 @@ from .estfun import EstimatingFunction
 from .kernels import Kernel, kernel_constants
 from .local_el import (
     Dataset,
-    _chunks,
     _constrained_fits,
     _fit,
     _lls_fits,
@@ -113,6 +112,8 @@ class Hypothesis:
                 raise ConfigError("composite_null needs a10 and fixed_idx")
             if len(self.a10) != len(self.fixed_idx):
                 raise ConfigError("a10 must match fixed_idx in length")
+        if self.kind == "parametric_null" and (self.family is None or self.theta_init is None):
+            raise ConfigError("parametric_null needs family and theta_init")
 
     @classmethod
     def goodness_of_fit(cls, omega=None, no_estimated_coefficients=False):
@@ -218,11 +219,11 @@ def _eval_points(data: Dataset, omega) -> np.ndarray:
 
 
 def _walk(data: Dataset, eval_idx, windows):
-    """(j, window) pairs of the evaluation points in increasing u, the window
-    None where it holds no observation, in the chunks of :func:`local_el._chunks`
-    that every batch stage takes; windows are built a block at a time."""
-    order = eval_idx[np.argsort(data.u[eval_idx])]
-    return _chunks(pair for block, wins in windows(order) for pair in zip(block.tolist(), wins))
+    """(indices, windows) of each block of the window source ``windows`` over the
+    evaluation points in increasing u, indices as a list and a window None where
+    it holds no observation; every batch stage takes a block whole."""
+    return ((block.tolist(), wins) for block, wins in
+            windows(eval_idx[np.argsort(data.u[eval_idx])]))
 
 
 def sel_entropy(data: Dataset, kernel: Kernel, h: float, omega=None) -> float:
@@ -232,20 +233,20 @@ def sel_entropy(data: Dataset, kernel: Kernel, h: float, omega=None) -> float:
 
 
 def _full_fits(y, g, walk):
-    """Unconstrained local fit in each window of each chunk of ``walk``,
-    yielding (chunk, fits) with a fit None where it fails.  Each fit is
-    warm-started from the previous window's, across chunks, falling back to
+    """Unconstrained local fit in each window of each block of ``walk``,
+    yielding (block, windows, fits) with a fit None where it fails.  Each fit
+    is warm-started from the previous window's, across blocks, falling back to
     the local least-squares start when the carried parameter is infeasible.
     For the identity G the fit is the closed-form LLS fit (see
     :func:`local_el._fit`), computed by :func:`local_el._lls_fits`: no start
     matters, and a window with a singular local design is always skipped."""
     prev = None
-    for chunk in walk:
+    for block, wins in walk:
         if g.kind == "identity":
-            yield chunk, _lls_fits([win for _, win in chunk], y, g)
+            yield block, wins, _lls_fits(wins, y, g)
             continue
         fits = []
-        for _, win in chunk:
+        for win in wins:
             fit = None
             if win is not None:
                 for init in [prev, None] if prev is not None else [None]:
@@ -257,14 +258,14 @@ def _full_fits(y, g, walk):
             if fit is not None:
                 prev = fit.beta
             fits.append(fit)
-        yield chunk, fits
+        yield block, wins, fits
 
 
 def sel_full(data: Dataset, kernel: Kernel, h: float, g: EstimatingFunction, omega=None) -> float:
     """Sum of maximized local log-EL values over the evaluation points."""
     eval_idx = _eval_points(data, _resolve_omega(data, omega))
     walk = _walk(data, eval_idx, _windows(data, kernel, h))
-    return float(sum(f.logel for _, fits in _full_fits(data.y, g, walk) for f in fits
+    return float(sum(f.logel for _, _, fits in _full_fits(data.y, g, walk) for f in fits
                      if f is not None))
 
 
@@ -357,8 +358,8 @@ def _gof(data, kernel, h, g, spec, windows) -> TestResult:
     omega = _resolve_omega(data, spec.omega)
     eval_idx = _eval_points(data, omega)
     terms = {j: (None, None) if f is None else (f.entropy - f.logel, f.status)
-             for chunk, fits in _full_fits(data.y, g, _walk(data, eval_idx, windows))
-             for (j, _), f in zip(chunk, fits)}
+             for block, _, fits in _full_fits(data.y, g, _walk(data, eval_idx, windows))
+             for j, f in zip(block, fits)}
     res = _assemble("goodness_of_fit", data, eval_idx, terms, omega, h, kernel, g.k0,
                     no_est=spec.no_estimated_coefficients)
     if res.df <= 0:
@@ -418,12 +419,12 @@ def _simple(data, kernel, h, g, spec, include_full_term, windows) -> TestResult:
         include_full_term = g.k0 > 1
     walk = _walk(star, eval_idx, windows)
     rows = _full_fits(star.y, g, walk) if include_full_term else (
-        (chunk, [None] * len(chunk)) for chunk in walk)
+        (block, wins, [None] * len(wins)) for block, wins in walk)
     terms = {}
     full = 0.0  # the omitted unconstrained-fit term
-    for chunk, fits in rows:
-        nulls = _log_ratios([win for _, win in chunk], g, star.y, np.zeros(2 * star.p))
-        for (j, _), fit, null in zip(chunk, fits, nulls):
+    for block, wins, fits in rows:
+        nulls = _log_ratios(wins, g, star.y, np.zeros(2 * star.p))
+        for j, fit, null in zip(block, fits, nulls):
             if include_full_term:
                 full = None if fit is None else fit.entropy - fit.logel
             terms[j] = (None if null is None or full is None else null[0] - full, "converged")
@@ -451,13 +452,13 @@ def _composite(data, kernel, h, g, spec, windows) -> TestResult:
         raise ConfigError("composite null needs 1 <= p1 < p pinned coefficients")
     eval_idx = _eval_points(data, omega)
     terms = {}
-    for chunk, fulls in _full_fits(data.y, g, _walk(data, eval_idx, windows)):
+    for block, wins, fulls in _full_fits(data.y, g, _walk(data, eval_idx, windows)):
         # a window whose full fit failed is skipped, so it gets no constrained fit
-        wins = [None if full is None else win for (_, win), full in zip(chunk, fulls)]
+        wins = [None if full is None else win for win, full in zip(wins, fulls)]
         pins = [(np.array([fn.value(data.u[[j]])[0] for fn in spec.a10]),
-                 np.array([fn.deriv(data.u[[j]])[0] for fn in spec.a10])) for j, _ in chunk]
+                 np.array([fn.deriv(data.u[[j]])[0] for fn in spec.a10])) for j in block]
         inits = [None if full is None else full.beta for full in fulls]
-        for (j, _), full, fit in zip(chunk, fulls, _constrained_fits(
+        for j, full, fit in zip(block, fulls, _constrained_fits(
                 wins, data.y, g, pins, fixed_idx, inits)):
             terms[j] = (None, None) if fit is None else (full.logel - fit.logel, fit.status)
     return _assemble("composite_null", data, eval_idx, terms, omega, h, kernel, g.k0, p1=p1)

@@ -249,3 +249,20 @@ def test_config_file_defaults_flags_win(csv_path, tmp_path):
     assert main(
         ["--config", str(bad), "test", "--input", csv_path, "--h", "0.4"]
     ) == 2
+
+
+@pytest.mark.parametrize("line, key", [
+    ("h = abc", "h"),  # fails the option's type
+    ("bootstrap = 2.5", "bootstrap"),
+    ("scheme = bogus", "scheme"),  # outside the option's choices
+])
+def test_config_file_bad_value_is_a_config_error(csv_path, tmp_path, capsys, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code = main(["--config", str(cfg), "test", "--input", csv_path, "--h", "0.4",
+                 "--output", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[config]: {cfg}: bad value for {key}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()

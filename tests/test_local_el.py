@@ -33,7 +33,6 @@ from selrtest.errors import (
 from selrtest.local_el import (
     LocalParameter,
     _BATCH_MARGIN,
-    _chunks,
     _constrained_fits,
     _design,
     _fit_constrained,
@@ -219,10 +218,10 @@ def scalar_log_ratio(win, g, y, beta):
         return None
 
 
-def assert_batch_matches_scalar(wins, g, y, beta):
-    # in the chunks a walk of these windows would hand the batch
-    got = [None if res is None else res[0] for chunk in _chunks(enumerate(wins))
-           for res in _log_ratios([win for _, win in chunk], g, y, beta)]
+def assert_batch_matches_scalar(wins, g, y, beta, size=6):
+    # in batches of ``size`` windows, as a walk hands a block to the batch
+    got = [None if res is None else res[0] for at in range(0, len(wins), size)
+           for res in _log_ratios(wins[at:at + size], g, y, beta)]
     want = [scalar_log_ratio(win, g, y, beta) for win in wins]
     assert [v is None for v in got] == [v is None for v in want]
     for a, b in zip(got, want):
@@ -234,10 +233,9 @@ def assert_batch_matches_scalar(wins, g, y, beta):
 @pytest.mark.filterwarnings("ignore::selrtest.errors.ThinWindowWarning")
 @pytest.mark.parametrize("spec", ["identity", "smoothed:0.8,2.0:0.3"])
 @pytest.mark.parametrize("p", [1, 2])
-def test_log_ratios_match_scalar_solver(monkeypatch, rng, p, spec):
+def test_log_ratios_match_scalar_solver(rng, p, spec):
     """The batched null-term dual gives each window the scalar solver's
     value (within 1e-12 relative) and skips the same windows."""
-    monkeypatch.setattr(local_el, "_BATCH_ROWS", 300)  # several chunks
     data = random_dataset(rng, n=80, p=p)
     g = parse_g_spec(spec)
     skipped = solved = 0
@@ -289,9 +287,9 @@ def test_log_ratios_edge_windows():
     assert got[2] is not None and got[2] > 0
     assert got[3] is None  # MaxIterations
     assert got[4] is not None and got[4] > 0
-    one_chunk = [None if res is None else res[0]
+    one_batch = [None if res is None else res[0]
                  for res in _log_ratios(wins, g, y, np.zeros(2))]
-    assert one_chunk[:5] == got and one_chunk[5] is None
+    assert one_batch[:5] == got and one_batch[5] is None
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +418,6 @@ def test_constrained_batch_matches_bfgs(monkeypatch, rng, p, fixed_idx):
     gives every window the BFGS constrained log-EL (within 1e-9 relative)
     and skips the same windows.  The pins are the true coefficients
     a_k(u) = 0.3 (k + 1) + s_k u, nonzero slopes included."""
-    monkeypatch.setattr(local_el, "_BATCH_ROWS", 300)  # several chunks
     slopes = np.array([0.5, -1.0, 0.8])[:p]
     data = random_dataset(rng, n=100, p=p, hetero=1.0,
                           coef=[lambda u, k=k: 0.3 * (k + 1) + slopes[k] * u for k in range(p)])
@@ -440,8 +437,8 @@ def test_constrained_batch_matches_bfgs(monkeypatch, rng, p, fixed_idx):
                 continue
             fixed_value = 0.3 * (np.asarray(fixed_idx) + 1) + slopes[fixed_idx] * u0
             items.append((win, (fixed_value, slopes[fixed_idx]), init))
-        for chunk in _chunks((item, item[0]) for item in items):
-            wins, pins, inits = zip(*(item for item, _ in chunk))
+        for at in range(0, len(items), 4):  # in batches of four windows
+            wins, pins, inits = zip(*items[at:at + 4])
             for win, pin, init, fit in zip(wins, pins, inits, _constrained_fits(
                     wins, data.y, g, pins, fixed_idx, inits)):
                 want = bfgs_constrained(win, data.y, g, *pin, fixed_idx, init)

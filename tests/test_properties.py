@@ -154,14 +154,13 @@ def test_block_windows_equal_one_window_builds(case):
     assert _thin_count(got_warned) == _thin_count(want_warned)
     assert all(_same_window(win, w, u0, h) for win, w, u0 in zip(got, want, centres))
     # the walk visits the observations in increasing u, None where empty
-    with warnings.catch_warnings(), mock.patch.object(local_el, "_BLOCK_VALUES", budget), \
-            mock.patch.object(local_el, "_BATCH_ROWS", budget):
+    with warnings.catch_warnings(), mock.patch.object(local_el, "_BLOCK_VALUES", budget):
         warnings.simplefilter("ignore", ThinWindowWarning)
-        chunks = list(selr._walk(data, np.arange(data.n), _windows(data, kernel, h)))
-    # a chunk holds at most _BATCH_ROWS rows, or one window
-    assert all(len(chunk) == 1 or sum(len(win.active) for _, win in chunk if win is not None)
-               <= budget for chunk in chunks)
-    walk = [pair for chunk in chunks for pair in chunk]
+        blocks = list(selr._walk(data, np.arange(data.n), _windows(data, kernel, h)))
+    # a block holds one window per index, at most the block size of them,
+    # and the blocks follow one another in increasing u
+    assert all(len(block) == len(wins) <= size for block, wins in blocks)
+    walk = [(j, win) for block, wins in blocks for j, win in zip(block, wins)]
     assert [j for j, _ in walk] == np.argsort(data.u).tolist()
     assert all(_same_window(win, want[j], data.u[j], h) for j, win in walk)
     # elsewhere an empty window raises

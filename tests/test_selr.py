@@ -139,8 +139,8 @@ def test_identity_full_fit_skips_singular_local_design(rng):
     n, x2 = data.n, data.x[:, 1]
     h = 0.08
     walk = selr._walk(data, np.arange(n), selr._windows(data, TRIWEIGHT, h))
-    rows = [(win, fit) for chunk, fits in selr._full_fits(data.y, make_identity(), walk)
-            for (_, win), fit in zip(chunk, fits)]
+    rows = [(win, fit) for _, wins, fits in selr._full_fits(data.y, make_identity(), walk)
+            for win, fit in zip(wins, fits)]
     singular = [fit for win, fit in rows if not np.any(x2[win.active])]
     assert len(singular) >= 5
     assert all(fit is None for fit in singular)
@@ -164,8 +164,8 @@ def test_identity_full_fits_solve_each_window_once(monkeypatch, rng):
 
     monkeypatch.setattr(local_el, "_stacked_lls", counting_lls)
     walk = selr._walk(data, np.arange(data.n), selr._windows(data, TRIWEIGHT, 0.08))
-    fits = [fit for _, chunk_fits in selr._full_fits(data.y, make_identity(), walk)
-            for fit in chunk_fits]
+    fits = [fit for _, _, block_fits in selr._full_fits(data.y, make_identity(), walk)
+            for fit in block_fits]
     assert sum(fit is None for fit in fits) >= 5
     assert sum(calls.values()) == data.n == len(calls)
 
@@ -175,7 +175,8 @@ def test_identity_full_fits_solve_each_window_once(monkeypatch, rng):
 @pytest.mark.parametrize("kind", ["simple", "simple_full", "gof", "composite"])
 def test_window_results_do_not_depend_on_chunk_mates(monkeypatch, rng, kind):
     """Each batch stage gives a window the same contribution and status
-    whether its chunk holds up to _BATCH_ROWS moment rows or that window alone."""
+    whether its window block holds up to _BLOCK_VALUES kernel values or that
+    window alone."""
     spec = {"simple": Hypothesis.simple([zero_coef()] * 2),
             "simple_full": Hypothesis.simple([zero_coef()] * 2),
             "gof": Hypothesis.goodness_of_fit(),
@@ -188,13 +189,13 @@ def test_window_results_do_not_depend_on_chunk_mates(monkeypatch, rng, kind):
                         include_full_term=kind == "simple_full")
         return [(pt["contribution"], pt["status"]) for pt in res.per_point]
 
-    chunked = [per_point(data, h) for data, h in cases]
-    monkeypatch.setattr(local_el, "_BATCH_ROWS", 1)
+    blocked = [per_point(data, h) for data, h in cases]
+    monkeypatch.setattr(local_el, "_BLOCK_VALUES", 1)  # one window per block
     alone = [per_point(data, h) for data, h in cases]
-    assert alone == chunked
+    assert alone == blocked
     if kind != "simple":
-        assert any(c is None for c, _ in chunked[0])
-    assert all(c is not None for c, _ in chunked[1])
+        assert any(c is None for c, _ in blocked[0])
+    assert all(c is not None for c, _ in blocked[1])
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +507,13 @@ def test_selr_test_dispatch_parametric(rng):
     assert abs(res.statistic - manual.statistic) < 1e-10
 
 
+def test_parametric_null_needs_family_and_start():
+    family = ParametricFamily(lambda v, th: th[0] + 0.0 * v, 1)
+    for kwargs in ({}, {"family": family}, {"theta_init": (0.0,)}):
+        with pytest.raises(ConfigError, match="parametric_null needs family and theta_init"):
+            Hypothesis("parametric_null", **kwargs)
+
+
 def test_selr_test_unknown_kind(rng):
     data = small_dataset(rng)
     bad = Hypothesis("mystery")
@@ -547,25 +555,27 @@ def test_hard_indicator_simple_null_without_full_term(rng):
     assert np.isfinite(res.statistic) and res.df > 0
 
 
-def test_simple_solves_null_terms_in_bounded_chunks(monkeypatch, rng):
-    """At n = 800 one selr_simple call hands the batched dual solver at most
-    _BATCH_ROWS moment rows at a time, and still builds each window once."""
+def test_simple_solves_null_terms_a_block_at_a_time(monkeypatch, rng):
+    """At n = 800 one selr_simple call hands the batched dual solver one
+    window block at a time, at most max(1, _BLOCK_VALUES // n) windows, and
+    still builds each window once."""
     data = small_dataset(rng, n=800)
     build = local_el._window_block
     built = count_windows(monkeypatch)
-    chunk_rows = []
+    batches = []
     solve = selr._log_ratios
 
     def recording_solve(wins, *args):
-        chunk_rows.append(sum(len(win.active) for win in wins if win is not None))
+        batches.append(wins)
         return solve(wins, *args)
 
     monkeypatch.setattr(selr, "_log_ratios", recording_solve)
     selr_simple(data, TRIWEIGHT, 0.3, make_identity(), Hypothesis.simple([zero_coef()]))
-    assert len(chunk_rows) > 1
-    assert max(chunk_rows) <= local_el._BATCH_ROWS
+    assert len(batches) > 1
+    assert max(len(wins) for wins in batches) <= max(1, local_el._BLOCK_VALUES // data.n)
     windows = build(data, TRIWEIGHT, 0.3, data.u)
-    assert sum(chunk_rows) == sum(len(win.active) for win in windows)
+    assert sum(len(win.active) for wins in batches for win in wins) == sum(
+        len(win.active) for win in windows)
     assert len(built) == data.n
     assert set(built.values()) == {1}
 

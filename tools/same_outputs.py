@@ -1,0 +1,150 @@
+"""Check that two selrtest source trees give bit-identical statistics.
+
+Usage: python tools/same_outputs.py PARENT_SRC [CHANGE_SRC]
+
+PARENT_SRC and CHANGE_SRC are ``src`` directories (CHANGE_SRC defaults to
+this checkout's).  Each side runs in its own child process with that
+directory first on ``sys.path`` and BLAS on one thread, and computes 80
+outputs on the benchmark's seed-0 inputs (``perfbench/workloads.py``'s
+``draw_dataset``):
+
+- on each of the 8 cli_tests designs: the simple null at n = 200 and
+  n = 800, the simple null with the full term (p = 1 and p = 2), the
+  composite null, the identity goodness-of-fit and ``sel_full``;
+- the smoothed-G goodness-of-fit on designs 0-3;
+- composite and identity goodness-of-fit bootstrap samples (B = 20) on
+  designs 0-1;
+- the 8 bootstrap workload calls (B = 199) with their p-values;
+- the 8 Monte Carlo passes (40 replicates, SELR and F-type statistics).
+
+A test result is compared by its statistic, df, skip and clamp counts and
+full ``per_point``.  Outputs are compared with ``==``, NaN equal to NaN.
+Prints the count of equal outputs and every key that differs; exits 1 on
+any difference.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEED = 0
+H = 0.3
+DESIGNS = 8
+
+
+def _result(res) -> tuple:
+    return (res.statistic, res.df, res.n_infeasible_points, res.n_clamped, res.per_point)
+
+
+def compute() -> dict:
+    """The outputs of the selrtest first on ``sys.path``, by key."""
+    import warnings
+
+    import numpy as np
+
+    sys.path.insert(1, str(ROOT / "perfbench"))
+    from workloads import FULL, Bootstrap, CliTests, MonteCarlo, _rng, draw_dataset
+
+    from selrtest import montecarlo, selr
+    from selrtest.estfun import make_identity, parse_g_spec
+    from selrtest.kernels import kernel_by_name
+
+    warnings.simplefilter("ignore")
+    kernel, g = kernel_by_name("triweight"), make_identity()
+    smoothed = parse_g_spec("smoothed:0.8,2.0:0.3")
+    zero = selr.Hypothesis.simple([selr.zero_coef()])
+    zero2 = selr.Hypothesis.simple([selr.zero_coef()] * 2)
+    composite = selr.Hypothesis.composite([selr.const_coef(1.5)], [1])
+    gof = selr.Hypothesis.goodness_of_fit()
+    out = {}
+    for s in range(DESIGNS):
+        # the order of cli_tests' draws: p1_small, p1_large, p2_small
+        rng = _rng(SEED, CliTests.tag, s)
+        p1 = draw_dataset(rng, FULL.n_small, 1)
+        p1_large = draw_dataset(rng, FULL.n_large, 1)
+        p2 = draw_dataset(rng, FULL.n_small, 2)
+        tests = {
+            "simple_n200": (p1, zero, None, g),
+            "simple_n800": (p1_large, zero, None, g),
+            "simple_full_p1": (p1, zero, True, g),
+            "simple_full_p2": (p2, zero2, True, g),
+            "composite": (p2, composite, None, g),
+            "gof_identity": (p2, gof, None, g),
+        }
+        if s < 4:
+            tests["gof_smoothed"] = (p2, gof, None, smoothed)
+        for name, (data, spec, full, gg) in tests.items():
+            out[f"{name}/{s}"] = _result(
+                selr.selr_test(data, kernel, H, gg, spec, include_full_term=full))
+        out[f"sel_full/{s}"] = selr.sel_full(p2, kernel, H, g)
+        if s < 2:
+            for name, spec in (("composite", composite), ("gof_identity", gof)):
+                sample, p = selr.bootstrap_null(p2, kernel, H, g, spec, B=20, seed=SEED)
+                out[f"bootstrap_{name}/{s}"] = (sample.tolist(), p)
+    for s in range(DESIGNS):
+        data = draw_dataset(_rng(SEED, Bootstrap.tag, s), FULL.n_small, 1)
+        sample, p = selr.bootstrap_null(data, kernel, H, g, zero, B=FULL.boot_b, seed=SEED)
+        out[f"bootstrap/{s}"] = (sample.tolist(), p)
+    config = montecarlo.SimulationConfig(n=FULL.mc_n, c1=2.0, alternative="null",
+                                         reps=FULL.mc_reps, seed=SEED, kernel="triweight")
+    for s in range(DESIGNS):
+        selr_vals, f_vals = montecarlo.simulate_statistics(
+            config, want_f=True, stream_offset=s * FULL.mc_reps, n_jobs=1)
+        out[f"{MonteCarlo.name}/{s}"] = (np.asarray(selr_vals).tolist(),
+                                         np.asarray(f_vals).tolist())
+    return out
+
+
+def same(a, b) -> bool:
+    """``a == b`` through tuples, lists and dicts, NaN equal to NaN."""
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    return type(a) is type(b) and a == b
+
+
+def run_side(src: Path, path: str) -> dict:
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        env[var] = "1"
+    env.pop("PYTHONPATH", None)
+    subprocess.run([sys.executable, __file__, "--child", str(src), path], env=env, check=True)
+    with open(path, "rb") as fh:
+        return pickle.load(fh)
+
+
+def main(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--child":
+        sys.path.insert(0, argv[1])
+        with open(argv[2], "wb") as fh:
+            pickle.dump(compute(), fh)
+        return 0
+    if not 1 <= len(argv) <= 2:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 2
+    parent = Path(argv[0]).resolve()
+    change = Path(argv[1]).resolve() if len(argv) == 2 else ROOT / "src"
+    with tempfile.TemporaryDirectory() as tmp:
+        want = run_side(parent, os.path.join(tmp, "parent.pkl"))
+        got = run_side(change, os.path.join(tmp, "change.pkl"))
+    keys = want.keys() | got.keys()
+    differ = sorted(k for k in keys if k not in want or k not in got or not same(want[k], got[k]))
+    print(f"{len(keys) - len(differ)} of {len(keys)} outputs equal")
+    for key in differ:
+        print(f"differs: {key}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
