@@ -134,13 +134,16 @@ def make_smoothed_indicator(grid, width: float) -> EstimatingFunction:
         down = _smoothstep_deriv((e - (upper - width)) / (2.0 * width))
         return (up - down) / (2.0 * width)
 
+    # both signs go through the ramps in one call, on the stacked (e, -e)
     def batch(e):
         e = np.asarray(e, dtype=float)[:, None]
-        return bump(e) - bump(-e)
+        b = bump(np.concatenate([e, -e]))
+        return b[:len(e)] - b[len(e):]
 
     def batch_derivative(e):
         e = np.asarray(e, dtype=float)[:, None]
-        return bump_deriv(e) + bump_deriv(-e)
+        b = bump_deriv(np.concatenate([e, -e]))
+        return b[:len(e)] + b[len(e):]
 
     return EstimatingFunction(
         k0=k0,

@@ -14,6 +14,7 @@ entropy = sum_i w_i log w_i over the active window.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -318,6 +319,7 @@ def solve_lagrange(
 
     wsum = weights.sum()
     denom = np.ones(m)
+    f0 = float(weights @ np.log(denom))  # the dual value at alpha
     # the gradient scales linearly with the moments, so the stopping rule
     # must too or the solver would not be invariant under y -> c y
     gtol_eff = gtol * max(1.0, float(np.abs(moments).max()))
@@ -327,17 +329,17 @@ def solve_lagrange(
         # at an interior optimum the tilted masses keep their total:
         # sum w/(1+a'G) = sum w.  A vanishing gradient without that property
         # means the dual is unbounded (runaway alpha), not solved.
-        if np.linalg.norm(grad) <= gtol_eff and abs(wd.sum() - wsum) <= 1e-8:
+        # (math.sqrt of the dot is np.linalg.norm's own formula.)
+        if math.sqrt(grad @ grad) <= gtol_eff and abs(wd.sum() - wsum) <= 1e-8:
             return alpha
         hess = (moments * (wd / denom)[:, None]).T @ moments
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             break
         # halve until strictly inside the feasible region and not worse
-        f0 = float(weights @ np.log(denom))
         c = 1.0
         while c > 1e-14:
             cand = alpha + c * step
@@ -349,7 +351,12 @@ def solve_lagrange(
             c *= 0.5
         else:
             break  # step underflow: feasible region exhausted
-        alpha, denom = cand, dc
+        # an exact fixed point: every later step would repeat this one, so
+        # the loop would only run out its max_iter
+        fixed = fc == f0 and (cand == alpha).all()
+        alpha, denom, f0 = cand, dc, fc
+        if fixed:
+            break
     if not _hull_contains_zero(moments):
         raise Infeasible("0 is not in the convex hull of the moment vectors")
     # near-boundary optima (a near-zero kernel weight on the only point of
@@ -376,17 +383,38 @@ def implied_probabilities(
     return np.asarray(weights) / denom
 
 
-def _dual(win: _LocalWindow, g: EstimatingFunction, y: np.ndarray, beta_vec: np.ndarray):
-    """Residuals, moment rows and dual multiplier of one window at a fixed beta."""
+def _dual(win: _LocalWindow, g: EstimatingFunction, y: np.ndarray, beta_vec: np.ndarray,
+          solved=None):
+    """Residuals, moment rows and dual multiplier of one window at a fixed beta.
+
+    ``solved``, where given, maps each beta already solved (by its bytes) to
+    its multiplier, or to the type and arguments of the exception its solve
+    raised; a beta found there is not solved again, and a new one is added.
+    """
     resid = y[win.active] - win.z @ beta_vec
     moments = _moments(g, resid, win.z)
-    return resid, moments, solve_lagrange(moments, win.w)
+    if solved is None:
+        return resid, moments, solve_lagrange(moments, win.w)
+    key = beta_vec.tobytes()
+    if key not in solved:
+        try:
+            solved[key] = solve_lagrange(moments, win.w)
+        except (Infeasible, MaxIterations) as exc:
+            # not the exception itself: its traceback holds this frame, and
+            # so ``solved``, in a reference cycle that keeps both alive
+            solved[key] = type(exc), exc.args
+    alpha = solved[key]
+    if isinstance(alpha, tuple):
+        raise alpha[0](*alpha[1])
+    return resid, moments, alpha
 
 
-def _log_ratio(win: _LocalWindow, g: EstimatingFunction, y: np.ndarray, beta_vec: np.ndarray):
+def _log_ratio(win: _LocalWindow, g: EstimatingFunction, y: np.ndarray, beta_vec: np.ndarray,
+               solved=None):
     """Dual value sum_i w_i log(1 + alpha' G_i) at a fixed beta, which is the
-    window's entropy minus its local log-EL, and the multiplier alpha."""
-    _, moments, alpha = _dual(win, g, y, beta_vec)
+    window's entropy minus its local log-EL, and the multiplier alpha;
+    ``solved`` is as in :func:`_dual`."""
+    _, moments, alpha = _dual(win, g, y, beta_vec, solved)
     return float(win.w @ np.log1p(moments @ alpha)), alpha
 
 
@@ -642,7 +670,13 @@ def _lls_fits(wins, y, g) -> list:
 
 
 class _ProfileObjective:
-    """Negative local log-EL of one window as a function of the free parameters."""
+    """Negative local log-EL of one window as a function of the free parameters.
+
+    Each distinct beta is solved once: ``solved`` keeps the multiplier, or
+    the exception, of every beta evaluated (see :func:`_dual`), so the
+    start value, BFGS's first evaluation there and the value reported at
+    the optimum share one solve.
+    """
 
     def __init__(self, win, y, g, free_idx=None, fixed_vec=None):
         self.win = win
@@ -651,7 +685,7 @@ class _ProfileObjective:
         self.dim = win.z.shape[1]
         self.free_idx = np.arange(self.dim) if free_idx is None else np.asarray(free_idx)
         self.fixed_vec = np.zeros(self.dim) if fixed_vec is None else fixed_vec
-        self.inner_iters = 0
+        self.solved = {}
         self.penalty_ref = None
 
     def embed(self, free_vec):
@@ -661,11 +695,11 @@ class _ProfileObjective:
 
     def value_grad(self, free_vec):
         try:
-            resid, moments, alpha = _dual(self.win, self.g, self.y, self.embed(free_vec))
+            resid, moments, alpha = _dual(self.win, self.g, self.y, self.embed(free_vec),
+                                          self.solved)
         except (Infeasible, MaxIterations):
             dist = free_vec - self.penalty_ref
             return 1e8 * (1.0 + dist @ dist), 2e8 * dist
-        self.inner_iters += 1
         denom = 1.0 + moments @ alpha
         neg_logel = float(self.win.w @ np.log(denom)) - self.win.entropy
         # envelope-theorem gradient: alpha is stationary, only the direct
@@ -699,8 +733,9 @@ def _fit(win, y, g, init=None, free_idx=None, fixed_vec=None) -> LocalELFit:
     so a window whose rounding leaves a nonzero gradient gets its true
     value; a singular local design raises :class:`SingularDesign`.
     """
+    solved = None  # the search's dual solves, one per distinct beta
     if g.kind == "identity" and free_idx is None:
-        beta_vec, status, inner_iters, outer_iters = _lls(win, y), "converged", 0, 0
+        beta_vec, status, outer_iters = _lls(win, y), "converged", 0
     else:
         init_vec = _lls(win, y) if init is None else init.vector
         _require_derivative(g)
@@ -723,9 +758,8 @@ def _fit(win, y, g, init=None, free_idx=None, fixed_vec=None) -> LocalELFit:
             # ascent failed to improve on the warm start; keep the start
             xhat, fhat = x0, f0
             status = "max_iter"
-        beta_vec = obj.embed(xhat)
-        inner_iters, outer_iters = obj.inner_iters, int(res.nit)
-    value, alpha = _log_ratio(win, g, y, beta_vec)
+        beta_vec, outer_iters, solved = obj.embed(xhat), int(res.nit), obj.solved
+    value, alpha = _log_ratio(win, g, y, beta_vec, solved)
     return LocalELFit(
         u0=win.u0,
         beta=LocalParameter.from_vector(beta_vec),
@@ -733,7 +767,7 @@ def _fit(win, y, g, init=None, free_idx=None, fixed_vec=None) -> LocalELFit:
         logel=win.entropy - value,
         entropy=win.entropy,
         status=status,
-        inner_iters=inner_iters,
+        inner_iters=0 if solved is None else len(solved),
         outer_iters=outer_iters,
     )
 

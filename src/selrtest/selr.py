@@ -107,6 +107,8 @@ class Hypothesis:
             lo, hi = self.omega
             if not lo < hi:
                 raise ConfigError("omega must be a nondegenerate interval")
+        if self.kind == "simple_null" and self.a0 is None:
+            raise ConfigError("simple_null needs coefficient functions a0")
         if self.kind == "composite_null":
             if not self.a10 or not self.fixed_idx:
                 raise ConfigError("composite_null needs a10 and fixed_idx")
@@ -405,12 +407,12 @@ def selr_simple(
     changes the statistic only where the LLS fit fails (a singular local
     design), which skips the window.
     """
+    if spec.a0 is None:  # a hypothesis of another kind
+        raise ConfigError("simple_null needs coefficient functions a0")
     return _simple(data, kernel, h, g, spec, include_full_term, _windows(data, kernel, h))
 
 
 def _simple(data, kernel, h, g, spec, include_full_term, windows) -> TestResult:
-    if spec.a0 is None:
-        raise ConfigError("simple_null needs coefficient functions a0")
     # the shift changes y only, so the windows of data are those of star
     star = _transform_simple(data, spec.a0)
     omega = _resolve_omega(star, spec.omega)

@@ -11,7 +11,13 @@ from selrtest import (
     parse_g_spec,
 )
 from selrtest.errors import DerivativeUnavailable
-from selrtest.estfun import default_grid, eval_g, eval_g_deriv
+from selrtest.estfun import (
+    _smoothstep,
+    _smoothstep_deriv,
+    default_grid,
+    eval_g,
+    eval_g_deriv,
+)
 
 
 def test_identity_values_and_derivative():
@@ -79,6 +85,37 @@ def test_smoothed_derivative_finite_difference(rng):
     step = 1e-6
     fd = (g.batch(e + step) - g.batch(e - step)) / (2 * step)
     np.testing.assert_allclose(g.batch_derivative(e), fd, atol=1e-5)
+
+
+def test_smoothed_ramps_bit_for_bit():
+    """Both signs of the residual go through the ramps in one call; each
+    component is still b_k(e) - b_k(-e), and its derivative b_k'(e) +
+    b_k'(-e), to the last bit, at the ramp edges, inside the ramps, at 0
+    and far outside."""
+    grid, width = (0.0, 0.8, 2.0, 3.1), 0.3
+    g = make_smoothed_indicator(grid, width)
+    lower, upper = np.array(grid[:-1]), np.array(grid[1:])
+
+    def bump(e):
+        up = _smoothstep((e - (lower - width)) / (2.0 * width))
+        down = _smoothstep((e - (upper - width)) / (2.0 * width))
+        return up - down
+
+    def bump_deriv(e):
+        up = _smoothstep_deriv((e - (lower - width)) / (2.0 * width))
+        down = _smoothstep_deriv((e - (upper - width)) / (2.0 * width))
+        return (up - down) / (2.0 * width)
+
+    edges = np.array([s + sign * width for s in grid for sign in (-1.0, 1.0)])
+    inside = np.array([s + f * width for s in grid for f in (-0.7, -0.2, 0.35, 0.9)])
+    e = np.concatenate([[0.0, -0.0, 50.0, 1e6], edges, inside])
+    e = np.concatenate([e, -e])
+    want = bump(e[:, None]) - bump(-e[:, None])
+    want_deriv = bump_deriv(e[:, None]) + bump_deriv(-e[:, None])
+    assert np.array_equal(g.batch(e), want)
+    assert np.array_equal(g.batch_derivative(e), want_deriv)
+    # the ramps are neither flat nor zero on this grid
+    assert (want_deriv != 0).any() and ((want != 0) & (np.abs(want) != 1)).any()
 
 
 def test_smoothed_width_bound():

@@ -248,17 +248,18 @@ def test_log_ratios_match_scalar_solver(rng, p, spec):
     assert skipped > 0 and solved > 0
 
 
-def test_log_ratios_edge_windows():
-    """Hand-built windows side by side in one batch: all-zero moments,
-    one-signed residuals, three points, a near-boundary optimum, a
-    singular Hessian and a missing window."""
-    g = make_identity()
+def hand_window(start, t, w):
+    """A p = 1 window on observations start, start + 1, ... with local times
+    t and weights proportional to w."""
+    t = np.asarray(t)
+    return _LocalWindow(0.0, 1.0, start + np.arange(len(t)), np.asarray(w) / np.sum(w),
+                        np.column_stack([np.ones_like(t), t]))
 
-    def window(start, t, w):
-        t = np.asarray(t)
-        return _LocalWindow(0.0, 1.0, start + np.arange(len(t)), np.asarray(w) / np.sum(w),
-                            np.column_stack([np.ones_like(t), t]))
 
+def edge_windows():
+    """Hand-built windows and their responses: all-zero moments, one-signed
+    residuals, three points, a near-boundary optimum, a singular Hessian
+    and a missing window."""
     t5 = [-0.6, -0.2, 0.1, 0.5, 0.8]
     # The only positive residual (622.76) sits on a point of weight 2.1e-12.
     # At the optimum 1 + alpha'G is about 1e-10 there, where rounding keeps
@@ -270,15 +271,22 @@ def test_log_ratios_edge_windows():
     w_edge = (1 - t_edge[:-1] ** 2) ** 3
     w_edge = np.append(w_edge / w_edge.sum() * (1 - 2.1e-12), 2.1e-12)
     wins = [
-        window(0, t5, np.ones(5)),  # y = 0: every moment row is zero
-        window(5, t5, [1, 2, 3, 2, 1]),  # every residual positive
-        window(10, [-0.5, 0.1, 0.7], [1, 3, 1]),  # three points
-        window(13, t_edge, w_edge),
-        window(22, np.zeros(4), [1, 2, 2, 1]),  # every t = 0: singular Hessian
+        hand_window(0, t5, np.ones(5)),  # y = 0: every moment row is zero
+        hand_window(5, t5, [1, 2, 3, 2, 1]),  # every residual positive
+        hand_window(10, [-0.5, 0.1, 0.7], [1, 3, 1]),  # three points
+        hand_window(13, t_edge, w_edge),
+        hand_window(22, np.zeros(4), [1, 2, 2, 1]),  # every t = 0: singular Hessian
         None,
     ]
     y = np.concatenate([np.zeros(5), [0.3, 1.2, 0.5, 2.0, 0.1], [0.4, -0.9, 0.6], r_edge,
                         [0.5, -1.0, 0.3, -0.2]])
+    return wins, y
+
+
+def test_log_ratios_edge_windows():
+    """The windows of :func:`edge_windows` side by side in one batch."""
+    g = make_identity()
+    wins, y = edge_windows()
     with pytest.raises(MaxIterations):
         _log_ratio(wins[3], g, y, np.zeros(2))
     got = assert_batch_matches_scalar(wins[:5], g, y, np.zeros(2))
@@ -290,6 +298,130 @@ def test_log_ratios_edge_windows():
     one_batch = [None if res is None else res[0]
                  for res in _log_ratios(wins, g, y, np.zeros(2))]
     assert one_batch[:5] == got and one_batch[5] is None
+
+
+def frozen_solve_lagrange(moments, weights, gtol=local_el._DUAL_GTOL,
+                          max_iter=local_el._DUAL_MAX_ITER):
+    """The scalar dual solver as it was before it carried the dual value
+    between steps and stopped at an exact fixed point: the bit-for-bit
+    oracle of :func:`solve_lagrange`.  Do not edit."""
+    moments = np.asarray(moments, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    m, d = moments.shape
+    alpha = np.zeros(d)
+    if not np.any(moments):
+        return alpha
+
+    wsum = weights.sum()
+    denom = np.ones(m)
+    gtol_eff = gtol * max(1.0, float(np.abs(moments).max()))
+    for _ in range(max_iter):
+        wd = weights / denom
+        grad = moments.T @ wd
+        if np.linalg.norm(grad) <= gtol_eff and abs(wd.sum() - wsum) <= 1e-8:
+            return alpha
+        hess = (moments * (wd / denom)[:, None]).T @ moments
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        if not np.all(np.isfinite(step)):
+            break
+        f0 = float(weights @ np.log(denom))
+        c = 1.0
+        while c > 1e-14:
+            cand = alpha + c * step
+            dc = 1.0 + moments @ cand
+            if dc.min() > 1e-12:
+                fc = float(weights @ np.log(dc))
+                if fc >= f0 - 1e-14:
+                    break
+            c *= 0.5
+        else:
+            break
+        alpha, denom = cand, dc
+    if not local_el._hull_contains_zero(moments):
+        raise Infeasible("0 is not in the convex hull of the moment vectors")
+    wd = weights / denom
+    if (
+        np.linalg.norm(moments.T @ wd) <= 1e6 * gtol_eff
+        and abs(wd.sum() - wsum) <= 1e-8
+    ):
+        return alpha
+    raise MaxIterations("dual Newton did not converge")
+
+
+def assert_solver_matches_frozen(moments, weights):
+    """solve_lagrange gives the oracle's alpha bit for bit, or raises the
+    same exception type; returns the outcome's name."""
+    try:
+        want = frozen_solve_lagrange(moments, weights)
+    except (Infeasible, MaxIterations) as exc:
+        with pytest.raises(type(exc)):
+            solve_lagrange(moments, weights)
+        return type(exc).__name__
+    assert np.array_equal(solve_lagrange(moments, weights), want)
+    return "solved"
+
+
+# A near-boundary window: the only positive residual (374.2) sits on a point
+# of weight 9e-10.  Newton reaches an exact fixed point (the accepted step
+# leaves alpha and the dual value unchanged) at step 16, and every later
+# step repeats it; the post-loop check then accepts the optimum.
+T_FIXED = [0.55, -0.33, -0.63, 0.36, -0.09, 0.54, -0.48, -0.32]
+R_FIXED = [-1.1, -0.03, -0.04, -1.99, -0.23, -0.26, -0.96, 374.2]
+
+
+def fixed_point_window():
+    """Moment rows and weights of the window of ``T_FIXED``, ``R_FIXED``."""
+    t = np.array(T_FIXED)
+    w = (1 - t[:-1] ** 2) ** 3
+    w = np.append(w / w.sum() * (1 - 9e-10), 9e-10)
+    return _moments(make_identity(), np.array(R_FIXED), hand_window(0, t, w).z), w
+
+
+def test_solve_lagrange_bit_for_bit_frozen_loop(rng):
+    """Random windows (p = 1 and 2, identity and smoothed G, both signs of
+    the hull test), the windows of :func:`edge_windows` and the fixed-point
+    window get the frozen solver's alpha to the last bit."""
+    outcomes = []
+    for spec in ("identity", "smoothed:0.8,2.0:0.3"):
+        g = parse_g_spec(spec)
+        for _ in range(40):
+            m, p = int(rng.integers(4, 30)), int(rng.integers(1, 3))
+            t = rng.uniform(-1, 1, m)
+            x = np.column_stack([np.ones(m), rng.normal(size=(m, p - 1))])
+            z = np.hstack([x, t[:, None] * x])
+            resid = rng.normal(size=m) + rng.choice([0.0, 1.5])
+            w = (1 - t**2) ** 3 + 1e-12
+            outcomes.append(assert_solver_matches_frozen(_moments(g, resid, z), w / w.sum()))
+    wins, y = edge_windows()
+    for win in wins[:5]:
+        moments = _moments(make_identity(), y[win.active], win.z)
+        outcomes.append(assert_solver_matches_frozen(moments, win.w))
+    outcomes.append(assert_solver_matches_frozen(*fixed_point_window()))
+    assert {"solved", "Infeasible", "MaxIterations"} <= set(outcomes)
+
+
+def test_solve_lagrange_stops_at_an_exact_fixed_point(monkeypatch):
+    """The fixed-point window takes 16 Newton steps (one np.linalg.solve
+    each), not the 100 of the frozen loop, and is still accepted."""
+    moments, w = fixed_point_window()
+    steps = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        steps.append(1)
+        return solve(a, b)
+
+    monkeypatch.setattr(local_el.np.linalg, "solve", counting)
+    frozen = frozen_solve_lagrange(moments, w)
+    assert len(steps) == local_el._DUAL_MAX_ITER
+    del steps[:]
+    alpha = solve_lagrange(moments, w)
+    assert len(steps) == 16
+    assert np.array_equal(alpha, frozen)
+    assert (1.0 + moments @ alpha).min() < _BATCH_MARGIN  # a near-boundary optimum
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +491,34 @@ def test_fit_local_smoothed_indicator_runs(rng):
     fit = fit_local(data, TRIWEIGHT, 0.45, 0.5, g)
     assert np.isfinite(fit.logel)
     assert fit.logel <= fit.entropy + 1e-10
+
+
+def test_profile_fit_solves_each_beta_once(monkeypatch, rng):
+    """A smoothed-G profile fit calls solve_lagrange once per distinct beta
+    BFGS evaluates: the start value, BFGS's first evaluation at the same
+    start and the value reported at the optimum share one solve."""
+    data = random_dataset(rng, n=80)
+    g = make_smoothed_indicator([0.0, 0.8, 3.0], width=0.3)
+    solves, evaluated = [], []
+    solve, minimize = local_el.solve_lagrange, local_el.minimize
+
+    def counting_solve(moments, weights):
+        solves.append(1)
+        return solve(moments, weights)
+
+    def recording_minimize(fun, x0, **kwargs):
+        def recorded(x):
+            evaluated.append(np.array(x).tobytes())
+            return fun(x)
+        return minimize(recorded, x0, **kwargs)
+
+    monkeypatch.setattr(local_el, "solve_lagrange", counting_solve)
+    monkeypatch.setattr(local_el, "minimize", recording_minimize)
+    fit = fit_local(data, TRIWEIGHT, 0.45, 0.5, g)
+    start = lls_init(data, TRIWEIGHT, 0.45, 0.5).vector
+    assert evaluated[0] == start.tobytes()  # _fit evaluated it before BFGS
+    assert fit.beta.vector.tobytes() in evaluated and len(set(evaluated)) > 3
+    assert len(solves) == len(set(evaluated)) == fit.inner_iters
 
 
 def test_constrained_fit_nested(rng):

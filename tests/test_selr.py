@@ -514,6 +514,14 @@ def test_parametric_null_needs_family_and_start():
             Hypothesis("parametric_null", **kwargs)
 
 
+def test_simple_null_needs_a0():
+    """Refused where it is built, so no caller (bootstrap_null with an
+    observed statistic draws its null fit before any statistic) meets a
+    simple null without coefficient functions."""
+    with pytest.raises(ConfigError, match="simple_null needs coefficient functions a0"):
+        Hypothesis("simple_null")
+
+
 def test_selr_test_unknown_kind(rng):
     data = small_dataset(rng)
     bad = Hypothesis("mystery")

@@ -4,14 +4,14 @@ Usage: python tools/same_outputs.py PARENT_SRC [CHANGE_SRC]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories (CHANGE_SRC defaults to
 this checkout's).  Each side runs in its own child process with that
-directory first on ``sys.path`` and BLAS on one thread, and computes 80
+directory first on ``sys.path`` and BLAS on one thread, and computes 84
 outputs on the benchmark's seed-0 inputs (``perfbench/workloads.py``'s
 ``draw_dataset``):
 
 - on each of the 8 cli_tests designs: the simple null at n = 200 and
   n = 800, the simple null with the full term (p = 1 and p = 2), the
-  composite null, the identity goodness-of-fit and ``sel_full``;
-- the smoothed-G goodness-of-fit on designs 0-3;
+  composite null, the identity and smoothed-G goodness-of-fit and
+  ``sel_full``;
 - composite and identity goodness-of-fit bootstrap samples (B = 20) on
   designs 0-1;
 - the 8 bootstrap workload calls (B = 199) with their p-values;
@@ -77,9 +77,8 @@ def compute() -> dict:
             "simple_full_p2": (p2, zero2, True, g),
             "composite": (p2, composite, None, g),
             "gof_identity": (p2, gof, None, g),
+            "gof_smoothed": (p2, gof, None, smoothed),
         }
-        if s < 4:
-            tests["gof_smoothed"] = (p2, gof, None, smoothed)
         for name, (data, spec, full, gg) in tests.items():
             out[f"{name}/{s}"] = _result(
                 selr.selr_test(data, kernel, H, gg, spec, include_full_term=full))
