@@ -170,11 +170,26 @@ def _omega_from(args):
     return (lo, hi)
 
 
+def _floats(text: str, flag: str) -> list:
+    """The comma-separated numbers of the value ``text`` of a list-valued flag."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad {flag} {text!r}; expected comma-separated numbers") from None
+
+
+def _replicates(args) -> int:
+    """The bootstrap replicate count B of ``args``, 0 for none."""
+    if args.bootstrap < 0:
+        raise ConfigError(f"--bootstrap must be >= 0, got {args.bootstrap}")
+    return args.bootstrap
+
+
 def _null_coefs(spec: str, p: int):
     if spec == "zero":
         return [zero_coef()] * p
     if spec.startswith("const:"):
-        vals = [float(v) for v in spec[len("const:"):].split(",")]
+        vals = _floats(spec[len("const:"):], "--null const")
         if len(vals) != p:
             raise ConfigError(f"--null const needs {p} values")
         return [const_coef(v) for v in vals]
@@ -192,9 +207,10 @@ def _hypothesis_from(args, data):
         pairs = []
         for item in args.fix.split(","):
             idx, _, val = item.partition("=")
-            if not val:
-                raise ConfigError(f"bad --fix entry {item!r}; expected idx=value")
-            pairs.append((int(idx), float(val)))
+            try:
+                pairs.append((int(idx), float(val)))
+            except ValueError:
+                raise ConfigError(f"bad --fix entry {item!r}; expected idx=value") from None
         a10 = [const_coef(v) for _, v in pairs]
         return Hypothesis.composite(a10, [i for i, _ in pairs], omega=omega)
     return Hypothesis.simple(_null_coefs(args.null, data.p), omega=omega)
@@ -238,20 +254,21 @@ def _cmd_kernel_constants(args) -> int:
 
 
 def _cmd_test(args) -> int:
+    B = _replicates(args)
     data = ingest_csv(args.input)
     kern = _kernel_from(args)
     g = parse_g_spec(args.g)
     spec = _hypothesis_from(args, data)
     include_full = True if args.include_full_term else None
     result = selr_test(data, kern, args.h, g, spec, include_full_term=include_full)
-    if args.bootstrap > 0:
+    if B > 0:
         seed = _resolve_seed(args)
         _, p_boot = bootstrap_null(
-            data, kern, args.h, g, spec, B=args.bootstrap, scheme=args.scheme,
+            data, kern, args.h, g, spec, B=B, scheme=args.scheme,
             seed=seed, include_full_term=include_full, observed=result.statistic,
         )
         result.p_bootstrap = p_boot
-        result.B = args.bootstrap
+        result.B = B
     _write_report(result.to_dict(), args.output)
     return 0
 
@@ -268,7 +285,7 @@ def _cmd_simulate(args) -> int:
         records = [[row.n, f"{row.h:.5f}", row.variance_label,
                     f"{row.mu:.4f}", f"{row.sigma:.4f}", row.reps] for row in rows]
     else:
-        r_grid = [float(v) for v in args.r_grid.split(",")]
+        r_grid = _floats(args.r_grid, "--r-grid")
         thresholds = None
         if args.threshold_selr is not None and args.threshold_f is not None:
             thresholds = {0: (args.threshold_selr, args.threshold_f)}
@@ -314,14 +331,14 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_bandwidth(args) -> int:
+    B = _replicates(args)
+    grid = _floats(args.grid, "--grid")
     data = ingest_csv(args.input)
     kern = _kernel_from(args)
     g = parse_g_spec(args.g)
     spec = _hypothesis_from(args, data)
-    grid = [float(v) for v in args.grid.split(",")]
-    seed = _resolve_seed(args) if args.bootstrap > 0 else 0
-    sel = select_bandwidth(data, kern, g, spec, grid, B=args.bootstrap,
-                           scheme=args.scheme, seed=seed)
+    seed = _resolve_seed(args) if B > 0 else 0
+    sel = select_bandwidth(data, kern, g, spec, grid, B=B, scheme=args.scheme, seed=seed)
     report = {
         "h_selected": sel.h,
         "statistic": sel.statistic,

@@ -216,7 +216,8 @@ def _nonempty(wins, centres) -> list:
 
 
 class _WindowStore:
-    """Windows of one design (u, x, kernel) for a loop that redraws only y.
+    """Windows of one design (u, x, kernel) for several statistics of it, as
+    a Monte Carlo replicate's SELR and F-type statistics.
 
     ``at(h)`` is a window source like :func:`_windows`.  Windows are built on
     first use, a block at a time, and copied out of their block to be kept
@@ -418,34 +419,73 @@ def _log_ratio(win: _LocalWindow, g: EstimatingFunction, y: np.ndarray, beta_vec
     return float(win.w @ np.log1p(moments @ alpha)), alpha
 
 
-def _log_ratios(wins, g, y, beta) -> list:
-    """The value and multiplier of :func:`_log_ratio` in each window of
-    ``wins``, (value, alpha) or None where that raises :class:`Infeasible`
-    or :class:`MaxIterations`, or where the window is None.  ``beta`` is the
-    beta of every window, or holds one row per window that is not None.
+def _group_size(rows: int) -> int:
+    """Replicates one stacked batch of a window block takes, the block having
+    ``rows`` moment rows per replicate: as many as keep the batch within
+    4 * ``_BLOCK_VALUES`` rows, and at least one."""
+    return max(1, 4 * _BLOCK_VALUES // rows)
 
-    Every window goes through one :func:`_batch_dual`; the windows it does
-    not certify are handed to :func:`_log_ratio`, so the scalar solver
-    decides their fate.
+
+def _stacks(wins, Y, live):
+    """Stacked batches of the (replicate, window) items of one window block.
+
+    ``live`` (R, E) marks the items to take: window e of ``wins``, not None,
+    under the responses ``Y[r]``.  The replicates go :func:`_group_size` at
+    a time; for each group this yields the items' replicate and window
+    indices in replicate-major order, then their local designs, weights,
+    responses and row counts, stacked item after item.  The windows' arrays
+    are stacked once per block, one copy per replicate of a group, and a
+    group's responses come from one ``Y[:, active]``.
     """
-    out = [None] * len(wins)
-    live = [e for e, win in enumerate(wins) if win is not None]
-    if not live:
-        return out
-    counts = np.array([len(wins[e].active) for e in live])
-    values, alphas, certified = _batch_dual(
-        _stacked_moments(g, y[np.concatenate([wins[e].active for e in live])],
-                         np.concatenate([wins[e].z for e in live]), beta, counts),
-        np.concatenate([wins[e].w for e in live]), counts)
-    for k, (e, ok, value) in enumerate(zip(live, certified.tolist(), values.tolist())):
-        if ok:
-            out[e] = value, alphas[k]
-            continue
-        try:
-            out[e] = _log_ratio(wins[e], g, y, beta if beta.ndim == 1 else beta[k])
-        except (Infeasible, MaxIterations):
-            pass
-    return out
+    kept = [e for e, win in enumerate(wins) if win is not None]
+    if not kept:
+        return
+    stacked = [wins[e] for e in kept]
+    counts = np.array([len(win.active) for win in stacked])
+    active = np.concatenate([win.active for win in stacked])
+    size = min(_group_size(len(active)), len(Y))
+    z = np.concatenate([win.z for win in stacked] * size)
+    w = np.concatenate([win.w for win in stacked] * size)
+    kept = np.array(kept)
+    for at in range(0, len(Y), size):
+        mask = live[at:at + size, kept]
+        rs, es = np.nonzero(mask)
+        rows = len(mask) * len(active)
+        y = Y[at:at + size].take(active, axis=1).ravel()
+        if len(rs) == mask.size:  # every item: the stacked arrays as they are
+            yield rs + at, kept[es], z[:rows], w[:rows], y, counts[es]
+        elif len(rs):
+            take = np.repeat(mask.ravel(), np.tile(counts, len(mask)))
+            yield rs + at, kept[es], z[:rows][take], w[:rows][take], y[take], counts[es]
+
+
+def _log_ratios(wins, g, Y, beta):
+    """The value and multiplier of :func:`_log_ratio` in each window of
+    ``wins`` under each row of the responses ``Y`` (R, n): values (R, E),
+    NaN where that raises :class:`Infeasible` or :class:`MaxIterations` or
+    where the window is None, and multipliers (R, E, d).  ``beta`` is the
+    beta of every window, or holds one per replicate and window (R, E, 2p).
+
+    The items go through :func:`_batch_dual` a group of replicates at a
+    time (see :func:`_stacks`); the ones it does not certify are handed to
+    :func:`_log_ratio`, so the scalar solver decides their fate.
+    """
+    values = np.full((len(Y), len(wins)), np.nan)
+    alphas = np.zeros((len(Y), len(wins), g.k0 * beta.shape[-1]))
+    live = np.broadcast_to([win is not None for win in wins], values.shape)
+    for rs, es, z, w, y, counts in _stacks(wins, Y, live):
+        b = beta if beta.ndim == 1 else beta[rs, es]
+        value, alpha, certified = _batch_dual(_stacked_moments(g, y, z, b, counts), w, counts)
+        values[rs, es] = np.where(certified, value, np.nan)
+        alphas[rs, es] = alpha  # 0 where not certified
+        for k in np.flatnonzero(~certified).tolist():
+            r, e = rs[k], es[k]
+            try:
+                values[r, e], alphas[r, e] = _log_ratio(wins[e], g, Y[r],
+                                                        b if b.ndim == 1 else b[k])
+            except (Infeasible, MaxIterations):
+                pass
+    return values, alphas
 
 
 def _stacked_moments(g, y, z, beta, counts) -> np.ndarray:
@@ -560,8 +600,7 @@ def _batch_dual(gt, w, counts, alpha=None):
 
 def _segment_sums(rows, v, starts) -> np.ndarray:
     """Sum of rows[k] * v over each segment beginning at ``starts``, (d, E)."""
-    buf = np.empty_like(v)
-    return np.array([np.add.reduceat(np.multiply(r, v, out=buf), starts) for r in rows])
+    return np.add.reduceat(rows * v, starts, axis=1)
 
 
 def _newton_steps(gt, v, grad, starts) -> np.ndarray:
@@ -604,21 +643,25 @@ def local_logel(
 
 def _lls(win: _LocalWindow, y: np.ndarray) -> np.ndarray:
     """Local weighted least squares of y on the window's design."""
-    return _full_rank([win], _stacked_lls([win], y))[0]
+    return _full_rank([win], _stacked_lls([win], y[None])[0])[0]
 
 
-def _stacked_lls(wins, y: np.ndarray) -> np.ndarray:
-    """:func:`_lls` of each window of ``wins``, one row each, NaN where the
-    window's design is rank deficient.  Each window has its own zw'z
-    products, then one stacked SVD and solve (LAPACK per matrix)."""
+def _stacked_lls(wins, Y: np.ndarray) -> np.ndarray:
+    """:func:`_lls` of each window of ``wins`` under each row of the
+    responses ``Y`` (R, n), in an (R, E, 2p) array, NaN rows where the
+    window's design is rank deficient.  Each window has its own zw'z and
+    one SVD; each replicate has its own zw'y, a matrix-vector product as
+    one replicate alone takes it (a product of zw' with several columns of
+    Y rounds otherwise), and its own solve of each system (LAPACK per
+    matrix, one right-hand side each)."""
     zws = [win.z * win.w[:, None] for win in wins]
     gram = np.array([zw.T @ win.z for zw, win in zip(zws, wins)])
-    rhs = np.array([zw.T @ y[win.active] for zw, win in zip(zws, wins)])
+    rhs = np.array([[zw.T @ y[win.active] for zw, win in zip(zws, wins)] for y in Y])
     sv = np.linalg.svd(gram, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         singular = (sv[:, 0] <= 0) | (sv[:, -1] / sv[:, 0] < 1e-12)
     beta = np.full(rhs.shape, np.nan)
-    beta[~singular] = np.linalg.solve(gram[~singular], rhs[~singular, :, None])[:, :, 0]
+    beta[:, ~singular] = np.linalg.solve(gram[~singular], rhs[:, ~singular, :, None])[..., 0]
     return beta
 
 
@@ -641,32 +684,35 @@ def _local_linear_fitted(data: Dataset, windows) -> np.ndarray:
     with ``windows`` the window source of ``data`` (see :func:`_windows`)."""
     fitted = np.empty(data.n)
     for block, wins in windows(np.arange(data.n)):
-        beta = _full_rank(wins, _stacked_lls(_nonempty(wins, data.u[block]), data.y))
+        beta = _full_rank(wins, _stacked_lls(_nonempty(wins, data.u[block]), data.y[None])[0])
         # a stack of (1, p) @ (p, 1) products takes the dot x_i' a_i row by row
         fitted[block] = np.matmul(data.x[block, None, :], beta[:, :data.p, None])[:, 0, 0]
     return fitted
 
 
-def _lls_fits(wins, y, g) -> list:
-    """The identity-G full fit of :func:`_fit` in each window of ``wins``,
-    None where the window is None or that raises.
+def _lls_fits(wins, Y, g) -> list:
+    """The identity-G full fit of :func:`_fit` in each window of ``wins``
+    under each row of the responses ``Y``: ``fits[r][e]``, None where the
+    window is None or that raises.
 
     The LLS fits come from one :func:`_stacked_lls`, and the dual values
-    there from one :func:`_log_ratios`, which hands the windows it cannot
+    there from one :func:`_log_ratios`, which hands the items it cannot
     certify to the scalar solver as :func:`_fit` would.
     """
     live = [e for e, win in enumerate(wins) if win is not None]
     if not live:
-        return [None] * len(wins)
-    beta = np.full((len(wins), wins[live[0]].z.shape[1]), np.nan)
-    beta[live] = _stacked_lls([wins[e] for e in live], y)
-    solved = ~np.isnan(beta[:, 0])
-    duals = _log_ratios([win if ok else None for win, ok in zip(wins, solved)], g, y,
-                        beta[solved])
-    return [None if dual is None else LocalELFit(
-        u0=win.u0, beta=LocalParameter.from_vector(b), alpha=dual[1],
-        logel=win.entropy - dual[0], entropy=win.entropy, status="converged",
-        inner_iters=0, outer_iters=0) for win, b, dual in zip(wins, beta, duals)]
+        return [[None] * len(wins) for _ in Y]
+    beta = np.full((len(Y), len(wins), wins[live[0]].z.shape[1]), np.nan)
+    beta[:, live] = _stacked_lls([wins[e] for e in live], Y)
+    solved = ~np.isnan(beta[0, :, 0])  # the design alone decides: alike in every replicate
+    values, alphas = _log_ratios([win if ok else None for win, ok in zip(wins, solved)], g, Y,
+                                 beta)
+    return [[None if math.isnan(value) else LocalELFit(
+        u0=win.u0, beta=LocalParameter.from_vector(b), alpha=alpha,
+        logel=win.entropy - value, entropy=win.entropy, status="converged",
+        inner_iters=0, outer_iters=0)
+        for win, b, alpha, value in zip(wins, beta[r], alphas[r], values[r].tolist())]
+        for r in range(len(Y))]
 
 
 class _ProfileObjective:
@@ -807,7 +853,8 @@ def fit_local_constrained(
     """
     win = _window(data, kernel, h, u0)
     pin = (fixed_value, fixed_slope)
-    [fit] = _constrained_fits([win], data.y, g, [pin], fixed_idx, [init])
+    start = _stacked_lls([win], data.y[None])[0, 0] if init is None else init.vector
+    [[fit]] = _constrained_fits([win], data.y[None], g, [pin], fixed_idx, start[None, None])
     if fit is None:  # a skipped window: the BFGS fit raises the reason
         fit = _fit_constrained(win, data.y, g, *pin, fixed_idx, init)
     return fit
@@ -845,45 +892,47 @@ def _fit_constrained(win, y, g, fixed_value, fixed_slope, fixed_idx, init=None):
     return _fit(win, y, g, init, free_idx=free_idx, fixed_vec=fixed_vec)
 
 
-def _constrained_fits(wins, y, g, pins, fixed_idx, inits) -> list:
+def _constrained_fits(wins, Y, g, pins, fixed_idx, inits) -> list:
     """The constrained fit of :func:`_fit_constrained` in each window of
-    ``wins``, None where the window is None or that raises.  Window e has
-    the pins ``pins[e]``, a (fixed_value, fixed_slope) pair, and the start
-    ``inits[e]`` (None: the LLS fit).
+    ``wins`` under each row of the responses ``Y``: ``fits[r][e]``, None
+    where the window is None, its start holds a NaN or that raises.  Window
+    e has the pins ``pins[e]``, a (fixed_value, fixed_slope) pair, and
+    starts from ``inits[r, e]`` (R, E, 2p) under replicate r.
 
     For the identity G, :func:`_batch_profile` seeks the same maximizer
-    from the same start in every window at once; the windows it does not
-    certify (and those whose LLS start is singular) are handed to
-    :func:`_fit_constrained`, so every skip decision is that function's.
+    from the same start for every item at once, a group of replicates at a
+    time (see :func:`_stacks`); the items it does not certify are handed
+    to :func:`_fit_constrained`, so every skip decision is that function's.
     """
-    fits = [None] * len(wins)
-    todo = [e for e, win in enumerate(wins) if win is not None]
-    if g.kind == "identity":
-        starts = {}
-        for e in todo:
-            start, free_idx = _pin(wins[e], *pins[e], fixed_idx)
-            init = _stacked_lls([wins[e]], y)[0] if inits[e] is None else inits[e].vector
-            start[free_idx] = init[free_idx]
-            if not np.isnan(start).any():
-                starts[e] = start
-        if starts:
-            batch = _batch_profile([wins[e] for e in starts], y, g,
-                                   np.array(list(starts.values())), free_idx)
-            for e, fit in zip(starts, batch):
-                fits[e] = fit
-    for e in todo:
-        if fits[e] is None:
+    fits = [[None] * len(wins) for _ in Y]
+    live = ~np.isnan(inits).any(axis=2) & np.array([win is not None for win in wins])
+    if g.kind == "identity" and live.any():
+        pinned = [_pin(win, *pin, fixed_idx) if live[:, e].any() else None
+                  for e, (win, pin) in enumerate(zip(wins, pins))]
+        free_idx = next(free for _, free in filter(None, pinned))
+        for rs, es, z, w, y, _ in _stacks(wins, Y, live):
+            start = np.array([pinned[e][0] for e in es])
+            start[:, free_idx] = inits[rs, es][:, free_idx]
+            for r, e, fit in zip(rs, es, _batch_profile([wins[e] for e in es], z, w, y, g,
+                                                        start, free_idx)):
+                fits[r][e] = fit
+    for r, e in zip(*np.nonzero(live)):
+        if fits[r][e] is None:
             try:
-                fits[e] = _fit_constrained(wins[e], y, g, *pins[e], fixed_idx, inits[e])
+                fits[r][e] = _fit_constrained(wins[e], Y[r], g, *pins[e], fixed_idx,
+                                              LocalParameter.from_vector(inits[r, e]))
             except (Infeasible, MaxIterations, SingularDesign):
                 pass
     return fits
 
 
-def _batch_profile(wins, y, g, beta, free_idx) -> list:
+def _batch_profile(wins, z, w, yv, g, beta, free_idx) -> list:
     """Identity-G constrained profile fits of several windows at once by
     damped Newton; a LocalELFit per window, or None where it hands off.
 
+    Window e of ``wins`` owns consecutive rows of the stacked local designs
+    ``z``, weights ``w`` and responses ``yv``, as many as it has active
+    points; a window may appear more than once, under other responses.
     ``beta`` (E, 2p) holds each window's start, pinned coordinates set;
     only the coordinates ``free_idx`` move, to minimize the dual value
     f(beta) = max_alpha sum_i w_i log(1 + alpha'G_i(beta)).  Each step is
@@ -902,9 +951,6 @@ def _batch_profile(wins, y, g, beta, free_idx) -> list:
     n_win = len(wins)
     out = [None] * n_win
     counts = np.array([len(win.active) for win in wins])
-    z = np.concatenate([win.z for win in wins])
-    w = np.concatenate([win.w for win in wins])
-    yv = y[np.concatenate([win.active for win in wins])]
     live = np.arange(n_win)
     beta = beta.copy()
     f, alpha, keep = _batch_dual(_stacked_moments(g, yv, z, beta, counts), w, counts)

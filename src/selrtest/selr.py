@@ -11,6 +11,7 @@ proportional to |Omega| / h, or by a null-simulation bootstrap.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -42,7 +43,6 @@ from .local_el import (
     _nonempty,
     _require_derivative,
     _windows,
-    _WindowStore,
 )
 
 __all__ = [
@@ -234,32 +234,33 @@ def sel_entropy(data: Dataset, kernel: Kernel, h: float, omega=None) -> float:
     return sum(win.entropy for block, wins in blocks for win in _nonempty(wins, data.u[block]))
 
 
-def _full_fits(y, g, walk):
-    """Unconstrained local fit in each window of each block of ``walk``,
-    yielding (block, windows, fits) with a fit None where it fails.  Each fit
-    is warm-started from the previous window's, across blocks, falling back to
+def _full_fits(Y, g, walk):
+    """Unconstrained local fit in each window of each block of ``walk`` under
+    each row of the responses ``Y``, yielding (block, windows, fits) with
+    ``fits[r][e]`` None where the fit fails.  Each replicate's fits are
+    warm-started from its previous window's, across blocks, falling back to
     the local least-squares start when the carried parameter is infeasible.
     For the identity G the fit is the closed-form LLS fit (see
     :func:`local_el._fit`), computed by :func:`local_el._lls_fits`: no start
     matters, and a window with a singular local design is always skipped."""
-    prev = None
+    prev = [None] * len(Y)
     for block, wins in walk:
         if g.kind == "identity":
-            yield block, wins, _lls_fits(wins, y, g)
+            yield block, wins, _lls_fits(wins, Y, g)
             continue
-        fits = []
-        for win in wins:
-            fit = None
-            if win is not None:
-                for init in [prev, None] if prev is not None else [None]:
+        fits = [[None] * len(wins) for _ in Y]
+        for r, y in enumerate(Y):
+            for e, win in enumerate(wins):
+                if win is None:
+                    continue
+                for init in [prev[r], None] if prev[r] is not None else [None]:
                     try:
-                        fit = _fit(win, y, g, init)
+                        fits[r][e] = _fit(win, y, g, init)
                         break
                     except (Infeasible, MaxIterations, SingularDesign):
                         continue
-            if fit is not None:
-                prev = fit.beta
-            fits.append(fit)
+                if fits[r][e] is not None:
+                    prev[r] = fits[r][e].beta
         yield block, wins, fits
 
 
@@ -267,8 +268,8 @@ def sel_full(data: Dataset, kernel: Kernel, h: float, g: EstimatingFunction, ome
     """Sum of maximized local log-EL values over the evaluation points."""
     eval_idx = _eval_points(data, _resolve_omega(data, omega))
     walk = _walk(data, eval_idx, _windows(data, kernel, h))
-    return float(sum(f.logel for _, _, fits in _full_fits(data.y, g, walk) for f in fits
-                     if f is not None))
+    return float(sum(f.logel for _, _, fits in _full_fits(data.y[None], g, walk)
+                     for f in fits[0] if f is not None))
 
 
 def _calibration(kind, k0, p, p1, omega_len, h, kernel, retained_frac, no_est=False):
@@ -297,12 +298,12 @@ def asymptotic_pvalue(stat: float, cal: TestCalibration) -> float:
     return float(gamma_dist.sf(cal.r_K * stat, a=cal.df / 2.0, scale=2.0))
 
 
-def _assemble(kind, data, eval_idx, terms, omega, h, kernel, k0, p1=None,
+def _assemble(kind, data, eval_idx, contribs, statuses, omega, h, kernel, k0, p1=None,
               no_est=False) -> TestResult:
-    """Sum the per-point contributions into a calibrated result.
+    """Sum one replicate's per-point contributions into a calibrated result.
 
-    ``terms`` maps each evaluation point j to a (contribution, status)
-    pair; a contribution of None marks a skipped window, which also
+    ``contribs`` and ``statuses`` hold the contribution and status of each
+    evaluation point; a NaN contribution marks a skipped window, which also
     removes its share of the degrees of freedom.  Raises
     :class:`NoRetainedWindows` when every window was skipped, so a
     bootstrap counts that replicate as failed.
@@ -310,10 +311,9 @@ def _assemble(kind, data, eval_idx, terms, omega, h, kernel, k0, p1=None,
     per_point = []
     stat = 0.0
     n_skipped = n_clamped = 0
-    for j in eval_idx:
-        contrib, status = terms[j]
+    for j, contrib, status in zip(eval_idx.tolist(), contribs.tolist(), statuses):
         u0 = float(data.u[j])
-        if contrib is None:
+        if math.isnan(contrib):
             n_skipped += 1
             per_point.append({"u0": u0, "contribution": None, "status": "skipped"})
             continue
@@ -345,6 +345,34 @@ def _assemble(kind, data, eval_idx, terms, omega, h, kernel, k0, p1=None,
     )
 
 
+def _results(kind, data, eval_idx, contribs, statuses, *args, **kwargs):
+    """:func:`_assemble` of each replicate's row of ``contribs`` and
+    ``statuses`` (R, points), one replicate at a time as they are read (so
+    the B results of a bootstrap, per-point lists and all, are never alive
+    together): its result, or the NoRetainedWindows it raises."""
+    for contrib, status in zip(contribs, statuses):
+        try:
+            res = _assemble(kind, data, eval_idx, contrib, status, *args, **kwargs)
+        except NoRetainedWindows as exc:
+            res = exc.with_traceback(None)  # a traceback would keep this frame alive
+        yield res
+
+
+def _one(results) -> TestResult:
+    """The result of a single statistic; raises the error that failed it."""
+    [res] = results
+    if isinstance(res, NumericalError):
+        raise res
+    return res
+
+
+def _terms(Y, eval_idx):
+    """Per-point contributions (NaN: skipped) and statuses of R replicates,
+    (R, points) each, to fill."""
+    shape = (len(Y), len(eval_idx))
+    return np.full(shape, np.nan), np.full(shape, None, dtype=object)
+
+
 def selr_gof(
     data: Dataset,
     kernel: Kernel,
@@ -353,24 +381,28 @@ def selr_gof(
     spec: Hypothesis,
 ) -> TestResult:
     """Goodness-of-fit statistic for the estimating-equation constraints."""
-    return _gof(data, kernel, h, g, spec, _windows(data, kernel, h))
+    return _one(_gof(data, data.y[None], kernel, h, g, spec, _windows(data, kernel, h)))
 
 
-def _gof(data, kernel, h, g, spec, windows) -> TestResult:
+def _gof(data, Y, kernel, h, g, spec, windows):
     omega = _resolve_omega(data, spec.omega)
     eval_idx = _eval_points(data, omega)
-    terms = {j: (None, None) if f is None else (f.entropy - f.logel, f.status)
-             for block, _, fits in _full_fits(data.y, g, _walk(data, eval_idx, windows))
-             for j, f in zip(block, fits)}
-    res = _assemble("goodness_of_fit", data, eval_idx, terms, omega, h, kernel, g.k0,
-                    no_est=spec.no_estimated_coefficients)
-    if res.df <= 0:
-        warnings.warn(
-            "goodness-of-fit with a single constraint is degenerate (df = 0)",
-            DegenerateTestWarning,
-            stacklevel=3,
-        )
-    return res
+    contribs, statuses = _terms(Y, eval_idx)
+    for block, _, fits in _full_fits(Y, g, _walk(data, eval_idx, windows)):
+        at = np.searchsorted(eval_idx, block).tolist()
+        for r, row in enumerate(fits):
+            for k, f in zip(at, row):
+                if f is not None:
+                    contribs[r, k], statuses[r, k] = f.entropy - f.logel, f.status
+    for res in _results("goodness_of_fit", data, eval_idx, contribs, statuses, omega, h,
+                        kernel, g.k0, no_est=spec.no_estimated_coefficients):
+        if isinstance(res, TestResult) and res.df <= 0:
+            warnings.warn(
+                "goodness-of-fit with a single constraint is degenerate (df = 0)",
+                DegenerateTestWarning,
+                stacklevel=3,
+            )
+        yield res
 
 
 def _coef_sum(data: Dataset, fns: Sequence[CoefFn], cols) -> np.ndarray:
@@ -379,13 +411,6 @@ def _coef_sum(data: Dataset, fns: Sequence[CoefFn], cols) -> np.ndarray:
     for fn, k in zip(fns, cols, strict=True):
         total += np.asarray(fn.value(data.u), dtype=float) * data.x[:, k]
     return total
-
-
-def _transform_simple(data: Dataset, a0: Sequence[CoefFn]) -> Dataset:
-    """Shift the response so the simple null becomes `all coefficients zero`."""
-    if len(a0) != data.p:
-        raise ConfigError(f"a0 must supply {data.p} coefficient functions")
-    return Dataset(data.u, data.x, data.y - _coef_sum(data, a0, range(data.p)))
 
 
 def selr_simple(
@@ -409,28 +434,33 @@ def selr_simple(
     """
     if spec.a0 is None:  # a hypothesis of another kind
         raise ConfigError("simple_null needs coefficient functions a0")
-    return _simple(data, kernel, h, g, spec, include_full_term, _windows(data, kernel, h))
+    return _one(_simple(data, data.y[None], kernel, h, g, spec, include_full_term,
+                        _windows(data, kernel, h)))
 
 
-def _simple(data, kernel, h, g, spec, include_full_term, windows) -> TestResult:
-    # the shift changes y only, so the windows of data are those of star
-    star = _transform_simple(data, spec.a0)
-    omega = _resolve_omega(star, spec.omega)
-    eval_idx = _eval_points(star, omega)
+def _simple(data, Y, kernel, h, g, spec, include_full_term, windows):
+    if len(spec.a0) != data.p:
+        raise ConfigError(f"a0 must supply {data.p} coefficient functions")
+    # shift the responses so the null becomes `all coefficients zero`; the
+    # shift changes y only, so the windows stay those of data
+    Y = Y - _coef_sum(data, spec.a0, range(data.p))
+    omega = _resolve_omega(data, spec.omega)
+    eval_idx = _eval_points(data, omega)
     if include_full_term is None:
         include_full_term = g.k0 > 1
-    walk = _walk(star, eval_idx, windows)
-    rows = _full_fits(star.y, g, walk) if include_full_term else (
-        (block, wins, [None] * len(wins)) for block, wins in walk)
-    terms = {}
-    full = 0.0  # the omitted unconstrained-fit term
+    walk = _walk(data, eval_idx, windows)
+    rows = _full_fits(Y, g, walk) if include_full_term else (
+        (block, wins, None) for block, wins in walk)
+    contribs = np.full((len(Y), len(eval_idx)), np.nan)
     for block, wins, fits in rows:
-        nulls = _log_ratios(wins, g, star.y, np.zeros(2 * star.p))
-        for j, fit, null in zip(block, fits, nulls):
-            if include_full_term:
-                full = None if fit is None else fit.entropy - fit.logel
-            terms[j] = (None if null is None or full is None else null[0] - full, "converged")
-    return _assemble("simple_null", star, eval_idx, terms, omega, h, kernel, g.k0)
+        terms, _ = _log_ratios(wins, g, Y, np.zeros(2 * data.p))
+        if fits is not None:  # less the unconstrained-fit term
+            terms -= [[math.nan if f is None else f.entropy - f.logel for f in row]
+                      for row in fits]
+        contribs[:, np.searchsorted(eval_idx, block)] = terms
+    statuses = np.broadcast_to(np.array("converged", dtype=object), contribs.shape)
+    return _results("simple_null", data, eval_idx, contribs, statuses, omega, h, kernel,
+                    g.k0)
 
 
 def selr_composite(
@@ -441,10 +471,10 @@ def selr_composite(
     spec: Hypothesis,
 ) -> TestResult:
     """Likelihood-ratio statistic against a composite null pinning A1 = A10."""
-    return _composite(data, kernel, h, g, spec, _windows(data, kernel, h))
+    return _one(_composite(data, data.y[None], kernel, h, g, spec, _windows(data, kernel, h)))
 
 
-def _composite(data, kernel, h, g, spec, windows) -> TestResult:
+def _composite(data, Y, kernel, h, g, spec, windows):
     if spec.a10 is None or spec.fixed_idx is None:
         raise ConfigError("composite_null needs a10 and fixed_idx")
     omega = _resolve_omega(data, spec.omega)
@@ -453,17 +483,21 @@ def _composite(data, kernel, h, g, spec, windows) -> TestResult:
     if not 1 <= p1 < data.p:
         raise ConfigError("composite null needs 1 <= p1 < p pinned coefficients")
     eval_idx = _eval_points(data, omega)
-    terms = {}
-    for block, wins, fulls in _full_fits(data.y, g, _walk(data, eval_idx, windows)):
-        # a window whose full fit failed is skipped, so it gets no constrained fit
-        wins = [None if full is None else win for win, full in zip(wins, fulls)]
+    contribs, statuses = _terms(Y, eval_idx)
+    for block, wins, fulls in _full_fits(Y, g, _walk(data, eval_idx, windows)):
         pins = [(np.array([fn.value(data.u[[j]])[0] for fn in spec.a10]),
                  np.array([fn.deriv(data.u[[j]])[0] for fn in spec.a10])) for j in block]
-        inits = [None if full is None else full.beta for full in fulls]
-        for j, full, fit in zip(block, fulls, _constrained_fits(
-                wins, data.y, g, pins, fixed_idx, inits)):
-            terms[j] = (None, None) if fit is None else (full.logel - fit.logel, fit.status)
-    return _assemble("composite_null", data, eval_idx, terms, omega, h, kernel, g.k0, p1=p1)
+        # a window whose full fit failed is skipped: its NaN start gets no constrained fit
+        inits = np.array([[np.full(2 * data.p, np.nan) if full is None else full.beta.vector
+                           for full in row] for row in fulls])
+        fits = _constrained_fits(wins, Y, g, pins, fixed_idx, inits)
+        at = np.searchsorted(eval_idx, block).tolist()
+        for r in range(len(Y)):
+            for k, full, fit in zip(at, fulls[r], fits[r]):
+                if fit is not None:
+                    contribs[r, k], statuses[r, k] = full.logel - fit.logel, fit.status
+    return _results("composite_null", data, eval_idx, contribs, statuses, omega, h, kernel,
+                    g.k0, p1=p1)
 
 
 def bias_correct(
@@ -510,23 +544,59 @@ def selr_test(
 
 def _statistic(data, kernel, h, g, spec, include_full_term=None, *, windows):
     """:func:`selr_test` with ``windows`` the window source of ``data``, so a
-    replicate loop can pass the windows of its fixed design."""
+    caller can pass windows it keeps."""
+    return _one(_statistics(data, data.y[None], kernel, h, g, spec, include_full_term,
+                            windows=windows))
+
+
+def _statistics(data, Y, kernel, h, g, spec, include_full_term=None, *, windows):
+    """:func:`selr_test` on the datasets (u, x, Y[r]) of the rows of the
+    responses ``Y`` (R, n), with ``windows`` the window source of ``data``:
+    an iterator over the replicates of each one's result, or of the
+    NumericalError that fails it.  One walk over the windows serves every
+    replicate."""
     full_term = g.k0 > 1 if include_full_term is None else include_full_term
     if spec.kind in ("goodness_of_fit", "composite_null") or full_term:
         _require_derivative(g)  # before any window is built
     if spec.kind == "goodness_of_fit":
-        return _gof(data, kernel, h, g, spec, windows)
+        return _gof(data, Y, kernel, h, g, spec, windows)
     if spec.kind == "simple_null":
-        return _simple(data, kernel, h, g, spec, include_full_term, windows)
+        return _simple(data, Y, kernel, h, g, spec, include_full_term, windows)
     if spec.kind == "composite_null":
-        return _composite(data, kernel, h, g, spec, windows)
+        return _composite(data, Y, kernel, h, g, spec, windows)
     if spec.kind == "parametric_null":
-        _, star = bias_correct(data, spec.family, spec.theta_init)
-        zero_spec = Hypothesis.simple([zero_coef()] * star.p, omega=spec.omega)
-        res = _simple(star, kernel, h, g, zero_spec, include_full_term, windows)
-        res.hypothesis = "parametric_null"
-        return res
+        return _parametric(data, Y, kernel, h, g, spec, include_full_term, windows)
     raise ConfigError(f"unknown hypothesis kind {spec.kind!r}")
+
+
+def _parametric(data, Y, kernel, h, g, spec, include_full_term, windows):
+    """Each replicate's parametric-null statistic: the bias correction, then
+    the simple zero null of the corrected responses; a failed correction
+    fails its replicate alone."""
+    stars, failed = [], {}
+    for r, y in enumerate(Y):
+        try:
+            stars.append(bias_correct(Dataset(data.u, data.x, y), spec.family,
+                                      spec.theta_init)[1].y)
+        except NumericalError as exc:
+            failed[r] = exc.with_traceback(None)
+    zero_spec = Hypothesis.simple([zero_coef()] * data.p, omega=spec.omega)
+    simple = _simple(data, np.array(stars), kernel, h, g, zero_spec, include_full_term,
+                     windows) if stars else iter(())
+    for r in range(len(Y)):
+        if r in failed:
+            yield failed[r]
+            continue
+        res = next(simple)
+        if isinstance(res, TestResult):
+            res.hypothesis = "parametric_null"
+        yield res
+
+
+def _sample(results, value) -> np.ndarray:
+    """``value(result)`` of each replicate's result, NaN where it failed."""
+    return np.array([math.nan if isinstance(res, NumericalError) else value(res)
+                     for res in results])
 
 
 # ---------------------------------------------------------------------------
@@ -580,24 +650,22 @@ def _replicate_errors(resid, sigma2, scheme, gen):
     raise ConfigError(f"unknown bootstrap scheme {scheme!r}")
 
 
-def _bootstrap(data, kernel, h, spec, B, scheme, seed, statistic, observed, windows):
-    """Null sample of ``statistic`` over B replicates, and its p-value.
+def _bootstrap(data, kernel, h, spec, B, scheme, seed, statistics, observed, windows):
+    """Null sample of B replicates and its p-value.
 
     Replicate b draws its errors from the stream keyed by (seed, b), so the
-    sample does not depend on how replicates are scheduled.  ``windows``
-    gives the windows of ``data`` at bandwidth h, for the null fit and the
-    variance smoother.
+    sample does not depend on how replicates are scheduled.  All B response
+    vectors are drawn first; ``statistics`` maps them, (B, n), to the B
+    statistics, NaN where a replicate failed.  ``windows`` gives the windows
+    of ``data`` at bandwidth h, for the null fit and the variance smoother.
     """
     m = _null_fitted_values(data, kernel, h, spec, windows)
     resid = data.y - m
     sigma2 = _sigma2_hat(data, resid, windows) if scheme == "gaussian" else None
-    sample = []
-    for b in range(B):
-        errs = _replicate_errors(resid, sigma2, scheme, streams.substream(seed, b))
-        try:
-            sample.append(statistic(Dataset(data.u, data.x, m + errs)))
-        except NumericalError:
-            pass
+    Y = np.array([m + _replicate_errors(resid, sigma2, scheme, streams.substream(seed, b))
+                  for b in range(B)])
+    sample = statistics(Y)
+    sample = sample[~np.isnan(sample)]
     failures = B - len(sample)
     if failures > 0.05 * B:
         warnings.warn(
@@ -605,9 +673,8 @@ def _bootstrap(data, kernel, h, spec, B, scheme, seed, statistic, observed, wind
             ReplicateFailureWarning,
             stacklevel=3,
         )
-    if not sample:
+    if not len(sample):
         raise NumericalError("all bootstrap replicates failed")
-    sample = np.asarray(sample)
     return sample, (1 + int(np.sum(sample >= observed))) / (len(sample) + 1)
 
 
@@ -629,20 +696,21 @@ def bootstrap_null(
     plus errors drawn per ``scheme``; p = (1 + #{replicate >= observed})
     / (#successes + 1).  Replicates raising :class:`NumericalError` are
     dropped: more than 5% of them warns with
-    :class:`ReplicateFailureWarning`, and all of them raises.
+    :class:`ReplicateFailureWarning`, and all of them raises.  The
+    replicates share u and x, so one walk over the design's windows
+    computes all B statistics.
     """
     if B < 1:
         raise ConfigError("need at least one bootstrap replicate")
-    # replicates share u and x, so they reuse the windows the store keeps
-    windows = _WindowStore(data, kernel).at(h)
-
-    def statistic(dset):
-        return _statistic(dset, kernel, h, g, spec, include_full_term=include_full_term,
-                          windows=windows).statistic
-
+    windows = _windows(data, kernel, h)
     if observed is None:
-        observed = statistic(data)
-    return _bootstrap(data, kernel, h, spec, B, scheme, seed, statistic, observed, windows)
+        observed = _statistic(data, kernel, h, g, spec, include_full_term,
+                              windows=windows).statistic
+    return _bootstrap(
+        data, kernel, h, spec, B, scheme, seed,
+        lambda Y: _sample(_statistics(data, Y, kernel, h, g, spec, include_full_term,
+                                      windows=windows), lambda res: res.statistic),
+        observed, windows)
 
 
 @dataclass(frozen=True)
@@ -665,28 +733,29 @@ def select_bandwidth(
 ) -> BandwidthSelection:
     """Multi-scale test: maximize the standardized statistic over a
     bandwidth grid; optional joint bootstrap calibration of the maximum,
-    with replicates drawn and failures handled as in :func:`bootstrap_null`."""
+    with replicates drawn and failures handled as in :func:`bootstrap_null`
+    and one walk over the windows per grid bandwidth."""
     h_grid = [float(h) for h in h_grid]
     if not h_grid:
         raise ConfigError("bandwidth grid is empty")
 
-    def standardized(dset, h, windows):
-        res = _statistic(dset, kernel, h, g, spec, windows=windows)
+    def standardized(res):
         if res.df <= 0:
             raise ConfigError("bandwidth selection needs positive df")
         return (res.r_K * res.statistic - res.df) / np.sqrt(2.0 * res.df)
 
-    per_h = {h: standardized(data, h, _windows(data, kernel, h)) for h in h_grid}
+    per_h = {h: standardized(_statistic(data, kernel, h, g, spec,
+                                        windows=_windows(data, kernel, h))) for h in h_grid}
     h_hat = max(per_h, key=per_h.get)
     observed = per_h[h_hat]
 
     p_boot = None
     if B > 0:
-        # replicates share u and x, so they reuse the windows the store keeps
-        windows = _WindowStore(data, kernel)
-        _, p_boot = _bootstrap(
-            data, kernel, min(h_grid), spec, B, scheme, seed,
-            lambda rep: max(standardized(rep, h, windows.at(h)) for h in h_grid), observed,
-            windows.at(min(h_grid)),
-        )
+        def maxima(Y):  # NaN where a replicate fails at any bandwidth
+            return np.max([_sample(_statistics(data, Y, kernel, h, g, spec,
+                                               windows=_windows(data, kernel, h)), standardized)
+                           for h in h_grid], axis=0)
+
+        _, p_boot = _bootstrap(data, kernel, min(h_grid), spec, B, scheme, seed, maxima,
+                               observed, _windows(data, kernel, min(h_grid)))
     return BandwidthSelection(h=h_hat, statistic=observed, per_h=per_h, p_bootstrap=p_boot)

@@ -109,6 +109,27 @@ def test_exit_codes(tmp_path, csv_path):
     assert main(["test", "--input", csv_path, "--h", "0.4", "--g", "wavelet"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["bandwidth", "--input", "{csv}", "--grid", "0.3,abc"],
+    ["simulate", "--power", "--n", "40", "--reps", "2", "--seed", "1", "--r-grid", "0,abc"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--null", "const:1,abc"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--fix", "1=abc"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--fix", "a=1"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--bootstrap", "-2"],
+    ["bandwidth", "--input", "{csv}", "--grid", "0.3,0.45", "--bootstrap", "-2"],
+])
+def test_bad_number_in_a_flag_is_a_config_error(csv_path, tmp_path, capsys, argv):
+    # a non-number in a list-valued flag, or a negative replicate count, is
+    # refused (exit 2) with no traceback and no report
+    report = tmp_path / "r.json"
+    code = main([a.format(csv=csv_path) for a in argv] + ["--output", str(report)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: ")
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
 def test_hard_indicator_gof_refused_up_front(csv_path_p2, capsys):
     # the profile fit needs a derivative: a configuration error (exit 2)
     code = main(["test", "--input", csv_path_p2, "--h", "0.3", "--gof",

@@ -42,6 +42,7 @@ from selrtest.local_el import (
     _log_ratios,
     _moments,
     _ProfileObjective,
+    _segment_sums,
     _window,
 )
 
@@ -220,8 +221,8 @@ def scalar_log_ratio(win, g, y, beta):
 
 def assert_batch_matches_scalar(wins, g, y, beta, size=6):
     # in batches of ``size`` windows, as a walk hands a block to the batch
-    got = [None if res is None else res[0] for at in range(0, len(wins), size)
-           for res in _log_ratios(wins[at:at + size], g, y, beta)]
+    got = [None if np.isnan(v) else v for at in range(0, len(wins), size)
+           for v in _log_ratios(wins[at:at + size], g, y[None], beta)[0][0].tolist()]
     want = [scalar_log_ratio(win, g, y, beta) for win in wins]
     assert [v is None for v in got] == [v is None for v in want]
     for a, b in zip(got, want):
@@ -246,6 +247,19 @@ def test_log_ratios_match_scalar_solver(rng, p, spec):
             skipped += sum(v is None for v in got)
             solved += sum(v is not None for v in got)
     assert skipped > 0 and solved > 0
+
+
+def test_segment_sums_equal_one_reduceat_per_row(rng):
+    """The segment sums of all rows in one reduceat along the rows' axis are
+    bit for bit those of one 1-d reduceat per row."""
+    for _ in range(200):
+        d, n_seg = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+        counts = rng.integers(1, 301, n_seg)
+        starts = np.cumsum(counts) - counts
+        rows = rng.normal(size=(d, counts.sum())) * 10.0 ** rng.integers(-3, 4)
+        v = rng.random(counts.sum())
+        want = np.array([np.add.reduceat(row * v, starts) for row in rows])
+        assert np.array_equal(_segment_sums(rows, v, starts), want)
 
 
 def hand_window(start, t, w):
@@ -295,8 +309,8 @@ def test_log_ratios_edge_windows():
     assert got[2] is not None and got[2] > 0
     assert got[3] is None  # MaxIterations
     assert got[4] is not None and got[4] > 0
-    one_batch = [None if res is None else res[0]
-                 for res in _log_ratios(wins, g, y, np.zeros(2))]
+    one_batch = [None if np.isnan(v) else v
+                 for v in _log_ratios(wins, g, y[None], np.zeros(2))[0][0].tolist()]
     assert one_batch[:5] == got and one_batch[5] is None
 
 
@@ -599,8 +613,9 @@ def test_constrained_batch_matches_bfgs(monkeypatch, rng, p, fixed_idx):
             items.append((win, (fixed_value, slopes[fixed_idx]), init))
         for at in range(0, len(items), 4):  # in batches of four windows
             wins, pins, inits = zip(*items[at:at + 4])
+            starts = np.array([[init.vector for init in inits]])
             for win, pin, init, fit in zip(wins, pins, inits, _constrained_fits(
-                    wins, data.y, g, pins, fixed_idx, inits)):
+                    wins, data.y[None], g, pins, fixed_idx, starts)[0]):
                 want = bfgs_constrained(win, data.y, g, *pin, fixed_idx, init)
                 if id(win) not in handed:
                     certified += 1
@@ -631,7 +646,8 @@ def test_constrained_batch_edge_windows(monkeypatch, rng):
     init = LocalParameter.from_vector(_lls(win, data.y))
     # with a2 pinned at 50 every moment r_i x2_i is negative: 0 is outside
     # the hull at the start, and BFGS skips the window
-    assert _constrained_fits([win], data.y, g, [([50.0], [0.0])], [1], [init]) == [None]
+    start = init.vector[None, None]
+    assert _constrained_fits([win], data.y[None], g, [([50.0], [0.0])], [1], start) == [[None]]
     assert id(win) in handed
     with pytest.raises(Infeasible):
         fit_local_constrained(data, TRIWEIGHT, 0.4, 0.5, g, [50.0], [0.0], [1], init)
@@ -646,16 +662,19 @@ def test_constrained_batch_edge_windows(monkeypatch, rng):
     init = LocalParameter([0.1, 0.2], [0.0, 0.0])
     for fixed_idx in ([0], [1]):
         handed.clear()
-        [fit] = _constrained_fits([win], singular.y, g, [([0.0], [0.0])], fixed_idx, [init])
+        [[fit]] = _constrained_fits([win], singular.y[None], g, [([0.0], [0.0])], fixed_idx,
+                                    init.vector[None, None])
         assert handed == {id(win)}
         want = _fit_constrained(win, singular.y, g, [0.0], [0.0], fixed_idx, init)
         got = fit_local_constrained(singular, TRIWEIGHT, 0.08, 0.5, g, [0.0], [0.0],
                                     fixed_idx, init)
         assert fit.logel == got.logel == want.logel
         assert fit.status == got.status == want.status
-    # without a start the LLS start is singular, so no batch runs: BFGS raises
+    # without a start the LLS start is singular (NaN), so no fit runs: BFGS raises
     handed.clear()
-    assert _constrained_fits([win], singular.y, g, [([0.0], [0.0])], [1], [None]) == [None]
+    start = local_el._stacked_lls([win], singular.y[None])[:1]
+    assert np.isnan(start).all()
+    assert _constrained_fits([win], singular.y[None], g, [([0.0], [0.0])], [1], start) == [[None]]
     assert not handed
     with pytest.raises(SingularDesign):
         fit_local_constrained(singular, TRIWEIGHT, 0.08, 0.5, g, [0.0], [0.0], [1])
@@ -668,7 +687,8 @@ def test_constrained_batch_edge_windows(monkeypatch, rng):
     win = _window(data, TRIWEIGHT, 0.3, u0)
     init = LocalParameter.from_vector(_lls(win, data.y))
     handed.clear()
-    [fit] = _constrained_fits([win], data.y, g, [([0.0], [0.0])], [1], [init])
+    [[fit]] = _constrained_fits([win], data.y[None], g, [([0.0], [0.0])], [1],
+                                init.vector[None, None])
     assert handed == {id(win)}
     want = _fit_constrained(win, data.y, g, [0.0], [0.0], [1], init)
     resid = data.y[win.active] - win.z @ want.beta.vector

@@ -191,7 +191,7 @@ def test_stacked_lls_and_smoothers_equal_one_window_solves(case):
     solved = [(win, beta) for win, beta in fits if not np.isnan(beta).any()]
     if fits:
         # a rank-deficient design gives a NaN row and leaves the others as they are
-        np.testing.assert_array_equal(_stacked_lls([win for win, _ in fits], data.y),
+        np.testing.assert_array_equal(_stacked_lls([win for win, _ in fits], data.y[None])[0],
                                       np.array([beta for _, beta in fits]))
     # the smoother and the variance estimate, through blocks of the budget
     with warnings.catch_warnings(), mock.patch.object(local_el, "_BLOCK_VALUES", budget):

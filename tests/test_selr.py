@@ -33,7 +33,7 @@ from selrtest import (
     selr_test,
     zero_coef,
 )
-from selrtest import local_el, selr
+from selrtest import local_el, selr, streams
 from selrtest.errors import (
     DegenerateTestWarning,
     DerivativeUnavailable,
@@ -139,8 +139,8 @@ def test_identity_full_fit_skips_singular_local_design(rng):
     n, x2 = data.n, data.x[:, 1]
     h = 0.08
     walk = selr._walk(data, np.arange(n), selr._windows(data, TRIWEIGHT, h))
-    rows = [(win, fit) for _, wins, fits in selr._full_fits(data.y, make_identity(), walk)
-            for win, fit in zip(wins, fits)]
+    rows = [(win, fit) for _, wins, fits in selr._full_fits(data.y[None], make_identity(), walk)
+            for win, fit in zip(wins, fits[0])]
     singular = [fit for win, fit in rows if not np.any(x2[win.active])]
     assert len(singular) >= 5
     assert all(fit is None for fit in singular)
@@ -158,14 +158,14 @@ def test_identity_full_fits_solve_each_window_once(monkeypatch, rng):
     calls = Counter()
     stacked_lls = local_el._stacked_lls
 
-    def counting_lls(wins, y):
+    def counting_lls(wins, Y):
         calls.update(win.u0 for win in wins)
-        return stacked_lls(wins, y)
+        return stacked_lls(wins, Y)
 
     monkeypatch.setattr(local_el, "_stacked_lls", counting_lls)
     walk = selr._walk(data, np.arange(data.n), selr._windows(data, TRIWEIGHT, 0.08))
-    fits = [fit for _, _, block_fits in selr._full_fits(data.y, make_identity(), walk)
-            for fit in block_fits]
+    fits = [fit for _, _, block_fits in selr._full_fits(data.y[None], make_identity(), walk)
+            for fit in block_fits[0]]
     assert sum(fit is None for fit in fits) >= 5
     assert sum(calls.values()) == data.n == len(calls)
 
@@ -400,8 +400,8 @@ def test_composite_reports_the_constrained_fit(monkeypatch, rng):
     batch = local_el._batch_profile
     handed = set()
 
-    def halved_batch(wins, y, g, beta, free_idx):
-        fits = batch(wins, y, g, beta, free_idx)
+    def halved_batch(wins, *args):
+        fits = batch(wins, *args)
         for e, win in enumerate(wins):
             if e % 2:
                 fits[e] = None
@@ -632,33 +632,38 @@ def test_bootstrap_schemes_run(rng):
 
 
 def test_bootstrap_builds_each_window_once(monkeypatch, rng):
-    """Replicates share u and x, so one bootstrap_null call builds the window
-    at each (design, centre) once rather than once per replicate."""
+    """Replicates share u and x, so one bootstrap_null call walks the design's
+    windows once for the observed statistic, once for the variance smoother
+    and once for all B replicates: each centre is built three times,
+    whatever B."""
     data = small_dataset(rng, n=60)
     built = count_windows(monkeypatch,
                           lambda dset, h, u0: (dset.u.tobytes(), dset.x.tobytes(), u0))
     spec = Hypothesis.simple([zero_coef()])
-    sample, _ = bootstrap_null(data, TRIWEIGHT, 0.4, make_identity(), spec, B=5,
-                               scheme="gaussian", include_full_term=True)
-    assert len(sample) == 5
-    assert len(built) == data.n
-    assert max(built.values()) == 1
+    for B in (5, 12):
+        built.clear()
+        sample, _ = bootstrap_null(data, TRIWEIGHT, 0.4, make_identity(), spec, B=B,
+                                   scheme="gaussian", include_full_term=True)
+        assert len(sample) == B
+        assert len(built) == data.n
+        assert set(built.values()) == {3}
 
 
 def test_bootstrap_rebuilds_windows_past_the_cap(monkeypatch, rng):
-    """Past the kept-bytes cap the remaining windows are rebuilt on every
-    use, and the bootstrap sample stays the same."""
+    """The bootstrap keeps no window past its walk, so no cap on kept bytes
+    applies: with one window per block and one replicate per stacked batch,
+    each walk still builds each centre once, and the sample stays the same."""
     data = small_dataset(rng, n=60)
     spec = Hypothesis.simple([zero_coef()])
     args = (data, TRIWEIGHT, 0.4, make_identity(), spec)
-    kept_all, _ = bootstrap_null(*args, B=5, include_full_term=True)
+    blocked, _ = bootstrap_null(*args, B=5, include_full_term=True)
     built = count_windows(monkeypatch)
-    monkeypatch.setattr(local_el, "_KEEP_BYTES", 10_000)
+    monkeypatch.setattr(local_el, "_BLOCK_VALUES", 1)
+    monkeypatch.setattr(local_el, "_group_size", lambda rows: 1)
     sample, _ = bootstrap_null(*args, B=5, include_full_term=True)
-    np.testing.assert_array_equal(sample, kept_all)
-    # observed statistic, variance smoother and 5 replicates: 7 uses a centre
-    assert set(built.values()) == {1, 7}
-    assert 0 < sum(c == 1 for c in built.values()) < data.n
+    np.testing.assert_array_equal(sample, blocked)
+    assert len(built) == data.n
+    assert set(built.values()) == {3}
 
 
 def test_store_counts_the_bytes_it_keeps_alive(monkeypatch, rng):
@@ -696,13 +701,109 @@ def test_bootstrap_counts_all_skipped_replicates_as_failed(monkeypatch, rng):
     assert np.all(sample > 0)
 
 
+def bootstrap_replicates(data, h, spec, B, scheme="gaussian", seed=0):
+    """The datasets of bootstrap_null's B replicates, drawn as it draws them."""
+    windows = selr._windows(data, TRIWEIGHT, h)
+    m = selr._null_fitted_values(data, TRIWEIGHT, h, spec, windows)
+    resid = data.y - m
+    sigma2 = selr._sigma2_hat(data, resid, windows) if scheme == "gaussian" else None
+    return [Dataset(data.u, data.x, m + selr._replicate_errors(
+        resid, sigma2, scheme, streams.substream(seed, b))) for b in range(B)]
+
+
+def far_above_null(monkeypatch, B, which):
+    """Make replicate ``which`` of each run of B draws put every response far
+    above the null, so that a simple null skips all its windows."""
+    draw = selr._replicate_errors
+    drawn = []
+
+    def errors(resid, sigma2, scheme, gen):
+        errs = draw(resid, sigma2, scheme, gen)
+        drawn.append(errs)
+        return np.abs(errs) + 10.0 if (len(drawn) - 1) % B == which else errs
+
+    monkeypatch.setattr(selr, "_replicate_errors", errors)
+
+
+# kind: (p, hypothesis, include_full_term, G, whether a replicate far above
+# the null skips every window); the goodness-of-fit and composite full fits
+# absorb the shift, so no replicate of theirs skips every window
+REPLICATE_KINDS = {
+    "simple": (1, Hypothesis.simple([zero_coef()]), None, make_identity(), True),
+    "simple_full": (2, Hypothesis.simple([zero_coef()] * 2), True, make_identity(), True),
+    "gof_identity": (2, Hypothesis.goodness_of_fit(), None, make_identity(), False),
+    "gof_smoothed": (2, Hypothesis.goodness_of_fit(), None, G2, False),
+    "composite": (2, Hypothesis.composite([const_coef(0.5)], [1]), None, make_identity(),
+                  False),
+    # a bounded null family: its fit cannot absorb the shift either
+    "parametric": (1, Hypothesis.parametric(ParametricFamily(
+        lambda u, th: 0.1 * np.sin(th[0]) + 0.0 * u, 1), [0.0]), None, make_identity(), True),
+}
+
+
+@pytest.mark.filterwarnings("ignore::selrtest.errors.DegenerateTestWarning")  # identity GOF
+@pytest.mark.filterwarnings("ignore::selrtest.errors.ReplicateFailureWarning")
+@pytest.mark.parametrize("kind", list(REPLICATE_KINDS))
+def test_bootstrap_sample_is_each_replicates_statistic(monkeypatch, rng, kind):
+    """The replicate axis changes no statistic: bootstrap_null's sample is,
+    bit for bit, the statistic of each replicate's own dataset.  Replicates
+    are stacked four to a batch, so one batch is partial, and a replicate
+    whose windows are all skipped fails alone."""
+    p, spec, full, g, skips = REPLICATE_KINDS[kind]
+    data = small_dataset(rng, n=40, p=p, hetero=1.0)
+    B, h = 6, 0.4
+    far_above_null(monkeypatch, B, 2)
+    monkeypatch.setattr(local_el, "_group_size", lambda rows: 4)
+    sample, _ = bootstrap_null(data, TRIWEIGHT, h, g, spec, B=B, include_full_term=full,
+                               observed=0.0)
+    want, failed = [], []
+    for b, rep in enumerate(bootstrap_replicates(data, h, spec, B)):
+        try:
+            want.append(selr_test(rep, TRIWEIGHT, h, g, spec, include_full_term=full).statistic)
+        except NumericalError:
+            failed.append(b)
+    assert sample.tolist() == want
+    assert failed == ([2] if skips else [])
+
+
+@pytest.mark.filterwarnings("ignore::selrtest.errors.ReplicateFailureWarning")
+def test_select_bandwidth_sample_is_each_replicates_maximum(monkeypatch, rng):
+    """The calibration sample of select_bandwidth is, bit for bit, the
+    maximum over the grid of each replicate's own standardized statistic,
+    and a replicate whose windows are all skipped fails alone."""
+    data = small_dataset(rng, n=50, hetero=1.0)
+    spec = Hypothesis.simple([zero_coef()])
+    grid, B = [0.3, 0.45], 6
+    far_above_null(monkeypatch, B, 2)
+    monkeypatch.setattr(local_el, "_group_size", lambda rows: 4)
+    samples = []
+    bootstrap = selr._bootstrap
+
+    def recording(*args):
+        sample, p = bootstrap(*args)
+        samples.append(sample)
+        return sample, p
+
+    monkeypatch.setattr(selr, "_bootstrap", recording)
+    select_bandwidth(data, TRIWEIGHT, make_identity(), spec, grid, B=B)
+    want = []
+    for b, rep in enumerate(bootstrap_replicates(data, min(grid), spec, B)):
+        if b == 2:
+            with pytest.raises(NumericalError):
+                select_bandwidth(rep, TRIWEIGHT, make_identity(), spec, grid)
+            continue
+        want.append(select_bandwidth(rep, TRIWEIGHT, make_identity(), spec, grid).statistic)
+    assert samples[0].tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # bandwidth selection
 
 
 def test_select_bandwidth_builds_replicate_windows_once(monkeypatch, rng):
     """The observed statistics build each (h, centre) window once, and the
-    replicates share one more build of it."""
+    replicates one more walk per grid bandwidth; the variance smoother walks
+    the smallest bandwidth once more."""
     data = small_dataset(rng, n=50)
     built = count_windows(monkeypatch, lambda dset, h, u0: (h, u0))
     spec = Hypothesis.simple([zero_coef()])
@@ -713,7 +814,8 @@ def test_select_bandwidth_builds_replicate_windows_once(monkeypatch, rng):
     sel = select_bandwidth(data, TRIWEIGHT, make_identity(), spec, [0.3, 0.45], B=4)
     assert sel.p_bootstrap is not None
     assert len(built) == 2 * data.n
-    assert set(built.values()) == {2}
+    assert {h: {c for (hh, _), c in built.items() if hh == h} for h in (0.3, 0.45)} == {
+        0.3: {3}, 0.45: {2}}
 
 
 def test_select_bandwidth_single_grid(rng):
@@ -743,22 +845,22 @@ def test_select_bandwidth_argmax_matches_direct(rng):
 @pytest.mark.parametrize("method", ["bootstrap_null", "select_bandwidth"])
 def test_replicate_failures(monkeypatch, rng, method, n_fail):
     """Both bootstrap loops drop failed replicates, warn above 5% failures
-    and raise when all B fail; the replicate statistic is faked to fail on
-    the first ``n_fail`` replicates."""
+    and raise when all B fail; the replicate statistics are faked, all B of
+    a walk at once, to fail on the first ``n_fail`` replicates."""
     data = small_dataset(rng, n=30)
     spec = Hypothesis.simple([zero_coef()])
     B = 20
-    replicates = []
+    walks = []
 
-    def fake_statistic(dset, kernel, h, g, spec, **kwargs):
-        if dset is not data:
-            if not replicates or replicates[-1] is not dset:
-                replicates.append(dset)
-            if len(replicates) <= n_fail:
-                raise Infeasible("forced replicate failure")
-        return SimpleNamespace(statistic=float(dset.y @ dset.y), r_K=1.0, df=2.0)
+    def fake_statistics(dset, Y, kernel, h, g, spec, include_full_term=None, **kwargs):
+        if len(Y) == B:  # a replicate walk, not the observed statistic
+            walks.append(len(Y))
+            return [Infeasible("forced replicate failure") if r < n_fail else
+                    SimpleNamespace(statistic=float(y @ y), r_K=1.0, df=2.0)
+                    for r, y in enumerate(Y)]
+        return [SimpleNamespace(statistic=float(y @ y), r_K=1.0, df=2.0) for y in Y]
 
-    monkeypatch.setattr(selr, "_statistic", fake_statistic)
+    monkeypatch.setattr(selr, "_statistics", fake_statistics)
 
     def run():
         if method == "bootstrap_null":
@@ -779,4 +881,5 @@ def test_replicate_failures(monkeypatch, rng, method, n_fail):
         with warnings.catch_warnings():
             warnings.simplefilter("error", ReplicateFailureWarning)
             assert 0 < run() <= 1
-    assert len(replicates) == B
+    # one walk per grid bandwidth takes all B replicates at once
+    assert walks == [B] * (1 if method == "bootstrap_null" else 2)

@@ -4,7 +4,7 @@ Usage: python tools/same_outputs.py PARENT_SRC [CHANGE_SRC]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories (CHANGE_SRC defaults to
 this checkout's).  Each side runs in its own child process with that
-directory first on ``sys.path`` and BLAS on one thread, and computes 84
+directory first on ``sys.path`` and BLAS on one thread, and computes 91
 outputs on the benchmark's seed-0 inputs (``perfbench/workloads.py``'s
 ``draw_dataset``):
 
@@ -14,6 +14,11 @@ outputs on the benchmark's seed-0 inputs (``perfbench/workloads.py``'s
   ``sel_full``;
 - composite and identity goodness-of-fit bootstrap samples (B = 20) on
   designs 0-1;
+- on design 0, the bootstrap samples of the smoothed-G goodness-of-fit
+  (B = 5), the simple null with the full term at p = 2, a linear
+  parametric null and the wild and resample schemes (B = 20 each), the
+  simple null at n = 800 (B = 10), and ``select_bandwidth`` on the grid
+  (0.2, 0.3) with its bootstrap sample (B = 10);
 - the 8 bootstrap workload calls (B = 199) with their p-values;
 - the 8 Monte Carlo passes (40 replicates, SELR and F-type statistics).
 
@@ -63,6 +68,8 @@ def compute() -> dict:
     zero2 = selr.Hypothesis.simple([selr.zero_coef()] * 2)
     composite = selr.Hypothesis.composite([selr.const_coef(1.5)], [1])
     gof = selr.Hypothesis.goodness_of_fit()
+    linear = selr.Hypothesis.parametric(
+        selr.ParametricFamily(lambda u, th: th[0] + th[1] * u, 2), [0.0, 0.0])
     out = {}
     for s in range(DESIGNS):
         # the order of cli_tests' draws: p1_small, p1_large, p2_small
@@ -87,6 +94,32 @@ def compute() -> dict:
             for name, spec in (("composite", composite), ("gof_identity", gof)):
                 sample, p = selr.bootstrap_null(p2, kernel, H, g, spec, B=20, seed=SEED)
                 out[f"bootstrap_{name}/{s}"] = (sample.tolist(), p)
+        if s == 0:
+            boots = {
+                "gof_smoothed": (p2, gof, smoothed, None, 5, "gaussian"),
+                "simple_full_p2": (p2, zero2, g, True, 20, "gaussian"),
+                "parametric": (p1, linear, g, None, 20, "gaussian"),
+                "wild": (p1, zero, g, None, 20, "wild"),
+                "resample": (p1, zero, g, None, 20, "resample"),
+                "n800": (p1_large, zero, g, None, 10, "gaussian"),
+            }
+            for name, (data, spec, gg, full, b, scheme) in boots.items():
+                sample, p = selr.bootstrap_null(data, kernel, H, gg, spec, B=b, scheme=scheme,
+                                                seed=SEED, include_full_term=full)
+                out[f"bootstrap_{name}/{s}"] = (sample.tolist(), p)
+            samples = []
+            bootstrap = selr._bootstrap
+
+            def recording(*args):  # the calibration sample select_bandwidth draws
+                sample, p = bootstrap(*args)
+                samples.append(sample.tolist())
+                return sample, p
+
+            selr._bootstrap = recording
+            sel = selr.select_bandwidth(p1, kernel, g, zero, (0.2, 0.3), B=10, seed=SEED)
+            selr._bootstrap = bootstrap
+            out[f"select_bandwidth/{s}"] = (sel.h, sel.statistic, sorted(sel.per_h.items()),
+                                            sel.p_bootstrap, samples)
     for s in range(DESIGNS):
         data = draw_dataset(_rng(SEED, Bootstrap.tag, s), FULL.n_small, 1)
         sample, p = selr.bootstrap_null(data, kernel, H, g, zero, B=FULL.boot_b, seed=SEED)
