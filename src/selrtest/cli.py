@@ -286,9 +286,10 @@ def _cmd_simulate(args) -> int:
                     f"{row.mu:.4f}", f"{row.sigma:.4f}", row.reps] for row in rows]
     else:
         r_grid = _floats(args.r_grid, "--r-grid")
-        thresholds = None
-        if args.threshold_selr is not None and args.threshold_f is not None:
-            thresholds = {0: (args.threshold_selr, args.threshold_f)}
+        if (args.threshold_selr is None) != (args.threshold_f is None):
+            raise ConfigError("--threshold-selr and --threshold-f must be given together")
+        thresholds = None if args.threshold_selr is None else {
+            0: (args.threshold_selr, args.threshold_f)}
         rows = size_power_study([config], r_grid, thresholds=thresholds,
                                 level=args.level, n_jobs=args.threads)
         header = ["n", "h", "c1", "r", "power_selr", "power_f"]

@@ -51,7 +51,6 @@ __all__ = [
 _DUAL_GTOL = 1e-12
 _DUAL_MAX_ITER = 100
 _OUTER_GTOL = 1e-7
-_KEEP_BYTES = 8 * 2**20  # windows a _WindowStore keeps for reuse
 _BLOCK_VALUES = 2**13  # kernel values one window block holds (centres x n)
 _BATCH_MAX_ITER = 20  # Newton steps before the batch hands a window off
 _BATCH_MARGIN = 1e-6  # smallest 1 + alpha'G at an optimum the batch certifies
@@ -195,16 +194,16 @@ def _window(data: Dataset, kernel: Kernel, h: float, u0: float) -> _LocalWindow:
     return _nonempty(_window_block(data, kernel, h, np.array([u0], dtype=float)), [u0])[0]
 
 
-def _source(n: int, build):
-    """Window source: ``windows(idx)`` yields (block, ``build(block)``) over blocks of ``idx``."""
-    size = max(1, _BLOCK_VALUES // n)
-    return lambda idx: ((idx[at:at + size], build(idx[at:at + size]))
-                        for at in range(0, len(idx), size))
-
-
 def _windows(data: Dataset, kernel: Kernel, h: float):
-    """Window source of one design: the windows at u_j, None where empty."""
-    return _source(data.n, lambda block: _window_block(data, kernel, h, data.u[block]))
+    """Window source of one design: ``windows(idx)`` yields (block, the windows
+    at u_j for j in block, None where empty) over blocks of ``idx``."""
+    size = max(1, _BLOCK_VALUES // data.n)
+
+    def windows(idx):
+        for at in range(0, len(idx), size):
+            block = idx[at:at + size]
+            yield block, _window_block(data, kernel, h, data.u[block])
+    return windows
 
 
 def _nonempty(wins, centres) -> list:
@@ -213,39 +212,6 @@ def _nonempty(wins, centres) -> list:
         if win is None:
             raise EmptyWindow(f"no observation in the window at u0={u0:g}")
     return wins
-
-
-class _WindowStore:
-    """Windows of one design (u, x, kernel) for several statistics of it, as
-    a Monte Carlo replicate's SELR and F-type statistics.
-
-    ``at(h)`` is a window source like :func:`_windows`.  Windows are built on
-    first use, a block at a time, and copied out of their block to be kept
-    while the kept ones hold fewer than ``_KEEP_BYTES`` bytes (all n windows
-    take O(n^2 h p)); later windows are rebuilt on every use."""
-
-    def __init__(self, data: Dataset, kernel: Kernel):
-        self.data = data
-        self.kernel = kernel
-        self.kept = {}
-        self.nbytes = 0
-
-    def at(self, h: float):
-        return _source(self.data.n, lambda block: self._get(h, block.tolist()))
-
-    def _get(self, h, js) -> list:
-        missing = [j for j in js if (h, j) not in self.kept]
-        built = dict(zip(missing, _window_block(self.data, self.kernel, h, self.data.u[missing])
-                         if missing else []))
-        for j, win in built.items():
-            if self.nbytes >= _KEEP_BYTES:
-                break
-            if win is not None:
-                win = built[j] = _LocalWindow(win.u0, win.h, win.active.copy(), win.w.copy(),
-                                              win.z.copy())
-                self.nbytes += win.active.nbytes + win.w.nbytes + win.z.nbytes
-            self.kept[h, j] = win
-        return [built[j] if j in built else self.kept[h, j] for j in js]
 
 
 def local_weights(data: Dataset, kernel: Kernel, h: float, u0: float) -> LocalWeights:
@@ -684,10 +650,16 @@ def _local_linear_fitted(data: Dataset, windows) -> np.ndarray:
     with ``windows`` the window source of ``data`` (see :func:`_windows`)."""
     fitted = np.empty(data.n)
     for block, wins in windows(np.arange(data.n)):
-        beta = _full_rank(wins, _stacked_lls(_nonempty(wins, data.u[block]), data.y[None])[0])
-        # a stack of (1, p) @ (p, 1) products takes the dot x_i' a_i row by row
-        fitted[block] = np.matmul(data.x[block, None, :], beta[:, :data.p, None])[:, 0, 0]
+        fitted[block] = _fitted_block(data, block, wins)
     return fitted
+
+
+def _fitted_block(data: Dataset, block, wins) -> np.ndarray:
+    """:func:`_local_linear_fitted` at the observations ``block``, with ``wins``
+    their windows."""
+    beta = _full_rank(wins, _stacked_lls(_nonempty(wins, data.u[block]), data.y[None])[0])
+    # a stack of (1, p) @ (p, 1) products takes the dot x_i' a_i row by row
+    return np.matmul(data.x[block, None, :], beta[:, :data.p, None])[:, 0, 0]
 
 
 def _lls_fits(wins, Y, g) -> list:

@@ -19,7 +19,7 @@ from . import streams
 from .errors import ConfigError, DegenerateRSS1, NumericalError
 from .estfun import make_identity
 from .kernels import Kernel, kernel_by_name
-from .local_el import Dataset, _local_linear_fitted, _windows, _WindowStore
+from .local_el import Dataset, _fitted_block, _local_linear_fitted, _windows
 from .selr import Hypothesis, _statistic, zero_coef
 
 __all__ = [
@@ -113,14 +113,14 @@ def generate(config: SimulationConfig, rng: np.random.Generator) -> Dataset:
 def f_type_stat(data: Dataset, kernel: Kernel, h: float,
                 null_fitted: np.ndarray | None = None) -> float:
     """(RSS0 - RSS1) / RSS1 with RSS1 from the local linear fit."""
-    return _f_type(data, _windows(data, kernel, h), null_fitted)
+    return _f_type(data, _local_linear_fitted(data, _windows(data, kernel, h)), null_fitted)
 
 
-def _f_type(data: Dataset, windows, null_fitted=None) -> float:
-    """:func:`f_type_stat` with ``windows`` the window source of ``data``."""
+def _f_type(data: Dataset, fitted: np.ndarray, null_fitted=None) -> float:
+    """:func:`f_type_stat` with ``fitted`` the local linear fit of ``data``."""
     resid0 = data.y if null_fitted is None else data.y - null_fitted
     rss0 = float(resid0 @ resid0)
-    resid1 = data.y - _local_linear_fitted(data, windows)
+    resid1 = data.y - fitted
     rss1 = float(resid1 @ resid1)
     if rss0 == 0.0 and rss1 == 0.0:
         return 0.0
@@ -134,20 +134,37 @@ def _zero_null_spec() -> Hypothesis:
 
 
 def _one_replicate(args):
+    """One replicate's SELR statistic and, with ``want_f``, its F-type
+    statistic, NaN where one fails, from one walk over its design's windows:
+    the smoother fills each block's fitted values as the SELR walk passes it.
+    That walk covers all n points (omega = (0, 1), u in [0, 1)), a window is
+    the same in any block, and the SELR statistic raises only after its walk
+    (NoRetainedWindows), so F is :func:`f_type_stat`'s value whether or not
+    the SELR statistic fails; a block whose smoother fails leaves F NaN."""
     config, rep_index, stream_offset, want_f = args
     rng = streams.substream(config.seed, stream_offset + rep_index)
     data = generate(config, rng)
     kern = kernel_by_name(config.kernel)
     g = make_identity()
-    windows = _WindowStore(data, kern).at(config.h)  # built once for both statistics
+    fitted = np.full(data.n, math.nan)
+
+    def windows(idx):
+        for block, wins in _windows(data, kern, config.h)(idx):
+            if want_f:
+                try:
+                    fitted[block] = _fitted_block(data, block, wins)
+                except NumericalError:
+                    pass
+            yield block, wins
+
     try:
         selr_val = _statistic(data, kern, config.h, g, _zero_null_spec(), windows=windows).statistic
     except NumericalError:
         selr_val = math.nan
     f_val = math.nan
-    if want_f:
+    if want_f and not np.isnan(fitted).any():
         try:
-            f_val = _f_type(data, windows)
+            f_val = _f_type(data, fitted)
         except NumericalError:
             f_val = math.nan
     return selr_val, f_val
@@ -164,6 +181,8 @@ def simulate_statistics(
     Replicate b uses the stream keyed by (seed, stream_offset + b), so the
     output is identical for any worker count.
     """
+    if n_jobs < 1:
+        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
     items = [(config, b, stream_offset, want_f) for b in range(config.reps)]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
@@ -241,6 +260,8 @@ def size_power_study(
     missing entries are self-calibrated as the empirical (1 - level)
     quantile of a null run with the same configuration and seed.
     """
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"level must lie in (0, 1), got {level}")
     rows = []
     thresholds = thresholds or {}
     for ci, config in enumerate(configs):

@@ -544,7 +544,7 @@ def selr_test(
 
 def _statistic(data, kernel, h, g, spec, include_full_term=None, *, windows):
     """:func:`selr_test` with ``windows`` the window source of ``data``, so a
-    caller can pass windows it keeps."""
+    caller can see each block of windows as the statistic walks it."""
     return _one(_statistics(data, data.y[None], kernel, h, g, spec, include_full_term,
                             windows=windows))
 

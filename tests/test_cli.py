@@ -117,10 +117,19 @@ def test_exit_codes(tmp_path, csv_path):
     ["test", "--input", "{csv}", "--h", "0.4", "--fix", "a=1"],
     ["test", "--input", "{csv}", "--h", "0.4", "--bootstrap", "-2"],
     ["bandwidth", "--input", "{csv}", "--grid", "0.3,0.45", "--bootstrap", "-2"],
+    ["simulate", "--power", "--n", "20", "--reps", "5", "--seed", "1", "--r-grid", "0,1",
+     "--level", "1.5"],
+    ["simulate", "--power", "--n", "20", "--reps", "5", "--seed", "1", "--r-grid", "0,1",
+     "--threshold-selr", "3.0"],
+    ["simulate", "--power", "--n", "20", "--reps", "5", "--seed", "1", "--r-grid", "0,1",
+     "--threshold-f", "0.2"],
+    ["simulate", "--table1", "--n", "20", "--reps", "5", "--seed", "1", "--threads", "-2"],
+    ["simulate", "--table1", "--n", "20", "--reps", "5", "--seed", "1", "--threads", "0"],
 ])
 def test_bad_number_in_a_flag_is_a_config_error(csv_path, tmp_path, capsys, argv):
-    # a non-number in a list-valued flag, or a negative replicate count, is
-    # refused (exit 2) with no traceback and no report
+    # a non-number in a list-valued flag, a negative replicate count, a level
+    # outside (0, 1), one threshold without the other or fewer than one
+    # thread is refused (exit 2) with no traceback and no report
     report = tmp_path / "r.json"
     code = main([a.format(csv=csv_path) for a in argv] + ["--output", str(report)])
     assert code == 2

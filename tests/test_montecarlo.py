@@ -20,6 +20,7 @@ from selrtest import (
     size_power_study,
 )
 from selrtest import montecarlo, streams
+from selrtest.errors import SingularDesign
 from selrtest.local_el import _design
 from selrtest.montecarlo import _coefficient, _zero_null_spec
 
@@ -102,6 +103,61 @@ def test_replicate_builds_each_window_once_for_both_statistics(monkeypatch):
     assert selr_val == selr_simple(data, TRIWEIGHT, cfg.h, make_identity(),
                                    _zero_null_spec()).statistic
     assert f_val == f_type_stat(data, TRIWEIGHT, cfg.h)
+
+
+def test_replicate_without_f_type_does_no_smoothing(monkeypatch):
+    """Without the F-type statistic (the null table's path) the walk builds
+    each window once and never runs the smoother."""
+    cfg = SimulationConfig(n=60, c1=2.0, reps=1, seed=5)
+    selr_val, _ = montecarlo._one_replicate((cfg, 0, 0, True))
+    built = count_windows(monkeypatch)
+
+    def smoother(*args):
+        raise AssertionError("the smoother ran")
+
+    monkeypatch.setattr(montecarlo, "_fitted_block", smoother)
+    got, f_val = montecarlo._one_replicate((cfg, 0, 0, False))
+    assert len(built) == cfg.n
+    assert set(built.values()) == {1}
+    assert got == selr_val and np.isnan(f_val)
+
+
+def test_replicate_f_type_survives_a_failed_selr_statistic(monkeypatch):
+    """Responses all far above the null a1 = 0 skip every SELR window, so the
+    SELR statistic fails; the F-type statistic is still that of the design."""
+    cfg = SimulationConfig(n=60, c1=2.0, reps=1, seed=5)
+    draw = montecarlo.generate
+
+    def shifted(config, rng):
+        data = draw(config, rng)
+        return Dataset(data.u, data.x, np.abs(data.y) + 10.0)
+
+    monkeypatch.setattr(montecarlo, "generate", shifted)
+    selr_val, f_val = montecarlo._one_replicate((cfg, 0, 0, True))
+    assert np.isnan(selr_val)
+    data = shifted(cfg, streams.substream(cfg.seed, 0))
+    assert f_val == f_type_stat(data, TRIWEIGHT, cfg.h)
+
+
+def test_replicate_smoother_failure_leaves_selr_statistic(monkeypatch):
+    """A smoother that fails in one block (of five at n = 200) makes the
+    F-type statistic NaN and leaves the SELR statistic as it was."""
+    cfg = SimulationConfig(n=200, c1=2.0, reps=1, seed=5)
+    selr_val, f_val = montecarlo._one_replicate((cfg, 0, 0, True))
+    fitted_block = montecarlo._fitted_block
+    blocks = []
+
+    def failing(data, block, wins):
+        blocks.append(block)
+        if len(blocks) == 2:
+            raise SingularDesign("forced")
+        return fitted_block(data, block, wins)
+
+    monkeypatch.setattr(montecarlo, "_fitted_block", failing)
+    got, got_f = montecarlo._one_replicate((cfg, 0, 0, True))
+    assert len(blocks) == 5
+    assert np.isfinite(f_val) and np.isnan(got_f)
+    assert got == selr_val
 
 
 def test_simulate_statistics_parallel_deterministic():

@@ -666,20 +666,6 @@ def test_bootstrap_rebuilds_windows_past_the_cap(monkeypatch, rng):
     assert set(built.values()) == {3}
 
 
-def test_store_counts_the_bytes_it_keeps_alive(monkeypatch, rng):
-    """A kept window is copied out of its block, which would otherwise stay
-    alive behind it, so the capped count is of all the store keeps."""
-    data = small_dataset(rng, n=60)
-    monkeypatch.setattr(local_el, "_KEEP_BYTES", 10_000)
-    store = local_el._WindowStore(data, TRIWEIGHT)
-    list(store.at(0.4)(np.arange(data.n)))
-    kept = list(store.kept.values())
-    assert 0 < len(kept) < data.n
-    arrays = [a for win in kept for a in (win.active, win.w, win.z)]
-    assert all(a.base is None for a in arrays)
-    assert store.nbytes == sum(a.nbytes for a in arrays)
-
-
 def test_bootstrap_counts_all_skipped_replicates_as_failed(monkeypatch, rng):
     """A replicate whose windows are all skipped fails instead of adding a
     statistic of 0 to the null sample."""

@@ -4,7 +4,7 @@ Usage: python tools/same_outputs.py PARENT_SRC [CHANGE_SRC]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories (CHANGE_SRC defaults to
 this checkout's).  Each side runs in its own child process with that
-directory first on ``sys.path`` and BLAS on one thread, and computes 91
+directory first on ``sys.path`` and BLAS on one thread, and computes 93
 outputs on the benchmark's seed-0 inputs (``perfbench/workloads.py``'s
 ``draw_dataset``):
 
@@ -20,7 +20,10 @@ outputs on the benchmark's seed-0 inputs (``perfbench/workloads.py``'s
   simple null at n = 800 (B = 10), and ``select_bandwidth`` on the grid
   (0.2, 0.3) with its bootstrap sample (B = 10);
 - the 8 bootstrap workload calls (B = 199) with their p-values;
-- the 8 Monte Carlo passes (40 replicates, SELR and F-type statistics).
+- the 8 Monte Carlo passes (40 replicates, SELR and F-type statistics);
+- a Monte Carlo pass of the SELR statistic alone (40 replicates, the
+  ``null_table`` path) and an n = 800 pass of both statistics with
+  c0 = 1.5 (5 replicates), whose windows take more than 8 MiB together.
 
 A test result is compared by its statistic, df, skip and clamp counts and
 full ``per_point``.  Outputs are compared with ``==``, NaN equal to NaN.
@@ -36,6 +39,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -131,6 +135,15 @@ def compute() -> dict:
             config, want_f=True, stream_offset=s * FULL.mc_reps, n_jobs=1)
         out[f"{MonteCarlo.name}/{s}"] = (np.asarray(selr_vals).tolist(),
                                          np.asarray(f_vals).tolist())
+    passes = {
+        "selr_only": (config, False),
+        "n800": (replace(config, n=FULL.n_large, c0=1.5, reps=5), True),
+    }
+    for name, (cfg, want_f) in passes.items():
+        selr_vals, f_vals = montecarlo.simulate_statistics(
+            cfg, want_f=want_f, stream_offset=DESIGNS * FULL.mc_reps, n_jobs=1)
+        out[f"{MonteCarlo.name}_{name}"] = (np.asarray(selr_vals).tolist(),
+                                            np.asarray(f_vals).tolist())
     return out
 
 
