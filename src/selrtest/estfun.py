@@ -8,6 +8,7 @@ cubic ramps so that a continuous derivative exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,7 +68,7 @@ def _check_grid(grid) -> tuple[float, ...]:
         raise ConfigError("indicator grid needs at least two points")
     if grid[0] != 0.0:
         raise ConfigError("indicator grid must start at 0")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if not all(a < b for a, b in zip(grid, grid[1:])):  # NaN is refused too
         raise ConfigError("indicator grid must be strictly increasing")
     return grid
 
@@ -113,8 +114,8 @@ def make_smoothed_indicator(grid, width: float) -> EstimatingFunction:
     """
     grid = _check_grid(grid)
     width = float(width)
-    if width <= 0.0:
-        raise ConfigError("smoothing width must be > 0")
+    if not 0.0 < width < math.inf:
+        raise ConfigError(f"smoothing width must be finite and > 0, not {width}")
     cells = np.diff(np.asarray(grid))
     if width > cells.min():
         raise ConfigError(

@@ -171,8 +171,8 @@ def _window_block(data: Dataset, kernel: Kernel, h: float, centres) -> list:
     One kernel evaluation on a dense (centres, n) array serves the block; each
     normaliser is its row sum over all n points, so a window is bit for bit the
     one its centre alone gives.  Its arrays are slices of the block's arrays."""
-    if h <= 0:
-        raise ConfigError("bandwidth must be > 0")
+    if not 0 < h < math.inf:
+        raise ConfigError(f"bandwidth must be finite and > 0, not {h}")
     raw = kernel((data.u - centres[:, None]) / h)
     totals = raw.sum(axis=1)
     rows, active = np.divmod(np.flatnonzero(raw > 0), data.n)
@@ -421,8 +421,9 @@ def _stacks(wins, Y, live):
         if len(rs) == mask.size:  # every item: the stacked arrays as they are
             yield rs + at, kept[es], z[:rows], w[:rows], y, counts[es]
         elif len(rs):
-            take = np.repeat(mask.ravel(), np.tile(counts, len(mask)))
-            yield rs + at, kept[es], z[:rows][take], w[:rows][take], y[take], counts[es]
+            take = np.flatnonzero(np.repeat(mask.ravel(), np.tile(counts, len(mask))))
+            yield (rs + at, kept[es], z.take(take, axis=0), w.take(take), y.take(take),
+                   counts[es])
 
 
 def _log_ratios(wins, g, Y, beta):
@@ -478,12 +479,13 @@ def _batch_dual(gt, w, counts, alpha=None):
     entries of ``w``, and every per-window sum is a ``reduceat`` over its
     segment.  The search starts from ``alpha`` (E, d), or from 0 as the
     scalar solver does; a window whose start is not strictly feasible
-    starts from 0.  A window is certified when the scalar solver's own
-    stopping rule holds there within ``_BATCH_MAX_ITER`` steps and every
-    1 + alpha'G_i is at least ``_BATCH_MARGIN``; the others (singular or
-    non-finite step, step underflow, iteration cap, near-boundary optimum)
-    are not.  Returns the dual values (E,), the multipliers (E, d) and the
-    certified mask (E,).
+    starts from 0.  Each step has the scalar solver's length (see
+    :func:`_step_lengths`).  A window is certified when the scalar
+    solver's own stopping rule holds there within ``_BATCH_MAX_ITER`` steps
+    and every 1 + alpha'G_i is at least ``_BATCH_MARGIN``; the others
+    (singular or non-finite step, step underflow, iteration cap,
+    near-boundary optimum) are not.  Returns the dual values (E,), the
+    multipliers (E, d) and the certified mask (E,).
     """
     d, n_win = gt.shape[0], len(counts)
     values, alphas = np.zeros(n_win), np.zeros((n_win, d))
@@ -520,12 +522,12 @@ def _batch_dual(gt, w, counts, alpha=None):
                     idx = live[ok]
                     values[idx], alphas[idx], certified[idx] = f[ok], a[ok], True
                 keep = ~leave
-                rows = np.repeat(keep, counts)
+                rows = np.flatnonzero(np.repeat(keep, counts))
                 # one array at a time, so at most one old copy is alive
-                gt = gt[:, rows]
-                w = w[rows]
-                x = x[rows]
-                wd = wd[rows]
+                gt = gt.take(rows, axis=1)
+                w = w.take(rows)
+                x = x.take(rows)
+                wd = wd.take(rows)
                 counts, live, f, a, wsum, gtol, grad = (
                     counts[keep], live[keep], f[keep], a[keep], wsum[keep], gtol[keep],
                     grad[:, keep])
@@ -537,31 +539,72 @@ def _batch_dual(gt, w, counts, alpha=None):
             del wd
             failed = ~np.isfinite(step).all(axis=0)
             step[:, failed] = 0.0
-            # 1 + alpha'G is linear along the step, so halving only rescales gs
+            # 1 + alpha'G is linear along the step, so a step length only rescales gs
             gs = np.einsum("km,km->m", gt, np.repeat(step, counts, axis=1))
-            c = np.ones(len(live))
-            xc = x + gs
-            while True:
-                terms = np.log1p(xc)
-                terms *= w
-                fc = np.add.reduceat(terms, starts)
-                del terms
-                # as the scalar: strictly inside the feasible region and not
-                # worse; a window whose step underflowed stays where it was
-                worse = ~((np.minimum.reduceat(xc, starts) > 1e-12 - 1.0) & (fc >= f - 1e-14))
-                worse &= c > 0
-                if not worse.any():
-                    break
-                c[worse] *= 0.5
-                underflow = c <= 1e-14
-                c[underflow] = 0.0
-                failed |= underflow
-                xc = np.repeat(c, counts)
-                xc *= gs
-                xc += x
-            x, f = xc, fc
+            c, x, f = _step_lengths(x, gs, w, f, counts, starts)
+            failed |= c == 0.0
             a += c[:, None] * step.T
     return values, alphas, certified
+
+
+def _step_lengths(x, gs, w, f, counts, starts):
+    """The line search of :func:`_batch_dual`: each window's step length c,
+    with x + c gs and the dual values sum_i w_i log(1 + x_i + c gs_i) there.
+    As in the scalar solver, c is the first of 1, 1/2, 1/4, ... at which
+    every 1 + x_i + c gs_i exceeds 1e-12 and the value is not worse than
+    ``f`` by more than 1e-14, and 0 where c falls to 1e-14 first (the step
+    underflows and the window stays where it was).
+
+    The halvings that cannot restore feasibility are not tried.  The
+    current point x is feasible, c gs_i is exact for a power of two c and
+    rounding is monotone, so a row feasible at c stays feasible at every
+    smaller c.  A window infeasible at c = 1 has a bound b, the least
+    (x_i - (1e-12 - 1)) / -gs_i over its infeasible rows, and no c of 2b or
+    more is feasible there (the rounding of b is far inside that factor);
+    it starts at c = 2^-k with k = floor(-log2 b), and halves while the
+    feasibility test fails on its rows.  Then only the windows whose value
+    comes out worse are halved further.  Each c is the one plain halving
+    reaches, and each x + c gs is computed as plain halving computes it.
+    """
+    edge = 1e-12 - 1.0
+    c = np.ones(len(counts))
+    xc = x + gs  # 1.0 * gs + x
+    short = ~(np.minimum.reduceat(xc, starts) > edge)
+    if short.any():
+        rows = np.flatnonzero(np.repeat(short, counts))
+        xs, gss, n_s = x[rows], gs[rows], counts[short]
+        s_s = np.cumsum(n_s) - n_s
+        # inf on a feasible row (a division by 0); a NaN or 0 bound leaves no
+        # feasible c, and k = 47 is the first k with 2^-k <= 1e-14, the underflow
+        b = np.minimum.reduceat((xs - edge) / np.where(xc[rows] > edge, 0.0, -gss), s_s)
+        k = np.where(b > 0, np.floor(-np.log2(b)), 47).clip(0, 47).astype(int)
+        while True:
+            cs = np.ldexp(1.0, -k)
+            cs[cs <= 1e-14] = 0.0
+            xcs = np.repeat(cs, n_s) * gss + xs
+            halve = ~(np.minimum.reduceat(xcs, s_s) > edge) & (cs > 0)
+            if not halve.any():
+                break
+            k[halve] += 1
+        c[short] = cs
+        xc[rows] = xcs
+    terms = np.log1p(xc)
+    terms *= w
+    fc = np.add.reduceat(terms, starts)
+    del terms
+    worse = ~(fc >= f - 1e-14) & (c > 0)
+    while worse.any():  # rare: a feasible step that lowers the value
+        c[worse] *= 0.5
+        c[c <= 1e-14] = 0.0
+        rows = np.flatnonzero(np.repeat(worse, counts))
+        n_s = counts[worse]
+        s_s = np.cumsum(n_s) - n_s
+        xcs = np.repeat(c[worse], n_s) * gs[rows] + x[rows]
+        xc[rows] = xcs
+        fc[worse] = fcs = np.add.reduceat(np.log1p(xcs) * w[rows], s_s)
+        ok = (np.minimum.reduceat(xcs, s_s) > edge) & (fcs >= f[worse] - 1e-14)
+        worse[worse] = ~ok & (c[worse] > 0)
+    return c, xc, fc
 
 
 def _segment_sums(rows, v, starts) -> np.ndarray:
@@ -929,8 +972,8 @@ def _batch_profile(wins, z, w, yv, g, beta, free_idx) -> list:
     duals = keep.astype(int)
     for it in range(_PROFILE_MAX_ITER + 1):
         if not keep.all():
-            rows = np.repeat(keep, counts)
-            z, w, yv = z[rows], w[rows], yv[rows]
+            rows = np.flatnonzero(np.repeat(keep, counts))
+            z, w, yv = z.take(rows, axis=0), w.take(rows), yv.take(rows)
             counts, live, beta, alpha, f = (
                 counts[keep], live[keep], beta[keep], alpha[keep], f[keep])
         if len(live) == 0:
@@ -950,11 +993,11 @@ def _batch_profile(wins, z, w, yv, g, beta, free_idx) -> list:
         c = np.where(keep, 1.0 / (1.0 + np.sqrt(np.abs(decrement))), 0.0)
         search = keep.copy()
         while search.any():
-            rows = np.repeat(search, counts)
+            rows = np.flatnonzero(np.repeat(search, counts))
             trial = beta[search] + c[search, None] * full_step[search]
             ft, at, ok = _batch_dual(
-                _stacked_moments(g, yv[rows], z[rows], trial, counts[search]), w[rows],
-                counts[search], alpha[search])
+                _stacked_moments(g, yv.take(rows), z.take(rows, axis=0), trial, counts[search]),
+                w.take(rows), counts[search], alpha[search])
             idx = np.nonzero(search)[0]
             duals[live[idx[ok]]] += 1
             ok &= ft <= f[search] + 1e-14

@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import gamma as gamma_dist
+from scipy.special import gammainc
 
 from . import streams
 from .errors import ConfigError, DegenerateRSS1, NumericalError
@@ -241,7 +241,9 @@ def ecdf_vs_chisq(sample, match: MomentMatch) -> float:
     if len(sample) == 0:
         raise ConfigError("empty sample")
     n = len(sample)
-    cdf = gamma_dist.cdf(match.r0 * sample, a=match.d0 / 2.0, scale=2.0)
+    x = match.r0 * sample
+    # the chi-squared(d0) CDF; gammainc is NaN below 0, where the CDF is 0
+    cdf = np.where(x < 0, 0.0, gammainc(match.d0 / 2.0, x / 2.0))
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.stats import gamma as gamma_dist
+from scipy.special import gammaincc
 
 from . import streams
 from .errors import (
@@ -295,7 +295,9 @@ def asymptotic_pvalue(stat: float, cal: TestCalibration) -> float:
             stacklevel=2,
         )
         return float("nan")
-    return float(gamma_dist.sf(cal.r_K * stat, a=cal.df / 2.0, scale=2.0))
+    x = cal.r_K * stat
+    # gammaincc is NaN below 0, where the tail is 1
+    return 1.0 if x < 0 else float(gammaincc(cal.df / 2.0, x / 2.0))
 
 
 def _assemble(kind, data, eval_idx, contribs, statuses, omega, h, kernel, k0, p1=None,

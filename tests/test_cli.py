@@ -125,11 +125,21 @@ def test_exit_codes(tmp_path, csv_path):
      "--threshold-f", "0.2"],
     ["simulate", "--table1", "--n", "20", "--reps", "5", "--seed", "1", "--threads", "-2"],
     ["simulate", "--table1", "--n", "20", "--reps", "5", "--seed", "1", "--threads", "0"],
+    ["test", "--input", "{csv}", "--h", "nan"],
+    ["test", "--input", "{csv}", "--h", "inf"],
+    ["bandwidth", "--input", "{csv}", "--grid", "0.3,nan"],
+    ["simulate", "--table1", "--n", "20", "--reps", "2", "--seed", "1", "--c0", "nan"],
+    ["simulate", "--table1", "--n", "20", "--reps", "2", "--seed", "1", "--c0", "inf"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--g", "smoothed:0.8,2.0:nan"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--g", "smoothed:0.8,nan:0.3"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--g", "symmetric:nan"],
 ])
 def test_bad_number_in_a_flag_is_a_config_error(csv_path, tmp_path, capsys, argv):
     # a non-number in a list-valued flag, a negative replicate count, a level
-    # outside (0, 1), one threshold without the other or fewer than one
-    # thread is refused (exit 2) with no traceback and no report
+    # outside (0, 1), one threshold without the other, fewer than one
+    # thread, a bandwidth that is not finite and > 0, a NaN indicator grid
+    # point or smoothing width is refused (exit 2) with no traceback and no
+    # report
     report = tmp_path / "r.json"
     code = main([a.format(csv=csv_path) for a in argv] + ["--output", str(report)])
     assert code == 2

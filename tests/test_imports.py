@@ -9,7 +9,10 @@ must be read by name or attribute in some module of the package.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -79,3 +82,14 @@ def test_orphan_checker_flags_an_unused_private():
 
 def test_no_orphan_private_definitions():
     assert orphans({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_cli_and_montecarlo_leave_scipy_stats_unimported():
+    # scipy.stats costs about half a second and 20 MB at start-up; the
+    # chi-squared laws come from scipy.special
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(selrtest.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "import sys, selrtest.cli, selrtest.montecarlo; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -439,6 +439,223 @@ def test_solve_lagrange_stops_at_an_exact_fixed_point(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the batched dual's step rule
+
+
+def halving_batch_dual(gt, w, counts, alpha=None, seen=None):
+    """The batched dual Newton as it was before its step lengths came from
+    the feasibility bound: every window's step is halved, one halving of the
+    whole batch at a time, until it is feasible and not worse, and the batch
+    is compacted through boolean masks.  The bit-for-bit oracle of
+    :func:`local_el._batch_dual`; only the counts kept in the dict ``seen``
+    (windows infeasible at c = 1, the most halvings one step took, step
+    underflows and non-finite Newton steps) are new."""
+    seen = {} if seen is None else seen
+    for key in ("short", "halvings", "underflow", "nonfinite"):
+        seen.setdefault(key, 0)
+    d, n_win = gt.shape[0], len(counts)
+    values, alphas = np.zeros(n_win), np.zeros((n_win, d))
+    certified = np.zeros(n_win, dtype=bool)
+    live = np.arange(n_win)
+    starts = np.cumsum(counts) - counts
+    wsum = np.add.reduceat(w, starts)
+    gtol = local_el._DUAL_GTOL * np.maximum(
+        1.0, np.maximum.reduceat(np.abs(gt).max(axis=0), starts))
+    if alpha is None:
+        a = np.zeros((n_win, d))
+        x = np.zeros(len(w))
+        f = np.zeros(n_win)
+    else:
+        a = np.array(alpha, dtype=float)
+        x = np.einsum("km,km->m", gt, np.repeat(a.T, counts, axis=1))
+        cold = np.minimum.reduceat(x, starts) <= 1e-12 - 1.0
+        a[cold] = 0.0
+        x[np.repeat(cold, counts)] = 0.0
+        f = np.add.reduceat(w * np.log1p(x), starts)
+    failed = np.zeros(n_win, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(local_el._BATCH_MAX_ITER + 1):
+            wd = w / (1.0 + x)
+            grad = _segment_sums(gt, wd, starts)
+            done = (np.sqrt(np.einsum("ke,ke->e", grad, grad)) <= gtol) & (
+                np.abs(np.add.reduceat(wd, starts) - wsum) <= 1e-8)
+            leave = done | failed | (it == local_el._BATCH_MAX_ITER)
+            if leave.any():
+                ok = done & (np.minimum.reduceat(x, starts) >= _BATCH_MARGIN - 1.0)
+                if ok.any():
+                    idx = live[ok]
+                    values[idx], alphas[idx], certified[idx] = f[ok], a[ok], True
+                keep = ~leave
+                rows = np.repeat(keep, counts)
+                gt, w, x, wd = gt[:, rows], w[rows], x[rows], wd[rows]
+                counts, live, f, a, wsum, gtol, grad = (
+                    counts[keep], live[keep], f[keep], a[keep], wsum[keep], gtol[keep],
+                    grad[:, keep])
+                if len(live) == 0:
+                    break
+                starts = np.cumsum(counts) - counts
+            wd /= 1.0 + x
+            step = local_el._newton_steps(gt, wd, grad, starts)
+            failed = ~np.isfinite(step).all(axis=0)
+            seen["nonfinite"] += int(failed.sum())
+            step[:, failed] = 0.0
+            gs = np.einsum("km,km->m", gt, np.repeat(step, counts, axis=1))
+            seen["short"] += int((~(np.minimum.reduceat(x + gs, starts) > 1e-12 - 1.0)).sum())
+            c = np.ones(len(live))
+            xc = x + gs
+            while True:
+                terms = np.log1p(xc)
+                terms *= w
+                fc = np.add.reduceat(terms, starts)
+                worse = ~((np.minimum.reduceat(xc, starts) > 1e-12 - 1.0) & (fc >= f - 1e-14))
+                worse &= c > 0
+                if not worse.any():
+                    break
+                c[worse] *= 0.5
+                underflow = c <= 1e-14
+                c[underflow] = 0.0
+                failed |= underflow
+                xc = np.repeat(c, counts)
+                xc *= gs
+                xc += x
+            seen["underflow"] += int((c == 0).sum())
+            seen["halvings"] = max(seen["halvings"], int(-np.log2(c[c > 0].min())))
+            x, f = xc, fc
+            a += c[:, None] * step.T
+    return values, alphas, certified
+
+
+def lopsided_window(rng, m, weight, sign=1.0):
+    """Moment rows (2, m) and weights of a window whose first Newton step
+    from 0 is about 1 / (2 sqrt(``weight``)) long on its last row: every
+    other row has a second component sqrt(``weight``), the last row, of
+    weight ``weight``, has -1 there, so the Hessian is nearly singular
+    along it.  A weight of 1e-26 takes about 42 halvings, 1e-32 underflows."""
+    delta = np.sqrt(weight)
+    gt = np.vstack([np.append(sign * rng.standard_t(2, m - 1), 0.0),
+                    np.append(np.full(m - 1, delta), -1.0)])
+    w = rng.random(m - 1)
+    return gt, np.append(w / w.sum() * (1.0 - weight), weight)
+
+
+def random_stack(rng, d, n_win):
+    """Thin, heavy-tailed windows: moment rows (d, M) and weights, a
+    window at a time; G_i = r_i z_i for d = 2 and the smoothed k0 = 2 bank
+    of p = 2 for d = 8, from t_2 residuals shifted and scaled so that some
+    windows are infeasible, and a quarter of the windows with kernel
+    weights down to 1e-12."""
+    g = make_smoothed_indicator([0.0, 0.8, 2.0], 0.3)
+    gts, ws = [], []
+    for _ in range(n_win):
+        m = int(rng.integers(2 * d, 5 * d))
+        t = rng.uniform(-1, 1, m)
+        x = np.ones((m, 1)) if d == 2 else np.column_stack([np.ones(m), rng.normal(size=m)])
+        z = np.hstack([x, t[:, None] * x])
+        resid = 0.3 + rng.standard_t(2, m) * (1 + 2 * rng.random(m)) + rng.choice([0.0, 1.5])
+        moments = _moments(make_identity() if d == 2 else g, resid, z)
+        kern = (1 - t**2) ** 3 * 10.0 ** (rng.choice([0, -6, -12], m) * (rng.random() < 0.25))
+        gts.append(moments.T)
+        ws.append(kern / kern.sum())
+    return gts, ws
+
+
+def stacked(gts, ws):
+    """The windows of ``gts`` and ``ws`` side by side, as the batch takes them."""
+    return np.hstack(gts), np.concatenate(ws), np.array([len(w) for w in ws])
+
+
+def dual_cases(rng, d):
+    """Windows for the batch: random thin, heavy-tailed ones, and for d = 2
+    two lopsided windows (one taking more than 40 halvings, one whose step
+    underflows) and one whose Hessian is singular (a non-finite step)."""
+    gts, ws = random_stack(rng, d, 60)
+    if d == 2:
+        for weight in (1e-26, 1e-32):
+            gt, w = lopsided_window(rng, 9, weight)
+            gts.append(gt)
+            ws.append(w)
+        gts.append(np.vstack([rng.normal(size=6), np.zeros(6)]))
+        ws.append(np.full(6, 1 / 6))
+    return gts, ws
+
+
+def warm_starts(rng, gt, w, counts):
+    """Starts for the batch: the cold optimum moved by noise, so some are
+    near the boundary and some infeasible (those restart from 0)."""
+    _, alpha, _ = halving_batch_dual(gt, w, counts)
+    scale = 10.0 ** rng.integers(-6, 1, (len(counts), 1))
+    return alpha + scale * rng.normal(size=alpha.shape)
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_batch_dual_matches_the_halving_loop(rng, d):
+    """The step lengths from the feasibility bound, with compaction by index,
+    give every window the halving loop's value, multiplier and certificate
+    bit for bit, cold and warm-started, and the cases cover windows
+    infeasible at a full step, more than 40 halvings in one step, a step
+    underflow and a non-finite step."""
+    seen = {}
+    for _ in range(3):
+        gt, w, counts = stacked(*dual_cases(rng, d))
+        for alpha in (None, warm_starts(rng, gt, w, counts)):
+            want = halving_batch_dual(gt, w, counts, alpha, seen)
+            got = local_el._batch_dual(gt, w, counts, alpha)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert want[2].any() and not want[2].all()
+    assert seen["short"] > 0 and seen["nonfinite"] > 0
+    if d == 2:
+        assert seen["halvings"] > 40 and seen["underflow"] > 0
+
+
+def test_step_lengths_match_the_halving_loop(rng):
+    """Each window's step length, x + c gs and value are those of halving
+    the whole batch one step at a time, with NaN and infinite entries of gs
+    among them (no feasible step, or a row that stays feasible)."""
+    for _ in range(50):
+        counts = rng.integers(1, 12, 30)
+        starts = np.cumsum(counts) - counts
+        x = np.expm1(rng.uniform(-27, 1, counts.sum()))  # 1 + x from 2e-12 to e
+        gs = rng.standard_t(1, counts.sum()) * 10.0 ** rng.integers(-3, 14, counts.sum())
+        odd = rng.random(counts.sum())
+        gs[odd < 0.01] = np.nan
+        gs[(0.01 <= odd) & (odd < 0.02)] = -np.inf
+        gs[(0.02 <= odd) & (odd < 0.03)] = np.inf
+        w = rng.random(counts.sum())
+        f = np.add.reduceat(w * np.log1p(x), starts) + rng.choice([0.0, 1e-3], len(counts))
+        c = np.ones(len(counts))
+        xc = x + gs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while True:
+                fc = np.add.reduceat(np.log1p(xc) * w, starts)
+                worse = ~((np.minimum.reduceat(xc, starts) > 1e-12 - 1.0)
+                          & (fc >= f - 1e-14)) & (c > 0)
+                if not worse.any():
+                    break
+                c[worse] *= 0.5
+                c[c <= 1e-14] = 0.0
+                xc = np.repeat(c, counts) * gs + x
+            got = local_el._step_lengths(x, gs, w, f, counts, starts)
+        for a, b in zip(got, (c, xc, fc)):
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_batch_dual_window_alone_equals_in_the_stack(rng, d):
+    """A window solved alone gets the value, multiplier and certificate it
+    gets among the others, which leave the batch at other steps."""
+    gts, ws = dual_cases(rng, d)
+    gt, w, counts = stacked(gts, ws)
+    for alpha in (None, warm_starts(rng, gt, w, counts)):
+        together = local_el._batch_dual(gt, w, counts, alpha)
+        for e, (gte, we) in enumerate(zip(gts, ws)):
+            alone = local_el._batch_dual(gte, we, counts[e:e + 1],
+                                         None if alpha is None else alpha[e:e + 1])
+            for a, b in zip(alone, together):
+                assert np.array_equal(a[0], b[e])
+
+
+# ---------------------------------------------------------------------------
 # local fits
 
 

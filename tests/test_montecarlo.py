@@ -25,7 +25,7 @@ from selrtest.local_el import _design
 from selrtest.montecarlo import _coefficient, _zero_null_spec
 
 from conftest import count_windows
-from scipy.stats import chi2
+from scipy.stats import chi2, gamma
 
 TRIWEIGHT = kernel_by_name("triweight")
 
@@ -220,6 +220,25 @@ def test_ecdf_vs_chisq_manual_oracle():
         max(np.arange(1, n + 1) / n - cdf), max(cdf - np.arange(0, n) / n)
     )
     assert abs(got - oracle) < 1e-12
+
+
+def test_ecdf_vs_chisq_is_scipy_stats_gamma_cdf():
+    # the chi-squared CDF from scipy.special, value for value, including
+    # below 0 (where gammainc alone is NaN), at 0, at inf and at NaN
+    grid = [-np.inf, -3.0, -1e-300, -0.0, 0.0, 1e-300, 1e-3, 0.5, 1.0, 2.5, 7.0, 30.0,
+            300.0, 1e4, np.inf, np.nan]
+
+    def oracle(sample, mm):
+        sample = np.sort(np.asarray(sample, dtype=float))
+        n = len(sample)
+        cdf = gamma.cdf(mm.r0 * sample, a=mm.d0 / 2.0, scale=2.0)
+        return float(max((np.arange(1, n + 1) / n - cdf).max(),
+                         (cdf - np.arange(0, n) / n).max()))
+
+    for mm in (MomentMatch(1.0, 0.3), MomentMatch(0.7, 3.0), MomentMatch(2.5, 57.5)):
+        for sample in [[x] for x in grid] + [grid[:-1], grid]:
+            got, want = ecdf_vs_chisq(sample, mm), oracle(sample, mm)
+            assert got == want or (np.isnan(got) and np.isnan(want)), (mm, sample)
 
 
 def test_ecdf_vs_chisq_consistency(rng):

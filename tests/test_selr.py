@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.stats import gamma
 
 from selrtest import (
     ConfigError,
@@ -447,6 +448,20 @@ def test_asymptotic_pvalue_degenerate():
     cal = Calibration(r_K=2.0, df=0.0, omega_len=1.0, h=0.25, kind="simple_null")
     with pytest.warns(DegenerateTestWarning):
         assert np.isnan(asymptotic_pvalue(1.0, cal))
+
+
+def test_asymptotic_pvalue_is_scipy_stats_gamma_tail():
+    # the chi-squared tail from scipy.special, value for value, including
+    # below 0 (where gammaincc alone is NaN), at 0, at inf and at NaN
+    stats = [-np.inf, -3.0, -1e-300, -0.0, 0.0, 1e-300, 1e-3, 0.5, 1.0, 2.5, 7.0, 30.0,
+             300.0, 1e4, np.inf, np.nan]
+    for r_k in (1.0, 2.5154):
+        for df in (0.3, 1.0, 2.0, 4.7, 10.0, 57.5):
+            cal = Calibration(r_K=r_k, df=df, omega_len=1.0, h=0.25, kind="simple_null")
+            for stat in stats:
+                got = asymptotic_pvalue(stat, cal)
+                want = float(gamma.sf(r_k * stat, a=df / 2.0, scale=2.0))
+                assert got == want or (np.isnan(got) and np.isnan(want)), (r_k, df, stat)
 
 
 def test_result_dict_schema(rng):

@@ -4,9 +4,9 @@ Usage: python tools/same_outputs.py PARENT_SRC [CHANGE_SRC]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories (CHANGE_SRC defaults to
 this checkout's).  Each side runs in its own child process with that
-directory first on ``sys.path`` and BLAS on one thread, and computes 93
-outputs on the benchmark's seed-0 inputs (``perfbench/workloads.py``'s
-``draw_dataset``):
+directory first on ``sys.path`` and BLAS on one thread, and computes 117
+outputs, 93 of them on the benchmark's seed-0 inputs
+(``perfbench/workloads.py``'s ``draw_dataset``):
 
 - on each of the 8 cli_tests designs: the simple null at n = 200 and
   n = 800, the simple null with the full term (p = 1 and p = 2), the
@@ -23,7 +23,14 @@ outputs on the benchmark's seed-0 inputs (``perfbench/workloads.py``'s
 - the 8 Monte Carlo passes (40 replicates, SELR and F-type statistics);
 - a Monte Carlo pass of the SELR statistic alone (40 replicates, the
   ``null_table`` path) and an n = 800 pass of both statistics with
-  c0 = 1.5 (5 replicates), whose windows take more than 8 MiB together.
+  c0 = 1.5 (5 replicates), whose windows take more than 8 MiB together;
+
+and 24 on a stress set of thin windows and heavy tails, where the batched
+dual shortens more of its steps (14 % against 8 % in the bootstrap
+workload's designs) and hands far more windows to the scalar solver
+(45 % against 0.2 %): 6 designs of n = 60 with x = (1, N(0, 1)) and
+y = 0.3 + t_2 (1 + 2u), each at h = 0.06 and 0.1, give the simple null
+(a1 = a2 = 0) and its bootstrap sample (B = 6).
 
 A test result is compared by its statistic, df, skip and clamp counts and
 full ``per_point``.  Outputs are compared with ``==``, NaN equal to NaN.
@@ -46,6 +53,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED = 0
 H = 0.3
 DESIGNS = 8
+STRESS_DESIGNS = 6
+STRESS_TAG = 99  # the stress designs' stream, apart from the workloads' tags 1-3
 
 
 def _result(res) -> tuple:
@@ -61,7 +70,7 @@ def compute() -> dict:
     sys.path.insert(1, str(ROOT / "perfbench"))
     from workloads import FULL, Bootstrap, CliTests, MonteCarlo, _rng, draw_dataset
 
-    from selrtest import montecarlo, selr
+    from selrtest import Dataset, montecarlo, selr
     from selrtest.estfun import make_identity, parse_g_spec
     from selrtest.kernels import kernel_by_name
 
@@ -144,6 +153,16 @@ def compute() -> dict:
             cfg, want_f=want_f, stream_offset=DESIGNS * FULL.mc_reps, n_jobs=1)
         out[f"{MonteCarlo.name}_{name}"] = (np.asarray(selr_vals).tolist(),
                                             np.asarray(f_vals).tolist())
+    for s in range(STRESS_DESIGNS):
+        rng = np.random.default_rng([SEED, STRESS_TAG, s])
+        n = 60
+        u = rng.random(n)
+        x = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        data = Dataset(u, x, 0.3 + rng.standard_t(2, n) * (1.0 + 2.0 * u))
+        for h in (0.06, 0.1):
+            out[f"stress/{s}/{h}"] = _result(selr.selr_test(data, kernel, h, g, zero2))
+            sample, p = selr.bootstrap_null(data, kernel, h, g, zero2, B=6, seed=SEED)
+            out[f"stress_bootstrap/{s}/{h}"] = (sample.tolist(), p)
     return out
 
 
