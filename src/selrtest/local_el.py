@@ -427,32 +427,29 @@ def _stacks(wins, Y, live):
 
 
 def _log_ratios(wins, g, Y, beta):
-    """The value and multiplier of :func:`_log_ratio` in each window of
-    ``wins`` under each row of the responses ``Y`` (R, n): values (R, E),
-    NaN where that raises :class:`Infeasible` or :class:`MaxIterations` or
-    where the window is None, and multipliers (R, E, d).  ``beta`` is the
-    beta of every window, or holds one per replicate and window (R, E, 2p).
+    """The value of :func:`_log_ratio` in each window of ``wins`` under each
+    row of the responses ``Y`` (R, n): values (R, E), NaN where that raises
+    :class:`Infeasible` or :class:`MaxIterations` or where the window is
+    None.  ``beta`` is the beta of every window, or holds one per replicate
+    and window (R, E, 2p).
 
     The items go through :func:`_batch_dual` a group of replicates at a
     time (see :func:`_stacks`); the ones it does not certify are handed to
     :func:`_log_ratio`, so the scalar solver decides their fate.
     """
     values = np.full((len(Y), len(wins)), np.nan)
-    alphas = np.zeros((len(Y), len(wins), g.k0 * beta.shape[-1]))
     live = np.broadcast_to([win is not None for win in wins], values.shape)
     for rs, es, z, w, y, counts in _stacks(wins, Y, live):
         b = beta if beta.ndim == 1 else beta[rs, es]
-        value, alpha, certified = _batch_dual(_stacked_moments(g, y, z, b, counts), w, counts)
+        value, _, certified = _batch_dual(_stacked_moments(g, y, z, b, counts), w, counts)
         values[rs, es] = np.where(certified, value, np.nan)
-        alphas[rs, es] = alpha  # 0 where not certified
         for k in np.flatnonzero(~certified).tolist():
             r, e = rs[k], es[k]
             try:
-                values[r, e], alphas[r, e] = _log_ratio(wins[e], g, Y[r],
-                                                        b if b.ndim == 1 else b[k])
+                values[r, e], _ = _log_ratio(wins[e], g, Y[r], b if b.ndim == 1 else b[k])
             except (Infeasible, MaxIterations):
                 pass
-    return values, alphas
+    return values
 
 
 def _stacked_moments(g, y, z, beta, counts) -> np.ndarray:
@@ -705,29 +702,36 @@ def _fitted_block(data: Dataset, block, wins) -> np.ndarray:
     return np.matmul(data.x[block, None, :], beta[:, :data.p, None])[:, 0, 0]
 
 
-def _lls_fits(wins, Y, g) -> list:
+def _fit_arrays(shape):
+    """Log-EL and status arrays of ``shape`` to fill; NaN and None mark a
+    skipped item."""
+    return np.full(shape, np.nan), np.full(shape, None, dtype=object)
+
+
+def _entropies(wins) -> np.ndarray:
+    """The entropy of each window of ``wins``, NaN where it is None."""
+    return np.array([math.nan if win is None else win.entropy for win in wins])
+
+
+def _lls_fits(wins, Y, g, dim):
     """The identity-G full fit of :func:`_fit` in each window of ``wins``
-    under each row of the responses ``Y``: ``fits[r][e]``, None where the
-    window is None or that raises.
+    under each row of the responses ``Y``: its log-EL (R, E), beta (R, E,
+    ``dim``) and status (R, E), NaN, a NaN row and None where the window is
+    None or that raises.
 
     The LLS fits come from one :func:`_stacked_lls`, and the dual values
     there from one :func:`_log_ratios`, which hands the items it cannot
     certify to the scalar solver as :func:`_fit` would.
     """
+    beta = np.full((len(Y), len(wins), dim), np.nan)
     live = [e for e, win in enumerate(wins) if win is not None]
-    if not live:
-        return [[None] * len(wins) for _ in Y]
-    beta = np.full((len(Y), len(wins), wins[live[0]].z.shape[1]), np.nan)
-    beta[:, live] = _stacked_lls([wins[e] for e in live], Y)
+    if live:
+        beta[:, live] = _stacked_lls([wins[e] for e in live], Y)
     solved = ~np.isnan(beta[0, :, 0])  # the design alone decides: alike in every replicate
-    values, alphas = _log_ratios([win if ok else None for win, ok in zip(wins, solved)], g, Y,
-                                 beta)
-    return [[None if math.isnan(value) else LocalELFit(
-        u0=win.u0, beta=LocalParameter.from_vector(b), alpha=alpha,
-        logel=win.entropy - value, entropy=win.entropy, status="converged",
-        inner_iters=0, outer_iters=0)
-        for win, b, alpha, value in zip(wins, beta[r], alphas[r], values[r].tolist())]
-        for r in range(len(Y))]
+    values = _log_ratios([win if ok else None for win, ok in zip(wins, solved)], g, Y, beta)
+    logel = _entropies(wins) - values
+    beta[np.isnan(logel)] = np.nan
+    return logel, beta, np.where(np.isnan(logel), None, "converged")
 
 
 class _ProfileObjective:
@@ -867,12 +871,15 @@ def fit_local_constrained(
     from ``init`` (default: the LLS fit) with the pins set.
     """
     win = _window(data, kernel, h, u0)
-    pin = (fixed_value, fixed_slope)
-    start = _stacked_lls([win], data.y[None])[0, 0] if init is None else init.vector
-    [[fit]] = _constrained_fits([win], data.y[None], g, [pin], fixed_idx, start[None, None])
-    if fit is None:  # a skipped window: the BFGS fit raises the reason
-        fit = _fit_constrained(win, data.y, g, *pin, fixed_idx, init)
-    return fit
+    start, free_idx = _pin(win, fixed_value, fixed_slope, fixed_idx)
+    init_vec = _stacked_lls([win], data.y[None])[0, 0] if init is None else init.vector
+    if g.kind == "identity" and not np.isnan(init_vec).any():  # the batch of one
+        start[free_idx] = init_vec[free_idx]
+        [(_, _, z, w, y, _)] = _stacks([win], data.y[None], np.ones((1, 1), dtype=bool))
+        [fit] = _batch_profile([win], z, w, y, g, start[None], free_idx)
+        if fit is not None:
+            return fit
+    return _fit_constrained(win, data.y, g, fixed_value, fixed_slope, fixed_idx, init)
 
 
 def _pin(win, fixed_value, fixed_slope, fixed_idx):
@@ -907,19 +914,20 @@ def _fit_constrained(win, y, g, fixed_value, fixed_slope, fixed_idx, init=None):
     return _fit(win, y, g, init, free_idx=free_idx, fixed_vec=fixed_vec)
 
 
-def _constrained_fits(wins, Y, g, pins, fixed_idx, inits) -> list:
+def _constrained_fits(wins, Y, g, pins, fixed_idx, inits):
     """The constrained fit of :func:`_fit_constrained` in each window of
-    ``wins`` under each row of the responses ``Y``: ``fits[r][e]``, None
-    where the window is None, its start holds a NaN or that raises.  Window
-    e has the pins ``pins[e]``, a (fixed_value, fixed_slope) pair, and
-    starts from ``inits[r, e]`` (R, E, 2p) under replicate r.
+    ``wins`` under each row of the responses ``Y``: its log-EL (R, E) and
+    status (R, E), NaN and None where the window is None, its start holds a
+    NaN or that raises.  Window e has the pins ``pins[e]``, a (fixed_value,
+    fixed_slope) pair, and starts from ``inits[r, e]`` (R, E, 2p) under
+    replicate r.
 
     For the identity G, :func:`_batch_profile` seeks the same maximizer
     from the same start for every item at once, a group of replicates at a
     time (see :func:`_stacks`); the items it does not certify are handed
     to :func:`_fit_constrained`, so every skip decision is that function's.
     """
-    fits = [[None] * len(wins) for _ in Y]
+    logel, status = _fit_arrays((len(Y), len(wins)))
     live = ~np.isnan(inits).any(axis=2) & np.array([win is not None for win in wins])
     if g.kind == "identity" and live.any():
         pinned = [_pin(win, *pin, fixed_idx) if live[:, e].any() else None
@@ -930,15 +938,16 @@ def _constrained_fits(wins, Y, g, pins, fixed_idx, inits) -> list:
             start[:, free_idx] = inits[rs, es][:, free_idx]
             for r, e, fit in zip(rs, es, _batch_profile([wins[e] for e in es], z, w, y, g,
                                                         start, free_idx)):
-                fits[r][e] = fit
-    for r, e in zip(*np.nonzero(live)):
-        if fits[r][e] is None:
-            try:
-                fits[r][e] = _fit_constrained(wins[e], Y[r], g, *pins[e], fixed_idx,
-                                              LocalParameter.from_vector(inits[r, e]))
-            except (Infeasible, MaxIterations, SingularDesign):
-                pass
-    return fits
+                if fit is not None:
+                    logel[r, e], status[r, e] = fit.logel, fit.status
+    for r, e in zip(*np.nonzero(live & np.isnan(logel))):
+        try:
+            fit = _fit_constrained(wins[e], Y[r], g, *pins[e], fixed_idx,
+                                   LocalParameter.from_vector(inits[r, e]))
+        except (Infeasible, MaxIterations, SingularDesign):
+            continue
+        logel[r, e], status[r, e] = fit.logel, fit.status
+    return logel, status
 
 
 def _batch_profile(wins, z, w, yv, g, beta, free_idx) -> list:

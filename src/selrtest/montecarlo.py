@@ -53,7 +53,9 @@ class SimulationConfig:
     kernel: str = "triweight"
 
     def __post_init__(self):
-        if self.n < 10 or self.reps < 1 or self.c0 <= 0 or self.c1 < 0 or self.r < 0:
+        # written so that NaN fails every test
+        if not (self.n >= 10 and self.reps >= 1 and 0 < self.c0 < math.inf
+                and 0 <= self.c1 < math.inf and 0 <= self.r < math.inf):
             raise ConfigError("invalid simulation configuration")
         if self.alternative not in ("null", "linear", "sine"):
             raise ConfigError(f"unknown alternative {self.alternative!r}")
@@ -266,6 +268,11 @@ def size_power_study(
         raise ConfigError(f"level must lie in (0, 1), got {level}")
     rows = []
     thresholds = thresholds or {}
+    if not all(math.isfinite(t) for pair in thresholds.values() for t in pair):
+        raise ConfigError(f"thresholds must be finite, got {thresholds}")
+    # every cell is built, and so checked, before any is simulated
+    cells = [[replace(config, alternative=config.alternative if r > 0 else "null", r=float(r))
+              for r in r_grid] for config in configs]
     for ci, config in enumerate(configs):
         if ci in thresholds:
             t_selr, t_f = thresholds[ci]
@@ -276,12 +283,7 @@ def size_power_study(
             )
             t_selr = float(np.nanquantile(selr_null, 1.0 - level))
             t_f = float(np.nanquantile(f_null, 1.0 - level))
-        for ri, r in enumerate(r_grid):
-            cell = replace(
-                config,
-                alternative=config.alternative if r > 0 else "null",
-                r=float(r),
-            )
+        for ri, cell in enumerate(cells[ci]):
             offset = (ci * len(r_grid) + ri + 1) << 32
             selr_vals, f_vals = simulate_statistics(
                 cell, want_f=True, stream_offset=offset, n_jobs=n_jobs
@@ -294,7 +296,7 @@ def size_power_study(
                     n=config.n,
                     h=config.h,
                     c1=config.c1,
-                    r=float(r),
+                    r=cell.r,
                     power_selr=float(np.mean(selr_vals[ok_s] > t_selr)) if ok_s.any() else float("nan"),
                     power_f=float(np.mean(f_vals[ok_f] > t_f)) if ok_f.any() else float("nan"),
                 )

@@ -36,7 +36,9 @@ from .kernels import Kernel, kernel_constants
 from .local_el import (
     Dataset,
     _constrained_fits,
+    _entropies,
     _fit,
+    _fit_arrays,
     _lls_fits,
     _local_linear_fitted,
     _log_ratios,
@@ -80,6 +82,8 @@ def zero_coef() -> CoefFn:
 
 
 def const_coef(c: float) -> CoefFn:
+    if not math.isfinite(c):
+        raise ConfigError(f"a constant coefficient must be finite, not {c}")
     return CoefFn(lambda u: np.full_like(u, float(c)), lambda u: np.zeros_like(u))
 
 
@@ -105,8 +109,8 @@ class Hypothesis:
     def __post_init__(self):
         if self.omega is not None:
             lo, hi = self.omega
-            if not lo < hi:
-                raise ConfigError("omega must be a nondegenerate interval")
+            if not -math.inf < lo < hi < math.inf:
+                raise ConfigError("omega must be a finite nondegenerate interval")
         if self.kind == "simple_null" and self.a0 is None:
             raise ConfigError("simple_null needs coefficient functions a0")
         if self.kind == "composite_null":
@@ -234,42 +238,46 @@ def sel_entropy(data: Dataset, kernel: Kernel, h: float, omega=None) -> float:
     return sum(win.entropy for block, wins in blocks for win in _nonempty(wins, data.u[block]))
 
 
-def _full_fits(Y, g, walk):
+def _full_fits(data, Y, g, walk):
     """Unconstrained local fit in each window of each block of ``walk`` under
-    each row of the responses ``Y``, yielding (block, windows, fits) with
-    ``fits[r][e]`` None where the fit fails.  Each replicate's fits are
-    warm-started from its previous window's, across blocks, falling back to
-    the local least-squares start when the carried parameter is infeasible.
+    each row of the responses ``Y`` on the design of ``data``, yielding
+    (block, windows, log-EL, beta, status) with log-EL and status (R, E) and
+    beta (R, E, 2p): NaN, None and a NaN row where the fit fails.  Each
+    replicate's fits are warm-started from its previous window's, across
+    blocks, falling back to the local least-squares start when the carried
+    parameter is infeasible.
     For the identity G the fit is the closed-form LLS fit (see
     :func:`local_el._fit`), computed by :func:`local_el._lls_fits`: no start
     matters, and a window with a singular local design is always skipped."""
     prev = [None] * len(Y)
     for block, wins in walk:
         if g.kind == "identity":
-            yield block, wins, _lls_fits(wins, Y, g)
+            yield block, wins, *_lls_fits(wins, Y, g, 2 * data.p)
             continue
-        fits = [[None] * len(wins) for _ in Y]
+        logel, status = _fit_arrays((len(Y), len(wins)))
+        beta = np.full(logel.shape + (2 * data.p,), np.nan)
         for r, y in enumerate(Y):
             for e, win in enumerate(wins):
                 if win is None:
                     continue
                 for init in [prev[r], None] if prev[r] is not None else [None]:
                     try:
-                        fits[r][e] = _fit(win, y, g, init)
-                        break
+                        fit = _fit(win, y, g, init)
                     except (Infeasible, MaxIterations, SingularDesign):
                         continue
-                if fits[r][e] is not None:
-                    prev[r] = fits[r][e].beta
-        yield block, wins, fits
+                    prev[r] = fit.beta
+                    logel[r, e], beta[r, e], status[r, e] = fit.logel, prev[r].vector, fit.status
+                    break
+        yield block, wins, logel, beta, status
 
 
 def sel_full(data: Dataset, kernel: Kernel, h: float, g: EstimatingFunction, omega=None) -> float:
     """Sum of maximized local log-EL values over the evaluation points."""
     eval_idx = _eval_points(data, _resolve_omega(data, omega))
     walk = _walk(data, eval_idx, _windows(data, kernel, h))
-    return float(sum(f.logel for _, _, fits in _full_fits(data.y[None], g, walk)
-                     for f in fits[0] if f is not None))
+    # a left-to-right sum over the kept windows in walk order: np.nansum rounds otherwise
+    return float(sum(v for _, _, logel, _, _ in _full_fits(data, data.y[None], g, walk)
+                     for v in logel[0].tolist() if not math.isnan(v)))
 
 
 def _calibration(kind, k0, p, p1, omega_len, h, kernel, retained_frac, no_est=False):
@@ -368,13 +376,6 @@ def _one(results) -> TestResult:
     return res
 
 
-def _terms(Y, eval_idx):
-    """Per-point contributions (NaN: skipped) and statuses of R replicates,
-    (R, points) each, to fill."""
-    shape = (len(Y), len(eval_idx))
-    return np.full(shape, np.nan), np.full(shape, None, dtype=object)
-
-
 def selr_gof(
     data: Dataset,
     kernel: Kernel,
@@ -389,13 +390,10 @@ def selr_gof(
 def _gof(data, Y, kernel, h, g, spec, windows):
     omega = _resolve_omega(data, spec.omega)
     eval_idx = _eval_points(data, omega)
-    contribs, statuses = _terms(Y, eval_idx)
-    for block, _, fits in _full_fits(Y, g, _walk(data, eval_idx, windows)):
-        at = np.searchsorted(eval_idx, block).tolist()
-        for r, row in enumerate(fits):
-            for k, f in zip(at, row):
-                if f is not None:
-                    contribs[r, k], statuses[r, k] = f.entropy - f.logel, f.status
+    contribs, statuses = _fit_arrays((len(Y), len(eval_idx)))
+    for block, wins, logel, _, status in _full_fits(data, Y, g, _walk(data, eval_idx, windows)):
+        at = np.searchsorted(eval_idx, block)
+        contribs[:, at], statuses[:, at] = _entropies(wins) - logel, status
     for res in _results("goodness_of_fit", data, eval_idx, contribs, statuses, omega, h,
                         kernel, g.k0, no_est=spec.no_estimated_coefficients):
         if isinstance(res, TestResult) and res.df <= 0:
@@ -451,14 +449,11 @@ def _simple(data, Y, kernel, h, g, spec, include_full_term, windows):
     if include_full_term is None:
         include_full_term = g.k0 > 1
     walk = _walk(data, eval_idx, windows)
-    rows = _full_fits(Y, g, walk) if include_full_term else (
-        (block, wins, None) for block, wins in walk)
     contribs = np.full((len(Y), len(eval_idx)), np.nan)
-    for block, wins, fits in rows:
-        terms, _ = _log_ratios(wins, g, Y, np.zeros(2 * data.p))
-        if fits is not None:  # less the unconstrained-fit term
-            terms -= [[math.nan if f is None else f.entropy - f.logel for f in row]
-                      for row in fits]
+    for block, wins, *full in _full_fits(data, Y, g, walk) if include_full_term else walk:
+        terms = _log_ratios(wins, g, Y, np.zeros(2 * data.p))
+        if full:  # less the unconstrained-fit term
+            terms -= _entropies(wins) - full[0]
         contribs[:, np.searchsorted(eval_idx, block)] = terms
     statuses = np.broadcast_to(np.array("converged", dtype=object), contribs.shape)
     return _results("simple_null", data, eval_idx, contribs, statuses, omega, h, kernel,
@@ -485,19 +480,14 @@ def _composite(data, Y, kernel, h, g, spec, windows):
     if not 1 <= p1 < data.p:
         raise ConfigError("composite null needs 1 <= p1 < p pinned coefficients")
     eval_idx = _eval_points(data, omega)
-    contribs, statuses = _terms(Y, eval_idx)
-    for block, wins, fulls in _full_fits(Y, g, _walk(data, eval_idx, windows)):
+    contribs, statuses = _fit_arrays((len(Y), len(eval_idx)))
+    for block, wins, full, beta, _ in _full_fits(data, Y, g, _walk(data, eval_idx, windows)):
         pins = [(np.array([fn.value(data.u[[j]])[0] for fn in spec.a10]),
                  np.array([fn.deriv(data.u[[j]])[0] for fn in spec.a10])) for j in block]
         # a window whose full fit failed is skipped: its NaN start gets no constrained fit
-        inits = np.array([[np.full(2 * data.p, np.nan) if full is None else full.beta.vector
-                           for full in row] for row in fulls])
-        fits = _constrained_fits(wins, Y, g, pins, fixed_idx, inits)
-        at = np.searchsorted(eval_idx, block).tolist()
-        for r in range(len(Y)):
-            for k, full, fit in zip(at, fulls[r], fits[r]):
-                if fit is not None:
-                    contribs[r, k], statuses[r, k] = full.logel - fit.logel, fit.status
+        logel, status = _constrained_fits(wins, Y, g, pins, fixed_idx, beta)
+        at = np.searchsorted(eval_idx, block)
+        contribs[:, at], statuses[:, at] = full - logel, status
     return _results("composite_null", data, eval_idx, contribs, statuses, omega, h, kernel,
                     g.k0, p1=p1)
 

@@ -133,15 +133,26 @@ def test_exit_codes(tmp_path, csv_path):
     ["test", "--input", "{csv}", "--h", "0.4", "--g", "smoothed:0.8,2.0:nan"],
     ["test", "--input", "{csv}", "--h", "0.4", "--g", "smoothed:0.8,nan:0.3"],
     ["test", "--input", "{csv}", "--h", "0.4", "--g", "symmetric:nan"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--null", "const:nan"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--null", "const:inf"],
+    ["test", "--input", "{csv2}", "--h", "0.4", "--fix", "1=nan"],
+    ["test", "--input", "{csv2}", "--h", "0.4", "--fix", "1=inf"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--omega", "0.2,inf"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--omega=-inf,0.5"],
+    ["simulate", "--power", "--n", "20", "--reps", "3", "--seed", "1", "--r-grid", "0,nan"],
+    ["simulate", "--power", "--n", "20", "--reps", "3", "--seed", "1", "--r-grid", "0,1",
+     "--threshold-selr", "nan", "--threshold-f", "1"],
 ])
-def test_bad_number_in_a_flag_is_a_config_error(csv_path, tmp_path, capsys, argv):
+def test_bad_number_in_a_flag_is_a_config_error(csv_path, csv_path_p2, tmp_path, capsys, argv):
     # a non-number in a list-valued flag, a negative replicate count, a level
     # outside (0, 1), one threshold without the other, fewer than one
     # thread, a bandwidth that is not finite and > 0, a NaN indicator grid
-    # point or smoothing width is refused (exit 2) with no traceback and no
-    # report
+    # point or smoothing width, and a null value, pin, omega end, r or
+    # threshold that is not finite is refused (exit 2) with no traceback and
+    # no report
     report = tmp_path / "r.json"
-    code = main([a.format(csv=csv_path) for a in argv] + ["--output", str(report)])
+    code = main([a.format(csv=csv_path, csv2=csv_path_p2) for a in argv]
+                + ["--output", str(report)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error[config]: ")

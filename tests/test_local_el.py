@@ -222,7 +222,7 @@ def scalar_log_ratio(win, g, y, beta):
 def assert_batch_matches_scalar(wins, g, y, beta, size=6):
     # in batches of ``size`` windows, as a walk hands a block to the batch
     got = [None if np.isnan(v) else v for at in range(0, len(wins), size)
-           for v in _log_ratios(wins[at:at + size], g, y[None], beta)[0][0].tolist()]
+           for v in _log_ratios(wins[at:at + size], g, y[None], beta)[0].tolist()]
     want = [scalar_log_ratio(win, g, y, beta) for win in wins]
     assert [v is None for v in got] == [v is None for v in want]
     for a, b in zip(got, want):
@@ -310,7 +310,7 @@ def test_log_ratios_edge_windows():
     assert got[3] is None  # MaxIterations
     assert got[4] is not None and got[4] > 0
     one_batch = [None if np.isnan(v) else v
-                 for v in _log_ratios(wins, g, y[None], np.zeros(2))[0][0].tolist()]
+                 for v in _log_ratios(wins, g, y[None], np.zeros(2))[0].tolist()]
     assert one_batch[:5] == got and one_batch[5] is None
 
 
@@ -781,17 +781,19 @@ def test_constrained_fit_validation(rng):
 
 
 def spy_handoffs(monkeypatch):
-    """The windows :func:`_batch_profile` hands off, by id, as it runs."""
-    handed = set()
+    """The windows :func:`_batch_profile` hands off, by id, as it runs, and
+    the fits it certifies, by the id of their window."""
+    handed, certified = set(), {}
     batch = local_el._batch_profile
 
     def spy(wins, *args):
         fits = batch(wins, *args)
         handed.update(id(win) for win, fit in zip(wins, fits) if fit is None)
+        certified.update((id(win), fit) for win, fit in zip(wins, fits) if fit is not None)
         return fits
 
     monkeypatch.setattr(local_el, "_batch_profile", spy)
-    return handed
+    return handed, certified
 
 
 def bfgs_constrained(win, y, g, fixed_value, fixed_slope, fixed_idx, init):
@@ -815,7 +817,7 @@ def test_constrained_batch_matches_bfgs(monkeypatch, rng, p, fixed_idx):
     g = make_identity()
     free = np.ones(2 * p, dtype=bool)
     free[fixed_idx] = free[p + np.asarray(fixed_idx)] = False
-    handed = spy_handoffs(monkeypatch)
+    handed, fits = spy_handoffs(monkeypatch)
     certified, n_handed, skipped, steps = 0, 0, 0, []
     for h in (0.2, 0.35, 0.6):
         items = []
@@ -831,22 +833,25 @@ def test_constrained_batch_matches_bfgs(monkeypatch, rng, p, fixed_idx):
         for at in range(0, len(items), 4):  # in batches of four windows
             wins, pins, inits = zip(*items[at:at + 4])
             starts = np.array([[init.vector for init in inits]])
-            for win, pin, init, fit in zip(wins, pins, inits, _constrained_fits(
-                    wins, data.y[None], g, pins, fixed_idx, starts)[0]):
+            logels, statuses = _constrained_fits(wins, data.y[None], g, pins, fixed_idx, starts)
+            for win, pin, init, logel, status in zip(wins, pins, inits, logels[0], statuses[0]):
                 want = bfgs_constrained(win, data.y, g, *pin, fixed_idx, init)
                 if id(win) not in handed:
                     certified += 1
+                    fit = fits[id(win)]
                     steps.append(fit.outer_iters)
-                    assert fit.status == "converged"
+                    assert status == fit.status == "converged"
+                    assert logel == fit.logel
                     np.testing.assert_array_equal(fit.beta.vector[~free], np.concatenate(
                         [pin[0], h * pin[1]]))
-                assert (fit is None) == (want is None)
+                assert np.isnan(logel) == (status is None) == (want is None)
                 if want is None:
                     skipped += 1
                 else:
-                    assert fit.logel == pytest.approx(want.logel, rel=1e-9, abs=0)
+                    assert logel == pytest.approx(want.logel, rel=1e-9, abs=0)
         n_handed += len(handed)
         handed.clear()  # ids of freed windows may be reused
+        fits.clear()
     assert certified > 4 * n_handed
     assert max(steps) > 0
     if p == 3 and len(fixed_idx) == 1:
@@ -857,14 +862,16 @@ def test_constrained_batch_edge_windows(monkeypatch, rng):
     """Windows the batch hands off: a dual-infeasible start, a singular
     local design and a near-boundary optimum; BFGS decides each."""
     g = make_identity()
-    handed = spy_handoffs(monkeypatch)
+    handed, _ = spy_handoffs(monkeypatch)
     data = random_dataset(rng, n=80, p=2)
     win = _window(data, TRIWEIGHT, 0.4, 0.5)
     init = LocalParameter.from_vector(_lls(win, data.y))
     # with a2 pinned at 50 every moment r_i x2_i is negative: 0 is outside
     # the hull at the start, and BFGS skips the window
     start = init.vector[None, None]
-    assert _constrained_fits([win], data.y[None], g, [([50.0], [0.0])], [1], start) == [[None]]
+    [[logel]], [[status]] = _constrained_fits([win], data.y[None], g, [([50.0], [0.0])], [1],
+                                              start)
+    assert np.isnan(logel) and status is None
     assert id(win) in handed
     with pytest.raises(Infeasible):
         fit_local_constrained(data, TRIWEIGHT, 0.4, 0.5, g, [50.0], [0.0], [1], init)
@@ -879,19 +886,21 @@ def test_constrained_batch_edge_windows(monkeypatch, rng):
     init = LocalParameter([0.1, 0.2], [0.0, 0.0])
     for fixed_idx in ([0], [1]):
         handed.clear()
-        [[fit]] = _constrained_fits([win], singular.y[None], g, [([0.0], [0.0])], fixed_idx,
-                                    init.vector[None, None])
+        [[logel]], [[status]] = _constrained_fits([win], singular.y[None], g, [([0.0], [0.0])],
+                                                  fixed_idx, init.vector[None, None])
         assert handed == {id(win)}
         want = _fit_constrained(win, singular.y, g, [0.0], [0.0], fixed_idx, init)
         got = fit_local_constrained(singular, TRIWEIGHT, 0.08, 0.5, g, [0.0], [0.0],
                                     fixed_idx, init)
-        assert fit.logel == got.logel == want.logel
-        assert fit.status == got.status == want.status
+        assert logel == got.logel == want.logel
+        assert status == got.status == want.status
     # without a start the LLS start is singular (NaN), so no fit runs: BFGS raises
     handed.clear()
     start = local_el._stacked_lls([win], singular.y[None])[:1]
     assert np.isnan(start).all()
-    assert _constrained_fits([win], singular.y[None], g, [([0.0], [0.0])], [1], start) == [[None]]
+    [[logel]], [[status]] = _constrained_fits([win], singular.y[None], g, [([0.0], [0.0])], [1],
+                                              start)
+    assert np.isnan(logel) and status is None
     assert not handed
     with pytest.raises(SingularDesign):
         fit_local_constrained(singular, TRIWEIGHT, 0.08, 0.5, g, [0.0], [0.0], [1])
@@ -904,12 +913,12 @@ def test_constrained_batch_edge_windows(monkeypatch, rng):
     win = _window(data, TRIWEIGHT, 0.3, u0)
     init = LocalParameter.from_vector(_lls(win, data.y))
     handed.clear()
-    [[fit]] = _constrained_fits([win], data.y[None], g, [([0.0], [0.0])], [1],
-                                init.vector[None, None])
+    [[logel]], [[status]] = _constrained_fits([win], data.y[None], g, [([0.0], [0.0])], [1],
+                                              init.vector[None, None])
     assert handed == {id(win)}
     want = _fit_constrained(win, data.y, g, [0.0], [0.0], [1], init)
     resid = data.y[win.active] - win.z @ want.beta.vector
     assert (1.0 + _moments(g, resid, win.z) @ want.alpha).min() < _BATCH_MARGIN
     got = fit_local_constrained(data, TRIWEIGHT, 0.3, u0, g, [0.0], [0.0], [1])
-    assert fit.logel == got.logel == want.logel
-    assert fit.status == got.status == want.status == "converged"
+    assert logel == got.logel == want.logel
+    assert status == got.status == want.status == "converged"

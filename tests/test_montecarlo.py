@@ -1,5 +1,7 @@
 """Simulation harness: generators, F-type comparator, tables, matching."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,11 @@ def test_config_validation_and_bandwidth():
         dict(n=50, c0=0.0),
         dict(n=50, c1=-1.0),
         dict(n=50, alternative="cubic"),
+        dict(n=50, c0=math.nan),
+        dict(n=50, c1=math.nan),
+        dict(n=50, c1=math.inf),
+        dict(n=50, r=math.nan),
+        dict(n=50, r=math.inf),
     ):
         with pytest.raises(ConfigError):
             SimulationConfig(**bad)
@@ -256,6 +263,17 @@ def test_size_power_study_thresholds_and_power():
     assert rows[1].power_selr > rows[0].power_selr
     assert rows[1].power_selr >= 0.9
     assert rows[1].power_f >= 0.9
+
+
+@pytest.mark.parametrize("r_grid, thresholds", [
+    ([0.0, math.nan], {0: (3.0, 0.2)}),
+    ([0.0], {0: (math.nan, 0.2)}),
+    ([0.0], {0: (3.0, math.inf)}),
+])
+def test_size_power_study_refuses_non_finite_values(r_grid, thresholds):
+    cfg = SimulationConfig(n=20, reps=2, seed=1, alternative="linear")
+    with pytest.raises(ConfigError):
+        size_power_study([cfg], r_grid, thresholds=thresholds)
 
 
 def test_size_power_study_self_calibration():

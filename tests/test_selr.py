@@ -1,5 +1,6 @@
 """Test statistics, calibration, bootstrap and bandwidth selection."""
 
+import math
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -44,7 +45,7 @@ from selrtest.errors import (
     ReplicateFailureWarning,
     SingularDesign,
 )
-from selrtest.local_el import _window
+from selrtest.local_el import LocalParameter, _window
 from selrtest.selr import CoefFn
 from selrtest.selr import TestCalibration as Calibration
 
@@ -78,6 +79,17 @@ def test_hypothesis_validation():
         Hypothesis.composite([], [])
     with pytest.raises(ConfigError):
         Hypothesis.composite([const_coef(0.0)], [0, 1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_null_value_or_interval_is_refused(bad):
+    # a NaN or infinite pin would reach the dual's LP certificate, and an
+    # infinite omega end would give the calibration an infinite df
+    with pytest.raises(ConfigError):
+        const_coef(bad)
+    for omega in ((0.2, bad), (bad, 0.5)):
+        with pytest.raises(ConfigError):
+            Hypothesis.simple([zero_coef()], omega=omega)
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +152,17 @@ def test_identity_full_fit_skips_singular_local_design(rng):
     n, x2 = data.n, data.x[:, 1]
     h = 0.08
     walk = selr._walk(data, np.arange(n), selr._windows(data, TRIWEIGHT, h))
-    rows = [(win, fit) for _, wins, fits in selr._full_fits(data.y[None], make_identity(), walk)
-            for win, fit in zip(wins, fits[0])]
-    singular = [fit for win, fit in rows if not np.any(x2[win.active])]
+    rows = [(win, logel, beta, status) for _, wins, logels, betas, statuses
+            in selr._full_fits(data, data.y[None], make_identity(), walk)
+            for win, logel, beta, status in zip(wins, logels[0], betas[0], statuses[0])]
+    singular = [row[1:] for row in rows if not np.any(x2[row[0].active])]
     assert len(singular) >= 5
-    assert all(fit is None for fit in singular)
-    prev = next(fit for win, fit in rows if fit is not None and win.u0 < 0.4)
+    assert all(np.isnan(logel) and np.isnan(beta).all() and status is None
+               for logel, beta, status in singular)
+    prev = next(beta for win, logel, beta, _ in rows if not np.isnan(logel) and win.u0 < 0.4)
     with pytest.raises(SingularDesign):
-        local_el._fit(_window(data, TRIWEIGHT, h, 0.5), data.y, make_identity(), prev.beta)
+        local_el._fit(_window(data, TRIWEIGHT, h, 0.5), data.y, make_identity(),
+                      LocalParameter.from_vector(prev))
     spec = Hypothesis.simple([zero_coef()] * 2)
     res = selr_simple(data, TRIWEIGHT, h, make_identity(), spec, include_full_term=True)
     assert res.n_infeasible_points >= len(singular)
@@ -165,10 +180,44 @@ def test_identity_full_fits_solve_each_window_once(monkeypatch, rng):
 
     monkeypatch.setattr(local_el, "_stacked_lls", counting_lls)
     walk = selr._walk(data, np.arange(data.n), selr._windows(data, TRIWEIGHT, 0.08))
-    fits = [fit for _, _, block_fits in selr._full_fits(data.y[None], make_identity(), walk)
-            for fit in block_fits[0]]
-    assert sum(fit is None for fit in fits) >= 5
+    logel = np.concatenate([logels[0] for _, _, logels, _, _ in
+                            selr._full_fits(data, data.y[None], make_identity(), walk)])
+    assert np.isnan(logel).sum() >= 5
     assert sum(calls.values()) == data.n == len(calls)
+
+
+def test_full_fit_arrays_skip_alike_in_every_replicate(rng):
+    # R = 3 replicates of the singular design: the identity full fits mark a
+    # skipped item by a NaN log-EL and a NaN beta row together; the composite
+    # statistic skips those windows, and every other item equals its R = 1 walk
+    data = singular_middle_design(rng)
+    Y = data.y + rng.normal(size=(3, data.n))
+    g, h = make_identity(), 0.08
+
+    def full_fits(Y):
+        walk = selr._walk(data, np.arange(data.n), selr._windows(data, TRIWEIGHT, h))
+        blocks = [arrays for _, _, *arrays in selr._full_fits(data, Y, g, walk)]
+        return [np.concatenate(arrays, axis=1) for arrays in zip(*blocks)]
+
+    logel, beta, status = full_fits(Y)
+    skipped = np.isnan(logel)
+    assert skipped.all(axis=0).sum() >= 5 and not skipped.all()
+    np.testing.assert_array_equal(np.isnan(beta).any(axis=2), skipped)
+    np.testing.assert_array_equal(np.isnan(beta).all(axis=2), skipped)
+    assert all(s is None for s in status[skipped])
+    assert all(s == "converged" for s in status[~skipped])
+    spec = Hypothesis.composite([zero_coef()], [1])
+    results = list(selr._composite(data, Y, TRIWEIGHT, h, g, spec,
+                                   selr._windows(data, TRIWEIGHT, h)))
+    for r, y in enumerate(Y):
+        one = full_fits(y[None])
+        np.testing.assert_array_equal(logel[r], one[0][0])
+        np.testing.assert_array_equal(beta[r], one[1][0])
+        assert status[r].tolist() == one[2][0].tolist()
+        single = selr_composite(Dataset(data.u, data.x, y), TRIWEIGHT, h, g, spec)
+        assert results[r].per_point == single.per_point
+        assert all(pt["contribution"] is None
+                   for pt, skip in zip(results[r].per_point, skipped[r]) if skip)
 
 
 @pytest.mark.filterwarnings("ignore::selrtest.errors.ThinWindowWarning")

@@ -4,8 +4,8 @@ Usage: python tools/same_outputs.py PARENT_SRC [CHANGE_SRC]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories (CHANGE_SRC defaults to
 this checkout's).  Each side runs in its own child process with that
-directory first on ``sys.path`` and BLAS on one thread, and computes 117
-outputs, 93 of them on the benchmark's seed-0 inputs
+directory first on ``sys.path`` and BLAS on one thread, and computes 120
+outputs, 96 of them on the benchmark's seed-0 inputs
 (``perfbench/workloads.py``'s ``draw_dataset``):
 
 - on each of the 8 cli_tests designs: the simple null at n = 200 and
@@ -14,11 +14,13 @@ outputs, 93 of them on the benchmark's seed-0 inputs
   ``sel_full``;
 - composite and identity goodness-of-fit bootstrap samples (B = 20) on
   designs 0-1;
-- on design 0, the bootstrap samples of the smoothed-G goodness-of-fit
-  (B = 5), the simple null with the full term at p = 2, a linear
-  parametric null and the wild and resample schemes (B = 20 each), the
-  simple null at n = 800 (B = 10), and ``select_bandwidth`` on the grid
-  (0.2, 0.3) with its bootstrap sample (B = 10);
+- on design 0, the smoothed-G (``smoothed:0.8,2.0:0.3``) composite null,
+  simple null at p = 2 (k0 = 2, so with the full term) and ``sel_full``;
+  the bootstrap samples of the smoothed-G goodness-of-fit (B = 5), the
+  simple null with the full term at p = 2, a linear parametric null and
+  the wild and resample schemes (B = 20 each), the simple null at
+  n = 800 (B = 10), and ``select_bandwidth`` on the grid (0.2, 0.3) with
+  its bootstrap sample (B = 10);
 - the 8 bootstrap workload calls (B = 199) with their p-values;
 - the 8 Monte Carlo passes (40 replicates, SELR and F-type statistics);
 - a Monte Carlo pass of the SELR statistic alone (40 replicates, the
@@ -108,6 +110,9 @@ def compute() -> dict:
                 sample, p = selr.bootstrap_null(p2, kernel, H, g, spec, B=20, seed=SEED)
                 out[f"bootstrap_{name}/{s}"] = (sample.tolist(), p)
         if s == 0:
+            for name, spec in (("composite_smoothed", composite), ("simple_smoothed_p2", zero2)):
+                out[f"{name}/{s}"] = _result(selr.selr_test(p2, kernel, H, smoothed, spec))
+            out[f"sel_full_smoothed/{s}"] = selr.sel_full(p2, kernel, H, smoothed)
             boots = {
                 "gof_smoothed": (p2, gof, smoothed, None, 5, "gaussian"),
                 "simple_full_p2": (p2, zero2, g, True, 20, "gaussian"),
