@@ -52,10 +52,23 @@ def _read_config_file(path: str) -> dict:
 
 def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
     """Make the values of the config file at ``path`` the defaults of every
-    subcommand option they name, each checked as its flag would be."""
+    subcommand option they name, each checked as its flag would be.  A key
+    that names no subcommand option, or one that would choose a member of a
+    mutually exclusive group (which only a flag may), is refused."""
     defaults = _read_config_file(path)
     sub_action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for sp in sub_action.choices.values():
+    subparsers = sub_action.choices.values()
+    known = {a.dest for sp in subparsers for a in sp._actions
+             if not isinstance(a, argparse._HelpAction)}
+    exclusive = {a.dest for sp in subparsers for group in sp._mutually_exclusive_groups
+                 for a in group._group_actions}
+    for key in defaults:
+        if key not in known:
+            raise ConfigError(f"{path}: unknown key {key!r}: it names no subcommand option")
+        if key in exclusive:
+            raise ConfigError(f"{path}: key {key!r} chooses one of mutually exclusive "
+                              "options; give it as a flag")
+    for sp in subparsers:
         for action in sp._actions:
             if action.dest not in defaults:
                 continue

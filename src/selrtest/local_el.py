@@ -787,7 +787,9 @@ def _require_derivative(g: EstimatingFunction) -> None:
 
 
 def _fit(win, y, g, init=None, free_idx=None, fixed_vec=None) -> LocalELFit:
-    """Profile fit in one window from ``init`` (default: the LLS fit).
+    """Profile fit in one window from the 2p vector ``init`` (default: the
+    LLS fit), moving only the coordinates ``free_idx`` (default: all) of
+    ``fixed_vec``.
 
     With the identity G and all 2p parameters free (``free_idx`` None) the
     fit is exactly identified: 2p moments for 2p parameters.  The maximum
@@ -802,7 +804,7 @@ def _fit(win, y, g, init=None, free_idx=None, fixed_vec=None) -> LocalELFit:
     if g.kind == "identity" and free_idx is None:
         beta_vec, status, outer_iters = _lls(win, y), "converged", 0
     else:
-        init_vec = _lls(win, y) if init is None else init.vector
+        init_vec = _lls(win, y) if init is None else init
         _require_derivative(g)
         obj = _ProfileObjective(win, y, g, free_idx=free_idx, fixed_vec=fixed_vec)
         x0 = init_vec[obj.free_idx] if free_idx is not None else init_vec
@@ -825,16 +827,9 @@ def _fit(win, y, g, init=None, free_idx=None, fixed_vec=None) -> LocalELFit:
             status = "max_iter"
         beta_vec, outer_iters, solved = obj.embed(xhat), int(res.nit), obj.solved
     value, alpha = _log_ratio(win, g, y, beta_vec, solved)
-    return LocalELFit(
-        u0=win.u0,
-        beta=LocalParameter.from_vector(beta_vec),
-        alpha=alpha,
-        logel=win.entropy - value,
-        entropy=win.entropy,
-        status=status,
-        inner_iters=0 if solved is None else len(solved),
-        outer_iters=outer_iters,
-    )
+    return LocalELFit(u0=win.u0, beta=LocalParameter.from_vector(beta_vec), alpha=alpha,
+                      logel=win.entropy - value, entropy=win.entropy, status=status,
+                      inner_iters=0 if solved is None else len(solved), outer_iters=outer_iters)
 
 
 def fit_local(
@@ -850,7 +845,7 @@ def fit_local(
     For the identity G this is the local least-squares fit, found in closed
     form; ``init`` is then ignored.
     """
-    return _fit(_window(data, kernel, h, u0), data.y, g, init)
+    return _fit(_window(data, kernel, h, u0), data.y, g, None if init is None else init.vector)
 
 
 def fit_local_constrained(
@@ -867,102 +862,96 @@ def fit_local_constrained(
     """Profile maximizer with coefficients ``fixed_idx`` pinned.
 
     The pinned coordinates take the values A_10(u0) = ``fixed_value`` and
-    scaled slopes h * A'_10(u0) = h * ``fixed_slope``.  The search starts
-    from ``init`` (default: the LLS fit) with the pins set.
+    scaled slopes h * A'_10(u0) = h * ``fixed_slope``, value k pinning
+    coefficient ``fixed_idx[k]``.  The search starts from ``init``
+    (default: the LLS fit) with the pins set; for the identity G it is the
+    batch of one of :func:`_batch_profile`, and BFGS where that hands off.
     """
     win = _window(data, kernel, h, u0)
-    start, free_idx = _pin(win, fixed_value, fixed_slope, fixed_idx)
-    init_vec = _stacked_lls([win], data.y[None])[0, 0] if init is None else init.vector
-    if g.kind == "identity" and not np.isnan(init_vec).any():  # the batch of one
-        start[free_idx] = init_vec[free_idx]
-        [(_, _, z, w, y, _)] = _stacks([win], data.y[None], np.ones((1, 1), dtype=bool))
-        [fit] = _batch_profile([win], z, w, y, g, start[None], free_idx)
-        if fit is not None:
-            return fit
-    return _fit_constrained(win, data.y, g, fixed_value, fixed_slope, fixed_idx, init)
+    fixed, free_idx = _pins(data.p, win.h, fixed_idx, [np.ravel(fixed_value)],
+                            [np.ravel(fixed_slope)])
+    start = fixed[0].copy()
+    start[free_idx] = (_lls(win, data.y) if init is None else init.vector)[free_idx]
+    if g.kind == "identity":
+        [(_, _, z, w, y, counts)] = _stacks([win], data.y[None], np.ones((1, 1), dtype=bool))
+        [value], [beta], [alpha], [steps], [duals] = _batch_profile(
+            z, w, y, counts, g, start[None], free_idx)
+        if not math.isnan(value):
+            return LocalELFit(u0=win.u0, beta=LocalParameter.from_vector(beta), alpha=alpha,
+                              logel=win.entropy - float(value), entropy=win.entropy,
+                              status="converged", inner_iters=int(duals),
+                              outer_iters=int(steps))
+    return _fit(win, data.y, g, start, free_idx, fixed[0])
 
 
-def _pin(win, fixed_value, fixed_slope, fixed_idx):
-    """The pins of a constrained fit in ``win``: a 2p vector holding
-    ``fixed_value`` and h * ``fixed_slope`` on the coordinates of the
-    pinned coefficients ``fixed_idx`` and 0 elsewhere, and the indices of
-    the free coordinates."""
-    p = win.z.shape[1] // 2
-    fixed_idx = np.asarray(sorted(set(int(i) for i in fixed_idx)))
-    if len(fixed_idx) == 0 or len(fixed_idx) >= p:
+def _pins(p, h, fixed_idx, values, slopes):
+    """The pins of constrained fits at P points: a (P, 2p) array whose row
+    e holds ``values[e]`` on the value coordinates of the coefficients
+    ``fixed_idx``, in the order given, h * ``slopes[e]`` on their slope
+    coordinates and 0 elsewhere, and the indices of the free coordinates.
+    ``values`` and ``slopes`` are (P, p1)."""
+    fixed_idx = np.asarray(fixed_idx, dtype=int)
+    if not 1 <= len(fixed_idx) < p:
         raise ConfigError("need 1 <= p1 < p pinned coefficients")
-    if np.any(fixed_idx < 0) or np.any(fixed_idx >= p):
-        raise ConfigError("fixed_idx out of range")
-    fixed_value = np.atleast_1d(np.asarray(fixed_value, dtype=float))
-    fixed_slope = np.atleast_1d(np.asarray(fixed_slope, dtype=float))
-    if len(fixed_value) != len(fixed_idx) or len(fixed_slope) != len(fixed_idx):
+    if fixed_idx.min() < 0 or fixed_idx.max() >= p or len(np.unique(fixed_idx)) < len(fixed_idx):
+        raise ConfigError(f"fixed_idx {fixed_idx.tolist()} must be distinct indices in 0..{p - 1}")
+    values, slopes = np.asarray(values, dtype=float), np.asarray(slopes, dtype=float)
+    if values.shape != slopes.shape or values.shape[1:] != fixed_idx.shape:
         raise ConfigError("fixed_value / fixed_slope must match fixed_idx")
-
-    fixed_vec = np.zeros(2 * p)
-    fixed_vec[fixed_idx] = fixed_value
-    fixed_vec[p + fixed_idx] = win.h * fixed_slope
-    free_mask = np.ones(2 * p, dtype=bool)
-    free_mask[fixed_idx] = False
-    free_mask[p + fixed_idx] = False
-    return fixed_vec, np.nonzero(free_mask)[0]
+    fixed = np.zeros((len(values), 2 * p))
+    fixed[:, fixed_idx] = values
+    fixed[:, p + fixed_idx] = h * slopes
+    free = np.ones(2 * p, dtype=bool)
+    free[fixed_idx] = free[p + fixed_idx] = False
+    return fixed, np.flatnonzero(free)
 
 
-def _fit_constrained(win, y, g, fixed_value, fixed_slope, fixed_idx, init=None):
-    """Constrained profile fit of one window by BFGS from ``init`` (default:
-    the LLS fit) with the pins of :func:`_pin` set."""
-    fixed_vec, free_idx = _pin(win, fixed_value, fixed_slope, fixed_idx)
-    return _fit(win, y, g, init, free_idx=free_idx, fixed_vec=fixed_vec)
-
-
-def _constrained_fits(wins, Y, g, pins, fixed_idx, inits):
-    """The constrained fit of :func:`_fit_constrained` in each window of
-    ``wins`` under each row of the responses ``Y``: its log-EL (R, E) and
-    status (R, E), NaN and None where the window is None, its start holds a
-    NaN or that raises.  Window e has the pins ``pins[e]``, a (fixed_value,
-    fixed_slope) pair, and starts from ``inits[r, e]`` (R, E, 2p) under
-    replicate r.
+def _constrained_fits(wins, Y, g, fixed, free_idx, inits):
+    """The constrained fit of :func:`_fit` in each window of ``wins`` under
+    each row of the responses ``Y``: its log-EL (R, E) and status (R, E),
+    NaN and None where the window is None, its start holds a NaN or that
+    raises.  Window e has the pins ``fixed[e]`` (see :func:`_pins`), the
+    free coordinates ``free_idx`` and, under replicate r, the start
+    ``inits[r, e]`` (R, E, 2p) with the pins set.
 
     For the identity G, :func:`_batch_profile` seeks the same maximizer
     from the same start for every item at once, a group of replicates at a
     time (see :func:`_stacks`); the items it does not certify are handed
-    to :func:`_fit_constrained`, so every skip decision is that function's.
+    to :func:`_fit`, so every skip decision is that function's.
     """
     logel, status = _fit_arrays((len(Y), len(wins)))
     live = ~np.isnan(inits).any(axis=2) & np.array([win is not None for win in wins])
-    if g.kind == "identity" and live.any():
-        pinned = [_pin(win, *pin, fixed_idx) if live[:, e].any() else None
-                  for e, (win, pin) in enumerate(zip(wins, pins))]
-        free_idx = next(free for _, free in filter(None, pinned))
-        for rs, es, z, w, y, _ in _stacks(wins, Y, live):
-            start = np.array([pinned[e][0] for e in es])
-            start[:, free_idx] = inits[rs, es][:, free_idx]
-            for r, e, fit in zip(rs, es, _batch_profile([wins[e] for e in es], z, w, y, g,
-                                                        start, free_idx)):
-                if fit is not None:
-                    logel[r, e], status[r, e] = fit.logel, fit.status
+    starts = np.where(np.isin(np.arange(fixed.shape[1]), free_idx), inits, fixed)
+    if g.kind == "identity":
+        entropies = _entropies(wins)
+        for rs, es, z, w, y, counts in _stacks(wins, Y, live):
+            value = _batch_profile(z, w, y, counts, g, starts[rs, es], free_idx)[0]
+            ok = ~np.isnan(value)
+            logel[rs[ok], es[ok]] = entropies[es[ok]] - value[ok]
+            status[rs[ok], es[ok]] = "converged"
     for r, e in zip(*np.nonzero(live & np.isnan(logel))):
         try:
-            fit = _fit_constrained(wins[e], Y[r], g, *pins[e], fixed_idx,
-                                   LocalParameter.from_vector(inits[r, e]))
+            fit = _fit(wins[e], Y[r], g, starts[r, e], free_idx, fixed[e])
         except (Infeasible, MaxIterations, SingularDesign):
             continue
         logel[r, e], status[r, e] = fit.logel, fit.status
     return logel, status
 
 
-def _batch_profile(wins, z, w, yv, g, beta, free_idx) -> list:
+def _batch_profile(z, w, yv, counts, g, beta, free_idx):
     """Identity-G constrained profile fits of several windows at once by
-    damped Newton; a LocalELFit per window, or None where it hands off.
+    damped Newton: per window, the dual value, beta and alpha of its fit
+    (NaN where it hands off), the Newton steps taken and the duals solved.
 
-    Window e of ``wins`` owns consecutive rows of the stacked local designs
-    ``z``, weights ``w`` and responses ``yv``, as many as it has active
-    points; a window may appear more than once, under other responses.
-    ``beta`` (E, 2p) holds each window's start, pinned coordinates set;
-    only the coordinates ``free_idx`` move, to minimize the dual value
-    f(beta) = max_alpha sum_i w_i log(1 + alpha'G_i(beta)).  Each step is
-    the Newton step of :func:`_profile_steps`, shortened to 1 / (1 +
-    lambda) with lambda^2 = g'H^-1 g the Newton decrement, and halved until
-    the dual batch certifies a value not worse.  Every dual is solved by
+    Window e owns ``counts[e]`` consecutive rows of the stacked local
+    designs ``z``, weights ``w`` and responses ``yv``; a window may appear
+    more than once, under other responses.  ``beta`` (E, 2p) holds each
+    window's start, pinned coordinates set; only the coordinates
+    ``free_idx`` move, to minimize the dual value f(beta) = max_alpha
+    sum_i w_i log(1 + alpha'G_i(beta)).  Each step is the Newton step of
+    :func:`_profile_steps`, shortened to 1 / (1 + lambda) with lambda^2 =
+    g'H^-1 g the Newton decrement, and halved until the dual batch
+    certifies a value not worse.  Every dual is solved by
     :func:`_batch_dual`, warm-started from the window's last multiplier.
     A window is done when lambda^2 falls to ``_PROFILE_DECREMENT``, and
     every value it reports is one the dual batch certified.  A window is
@@ -972,13 +961,12 @@ def _batch_profile(wins, z, w, yv, g, beta, free_idx) -> list:
     maximum than BFGS would), and where a step stalls or
     ``_PROFILE_MAX_ITER`` steps do not finish it.
     """
-    n_win = len(wins)
-    out = [None] * n_win
-    counts = np.array([len(win.active) for win in wins])
-    live = np.arange(n_win)
+    live = np.arange(len(counts))
     beta = beta.copy()
     f, alpha, keep = _batch_dual(_stacked_moments(g, yv, z, beta, counts), w, counts)
-    duals = keep.astype(int)
+    values, betas, alphas = (np.full(len(live), np.nan), np.full_like(beta, np.nan),
+                             np.full_like(alpha, np.nan))
+    steps, duals = np.zeros(len(live), dtype=int), keep.astype(int)
     for it in range(_PROFILE_MAX_ITER + 1):
         if not keep.all():
             rows = np.flatnonzero(np.repeat(keep, counts))
@@ -990,12 +978,8 @@ def _batch_profile(wins, z, w, yv, g, beta, free_idx) -> list:
         grad, step = _profile_steps(yv, z, w, beta, alpha, counts, free_idx)
         decrement = -np.einsum("eq,eq->e", grad, step)
         done = np.abs(decrement) <= _PROFILE_DECREMENT
-        for e in np.nonzero(done)[0]:
-            win = wins[live[e]]
-            out[live[e]] = LocalELFit(
-                u0=win.u0, beta=LocalParameter.from_vector(beta[e]), alpha=alpha[e].copy(),
-                logel=win.entropy - float(f[e]), entropy=win.entropy, status="converged",
-                inner_iters=int(duals[live[e]]), outer_iters=it)
+        out = live[done]
+        values[out], betas[out], alphas[out], steps[out] = f[done], beta[done], alpha[done], it
         keep = ~done & np.isfinite(step).all(axis=1) & (it < _PROFILE_MAX_ITER)
         full_step = np.zeros_like(beta)
         full_step[:, free_idx] = step
@@ -1017,7 +1001,7 @@ def _batch_profile(wins, z, w, yv, g, beta, free_idx) -> list:
             stalled = search & (c < _PROFILE_MIN_STEP)
             keep &= ~stalled
             search &= ~stalled
-    return out
+    return values, betas, alphas, steps, duals
 
 
 def _profile_steps(yv, z, w, beta, alpha, counts, free_idx):

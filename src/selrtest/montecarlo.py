@@ -53,10 +53,13 @@ class SimulationConfig:
     kernel: str = "triweight"
 
     def __post_init__(self):
-        # written so that NaN fails every test
-        if not (self.n >= 10 and self.reps >= 1 and 0 < self.c0 < math.inf
-                and 0 <= self.c1 < math.inf and 0 <= self.r < math.inf):
-            raise ConfigError("invalid simulation configuration")
+        # each test written so that NaN fails it
+        for name, ok, need in (("n", self.n >= 10, ">= 10"), ("reps", self.reps >= 1, ">= 1"),
+                               ("c0", 0 < self.c0 < math.inf, "finite and > 0"),
+                               ("c1", 0 <= self.c1 < math.inf, "finite and >= 0"),
+                               ("r", 0 <= self.r < math.inf, "finite and >= 0")):
+            if not ok:
+                raise ConfigError(f"simulation {name} must be {need}, not {getattr(self, name)}")
         if self.alternative not in ("null", "linear", "sine"):
             raise ConfigError(f"unknown alternative {self.alternative!r}")
 

@@ -43,6 +43,7 @@ from .local_el import (
     _local_linear_fitted,
     _log_ratios,
     _nonempty,
+    _pins,
     _require_derivative,
     _windows,
 )
@@ -265,8 +266,8 @@ def _full_fits(data, Y, g, walk):
                         fit = _fit(win, y, g, init)
                     except (Infeasible, MaxIterations, SingularDesign):
                         continue
-                    prev[r] = fit.beta
-                    logel[r, e], beta[r, e], status[r, e] = fit.logel, prev[r].vector, fit.status
+                    prev[r] = fit.beta.vector
+                    logel[r, e], beta[r, e], status[r, e] = fit.logel, prev[r], fit.status
                     break
         yield block, wins, logel, beta, status
 
@@ -475,21 +476,19 @@ def _composite(data, Y, kernel, h, g, spec, windows):
     if spec.a10 is None or spec.fixed_idx is None:
         raise ConfigError("composite_null needs a10 and fixed_idx")
     omega = _resolve_omega(data, spec.omega)
-    fixed_idx = np.asarray(spec.fixed_idx)
-    p1 = len(fixed_idx)
-    if not 1 <= p1 < data.p:
-        raise ConfigError("composite null needs 1 <= p1 < p pinned coefficients")
     eval_idx = _eval_points(data, omega)
+    u = data.u[eval_idx]
+    fixed, free_idx = _pins(data.p, h, spec.fixed_idx,
+                            np.column_stack([fn.value(u) for fn in spec.a10]),
+                            np.column_stack([fn.deriv(u) for fn in spec.a10]))
     contribs, statuses = _fit_arrays((len(Y), len(eval_idx)))
     for block, wins, full, beta, _ in _full_fits(data, Y, g, _walk(data, eval_idx, windows)):
-        pins = [(np.array([fn.value(data.u[[j]])[0] for fn in spec.a10]),
-                 np.array([fn.deriv(data.u[[j]])[0] for fn in spec.a10])) for j in block]
-        # a window whose full fit failed is skipped: its NaN start gets no constrained fit
-        logel, status = _constrained_fits(wins, Y, g, pins, fixed_idx, beta)
         at = np.searchsorted(eval_idx, block)
+        # a window whose full fit failed is skipped: its NaN start gets no constrained fit
+        logel, status = _constrained_fits(wins, Y, g, fixed[at], free_idx, beta)
         contribs[:, at], statuses[:, at] = full - logel, status
     return _results("composite_null", data, eval_idx, contribs, statuses, omega, h, kernel,
-                    g.k0, p1=p1)
+                    g.k0, p1=len(spec.fixed_idx))
 
 
 def bias_correct(
@@ -605,11 +604,10 @@ def _null_fitted_values(data: Dataset, kernel: Kernel, h: float, spec: Hypothesi
         theta_hat, _ = bias_correct(data, spec.family, spec.theta_init)
         return _family_fitted(data, spec.family, theta_hat)
     if spec.kind == "composite_null":
-        fixed_idx = np.asarray(spec.fixed_idx)
-        pinned = _coef_sum(data, spec.a10, fixed_idx)
-        free_mask = np.ones(data.p, dtype=bool)
-        free_mask[fixed_idx] = False
-        reduced = Dataset(data.u, data.x[:, free_mask], data.y - pinned)
+        none = np.empty((0, len(spec.fixed_idx)))  # no points: only the indices are checked
+        _, free_idx = _pins(data.p, h, spec.fixed_idx, none, none)
+        pinned = _coef_sum(data, spec.a10, spec.fixed_idx)
+        reduced = Dataset(data.u, data.x[:, free_idx[free_idx < data.p]], data.y - pinned)
         return pinned + _local_linear_fitted(reduced, _windows(reduced, kernel, h))
     # goodness_of_fit: nuisance coefficients fixed at their local linear fit
     return _local_linear_fitted(data, windows)

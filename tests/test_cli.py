@@ -84,6 +84,23 @@ def test_test_subcommand_composite_fix(csv_path_p2, tmp_path):
     assert json.loads(report.read_text())["hypothesis"] == "composite_null"
 
 
+def test_test_subcommand_fix_in_any_order(tmp_path, rng):
+    # --fix idx=value pins coefficient idx whatever the order of the entries
+    n = 150
+    u = rng.random(n)
+    x = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
+    path = tmp_path / "data3.csv"
+    write_csv(Dataset(u, x, x @ [0.0, 1.0, 3.0] + rng.normal(size=n)), str(path))
+    docs = []
+    for fix in ("2=3,1=1", "1=1,2=3"):
+        report = tmp_path / f"{fix}.json"
+        assert main(["test", "--input", str(path), "--h", "0.4", "--fix", fix,
+                     "--output", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        docs.append((doc["statistic"], doc["per_point"]))
+    assert docs[0] == docs[1]
+
+
 def test_test_subcommand_gof(csv_path, tmp_path):
     report = tmp_path / "report.json"
     code = main(
@@ -142,6 +159,8 @@ def test_exit_codes(tmp_path, csv_path):
     ["simulate", "--power", "--n", "20", "--reps", "3", "--seed", "1", "--r-grid", "0,nan"],
     ["simulate", "--power", "--n", "20", "--reps", "3", "--seed", "1", "--r-grid", "0,1",
      "--threshold-selr", "nan", "--threshold-f", "1"],
+    ["simulate", "--table1", "--n", "20", "--reps", "0", "--seed", "1"],
+    ["simulate", "--table1", "--n", "5", "--reps", "2", "--seed", "1"],
 ])
 def test_bad_number_in_a_flag_is_a_config_error(csv_path, csv_path_p2, tmp_path, capsys, argv):
     # a non-number in a list-valued flag, a negative replicate count, a level
@@ -158,6 +177,19 @@ def test_bad_number_in_a_flag_is_a_config_error(csv_path, csv_path_p2, tmp_path,
     assert err.startswith("error[config]: ")
     assert "Traceback" not in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--power", "--n", "20", "--reps", "3", "--r-grid", "0,nan"],
+     "simulation r must be finite and >= 0, not nan"),
+    (["--table1", "--n", "20", "--reps", "0"], "simulation reps must be >= 1, not 0"),
+    (["--table1", "--n", "5", "--reps", "2"], "simulation n must be >= 10, not 5"),
+    (["--table1", "--n", "20", "--reps", "2", "--c0", "nan"],
+     "simulation c0 must be finite and > 0, not nan"),
+], ids=["r", "reps", "n", "c0"])
+def test_simulation_config_error_names_field_and_value(capsys, argv, message):
+    assert main(["simulate", "--seed", "1"] + argv) == 2
+    assert capsys.readouterr().err == f"error[config]: {message}\n"
 
 
 def test_hard_indicator_gof_refused_up_front(csv_path_p2, capsys):
@@ -317,3 +349,23 @@ def test_config_file_bad_value_is_a_config_error(csv_path, tmp_path, capsys, lin
     assert err.startswith(f"error[config]: {cfg}: bad value for {key}: ")
     assert "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("line, argv, message", [
+    # a misspelt key names no option of any subcommand
+    ("bootstrp = 19", ["test", "--input", "{csv}", "--h", "0.4"], "unknown key 'bootstrp'"),
+    # the mode of simulate is one of a mutually exclusive pair: only a flag chooses it
+    ("table1 = true", ["simulate", "--power", "--n", "20", "--reps", "2", "--seed", "1"],
+     "key 'table1' chooses one of mutually exclusive options"),
+], ids=["unknown", "exclusive"])
+def test_config_file_key_that_no_option_takes_is_refused(csv_path, tmp_path, capsys, line,
+                                                         argv, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg)] + [a.format(csv=csv_path) for a in argv]
+                + ["--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[config]: {cfg}: {message}")
+    assert not out.exists()

@@ -35,12 +35,13 @@ from selrtest.local_el import (
     _BATCH_MARGIN,
     _constrained_fits,
     _design,
-    _fit_constrained,
+    _fit,
     _lls,
     _LocalWindow,
     _log_ratio,
     _log_ratios,
     _moments,
+    _pins,
     _ProfileObjective,
     _segment_sums,
     _window,
@@ -778,30 +779,64 @@ def test_constrained_fit_validation(rng):
             data, TRIWEIGHT, 0.4, 0.5, make_identity(),
             fixed_value=[0.0], fixed_slope=[0.0], fixed_idx=[5],
         )
+    data = random_dataset(rng, n=40, p=3)
+    with pytest.raises(ConfigError):  # one coefficient pinned twice
+        fit_local_constrained(
+            data, TRIWEIGHT, 0.4, 0.5, make_identity(),
+            fixed_value=[0.0, 1.0], fixed_slope=[0.0, 0.0], fixed_idx=[1, 1],
+        )
+
+
+def test_constrained_fit_pins_in_the_order_given(rng):
+    # value k pins coefficient fixed_idx[k]: pins given as [2, 1] are the
+    # pins given as [1, 2] with their values swapped
+    data = random_dataset(rng, n=150, p=3)
+    h, g = 0.4, make_identity()
+    swapped = fit_local_constrained(data, TRIWEIGHT, h, 0.5, g, [3.0, 1.0], [0.5, 0.0], [2, 1])
+    ordered = fit_local_constrained(data, TRIWEIGHT, h, 0.5, g, [1.0, 3.0], [0.0, 0.5], [1, 2])
+    np.testing.assert_array_equal(swapped.beta.vector, ordered.beta.vector)
+    assert swapped.logel == ordered.logel
+    np.testing.assert_array_equal(swapped.beta.a[1:], [1.0, 3.0])
+    np.testing.assert_array_equal(swapped.beta.hb[1:], [0.0, h * 0.5])
 
 
 def spy_handoffs(monkeypatch):
-    """The windows :func:`_batch_profile` hands off, by id, as it runs, and
-    the fits it certifies, by the id of their window."""
-    handed, certified = set(), {}
-    batch = local_el._batch_profile
+    """The windows handed to BFGS, by id, as the constrained fits run (a
+    call of :func:`_fit` with free coordinates is a handoff), and the
+    arrays each call of :func:`_batch_profile` returns, in call order."""
+    handed, batches = set(), []
+    fit, batch = local_el._fit, local_el._batch_profile
 
-    def spy(wins, *args):
-        fits = batch(wins, *args)
-        handed.update(id(win) for win, fit in zip(wins, fits) if fit is None)
-        certified.update((id(win), fit) for win, fit in zip(wins, fits) if fit is not None)
-        return fits
+    def fit_spy(win, y, g, init=None, free_idx=None, fixed_vec=None):
+        if free_idx is not None:
+            handed.add(id(win))
+        return fit(win, y, g, init, free_idx, fixed_vec)
 
-    monkeypatch.setattr(local_el, "_batch_profile", spy)
-    return handed, certified
+    def batch_spy(*args):
+        batches.append(batch(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(local_el, "_fit", fit_spy)
+    monkeypatch.setattr(local_el, "_batch_profile", batch_spy)
+    return handed, batches
 
 
 def bfgs_constrained(win, y, g, fixed_value, fixed_slope, fixed_idx, init):
-    """The per-window oracle of the batched profile fit: None where it skips."""
+    """The per-window oracle of the batched profile fit, BFGS from the 2p
+    vector ``init`` with the pins of :func:`_pins` set: None where it skips."""
+    fixed, free_idx = _pins(win.z.shape[1] // 2, win.h, fixed_idx, [fixed_value], [fixed_slope])
     try:
-        return _fit_constrained(win, y, g, fixed_value, fixed_slope, fixed_idx, init)
+        return _fit(win, y, g, init, free_idx, fixed[0])
     except (Infeasible, MaxIterations, SingularDesign):
         return None
+
+
+def constrained_fits(wins, Y, g, pins, fixed_idx, starts):
+    """:func:`_constrained_fits` with window e pinned by the (fixed_value,
+    fixed_slope) pair ``pins[e]``."""
+    values, slopes = zip(*pins)
+    fixed, free_idx = _pins(wins[0].z.shape[1] // 2, wins[0].h, fixed_idx, values, slopes)
+    return _constrained_fits(wins, Y, g, fixed, free_idx, starts)
 
 
 @pytest.mark.filterwarnings("ignore::selrtest.errors.ThinWindowWarning")
@@ -817,7 +852,7 @@ def test_constrained_batch_matches_bfgs(monkeypatch, rng, p, fixed_idx):
     g = make_identity()
     free = np.ones(2 * p, dtype=bool)
     free[fixed_idx] = free[p + np.asarray(fixed_idx)] = False
-    handed, fits = spy_handoffs(monkeypatch)
+    handed, batches = spy_handoffs(monkeypatch)
     certified, n_handed, skipped, steps = 0, 0, 0, []
     for h in (0.2, 0.35, 0.6):
         items = []
@@ -825,33 +860,36 @@ def test_constrained_batch_matches_bfgs(monkeypatch, rng, p, fixed_idx):
             u0 = float(data.u[j])
             win = _window(data, TRIWEIGHT, h, u0)
             try:
-                init = LocalParameter.from_vector(_lls(win, data.y))
+                init = _lls(win, data.y)
             except SingularDesign:
                 continue
             fixed_value = 0.3 * (np.asarray(fixed_idx) + 1) + slopes[fixed_idx] * u0
             items.append((win, (fixed_value, slopes[fixed_idx]), init))
         for at in range(0, len(items), 4):  # in batches of four windows
             wins, pins, inits = zip(*items[at:at + 4])
-            starts = np.array([[init.vector for init in inits]])
-            logels, statuses = _constrained_fits(wins, data.y[None], g, pins, fixed_idx, starts)
-            for win, pin, init, logel, status in zip(wins, pins, inits, logels[0], statuses[0]):
+            logels, statuses = constrained_fits(wins, data.y[None], g, pins, fixed_idx,
+                                                np.array([inits]))
+            # every window is live: one batch, its items in window order
+            [(values, betas, _, batch_steps, _)] = batches
+            batches.clear()
+            for e, (win, pin, init) in enumerate(zip(wins, pins, inits)):
+                logel, status = logels[0, e], statuses[0, e]
                 want = bfgs_constrained(win, data.y, g, *pin, fixed_idx, init)
+                assert np.isnan(values[e]) == (id(win) in handed)
                 if id(win) not in handed:
                     certified += 1
-                    fit = fits[id(win)]
-                    steps.append(fit.outer_iters)
-                    assert status == fit.status == "converged"
-                    assert logel == fit.logel
-                    np.testing.assert_array_equal(fit.beta.vector[~free], np.concatenate(
+                    steps.append(batch_steps[e])
+                    assert status == "converged"
+                    assert logel == win.entropy - values[e]
+                    np.testing.assert_array_equal(betas[e][~free], np.concatenate(
                         [pin[0], h * pin[1]]))
                 assert np.isnan(logel) == (status is None) == (want is None)
                 if want is None:
                     skipped += 1
                 else:
                     assert logel == pytest.approx(want.logel, rel=1e-9, abs=0)
-        n_handed += len(handed)
-        handed.clear()  # ids of freed windows may be reused
-        fits.clear()
+            n_handed += len(handed)
+            handed.clear()  # ids of freed windows may be reused
     assert certified > 4 * n_handed
     assert max(steps) > 0
     if p == 3 and len(fixed_idx) == 1:
@@ -862,19 +900,19 @@ def test_constrained_batch_edge_windows(monkeypatch, rng):
     """Windows the batch hands off: a dual-infeasible start, a singular
     local design and a near-boundary optimum; BFGS decides each."""
     g = make_identity()
-    handed, _ = spy_handoffs(monkeypatch)
+    handed, batches = spy_handoffs(monkeypatch)
     data = random_dataset(rng, n=80, p=2)
     win = _window(data, TRIWEIGHT, 0.4, 0.5)
-    init = LocalParameter.from_vector(_lls(win, data.y))
+    init = _lls(win, data.y)
     # with a2 pinned at 50 every moment r_i x2_i is negative: 0 is outside
     # the hull at the start, and BFGS skips the window
-    start = init.vector[None, None]
-    [[logel]], [[status]] = _constrained_fits([win], data.y[None], g, [([50.0], [0.0])], [1],
-                                              start)
+    [[logel]], [[status]] = constrained_fits([win], data.y[None], g, [([50.0], [0.0])], [1],
+                                             init[None, None])
     assert np.isnan(logel) and status is None
     assert id(win) in handed
     with pytest.raises(Infeasible):
-        fit_local_constrained(data, TRIWEIGHT, 0.4, 0.5, g, [50.0], [0.0], [1], init)
+        fit_local_constrained(data, TRIWEIGHT, 0.4, 0.5, g, [50.0], [0.0], [1],
+                              LocalParameter.from_vector(init))
 
     # x2 vanishes around u0 = 0.5: singular local design
     n = 100
@@ -886,22 +924,23 @@ def test_constrained_batch_edge_windows(monkeypatch, rng):
     init = LocalParameter([0.1, 0.2], [0.0, 0.0])
     for fixed_idx in ([0], [1]):
         handed.clear()
-        [[logel]], [[status]] = _constrained_fits([win], singular.y[None], g, [([0.0], [0.0])],
-                                                  fixed_idx, init.vector[None, None])
+        [[logel]], [[status]] = constrained_fits([win], singular.y[None], g, [([0.0], [0.0])],
+                                                 fixed_idx, init.vector[None, None])
         assert handed == {id(win)}
-        want = _fit_constrained(win, singular.y, g, [0.0], [0.0], fixed_idx, init)
+        want = bfgs_constrained(win, singular.y, g, [0.0], [0.0], fixed_idx, init.vector)
         got = fit_local_constrained(singular, TRIWEIGHT, 0.08, 0.5, g, [0.0], [0.0],
                                     fixed_idx, init)
         assert logel == got.logel == want.logel
         assert status == got.status == want.status
     # without a start the LLS start is singular (NaN), so no fit runs: BFGS raises
     handed.clear()
+    batches.clear()
     start = local_el._stacked_lls([win], singular.y[None])[:1]
     assert np.isnan(start).all()
-    [[logel]], [[status]] = _constrained_fits([win], singular.y[None], g, [([0.0], [0.0])], [1],
-                                              start)
+    [[logel]], [[status]] = constrained_fits([win], singular.y[None], g, [([0.0], [0.0])], [1],
+                                             start)
     assert np.isnan(logel) and status is None
-    assert not handed
+    assert not handed and not batches
     with pytest.raises(SingularDesign):
         fit_local_constrained(singular, TRIWEIGHT, 0.08, 0.5, g, [0.0], [0.0], [1])
 
@@ -911,12 +950,12 @@ def test_constrained_batch_edge_windows(monkeypatch, rng):
     data = random_dataset(np.random.default_rng(2), n=60, p=2, hetero=1.0)
     u0 = float(data.u[40])
     win = _window(data, TRIWEIGHT, 0.3, u0)
-    init = LocalParameter.from_vector(_lls(win, data.y))
+    init = _lls(win, data.y)
     handed.clear()
-    [[logel]], [[status]] = _constrained_fits([win], data.y[None], g, [([0.0], [0.0])], [1],
-                                              init.vector[None, None])
+    [[logel]], [[status]] = constrained_fits([win], data.y[None], g, [([0.0], [0.0])], [1],
+                                             init[None, None])
     assert handed == {id(win)}
-    want = _fit_constrained(win, data.y, g, [0.0], [0.0], [1], init)
+    want = bfgs_constrained(win, data.y, g, [0.0], [0.0], [1], init)
     resid = data.y[win.active] - win.z @ want.beta.vector
     assert (1.0 + _moments(g, resid, win.z) @ want.alpha).min() < _BATCH_MARGIN
     got = fit_local_constrained(data, TRIWEIGHT, 0.3, u0, g, [0.0], [0.0], [1])

@@ -45,7 +45,7 @@ from selrtest.errors import (
     ReplicateFailureWarning,
     SingularDesign,
 )
-from selrtest.local_el import LocalParameter, _window
+from selrtest.local_el import _window
 from selrtest.selr import CoefFn
 from selrtest.selr import TestCalibration as Calibration
 
@@ -161,8 +161,7 @@ def test_identity_full_fit_skips_singular_local_design(rng):
                for logel, beta, status in singular)
     prev = next(beta for win, logel, beta, _ in rows if not np.isnan(logel) and win.u0 < 0.4)
     with pytest.raises(SingularDesign):
-        local_el._fit(_window(data, TRIWEIGHT, h, 0.5), data.y, make_identity(),
-                      LocalParameter.from_vector(prev))
+        local_el._fit(_window(data, TRIWEIGHT, h, 0.5), data.y, make_identity(), prev)
     spec = Hypothesis.simple([zero_coef()] * 2)
     res = selr_simple(data, TRIWEIGHT, h, make_identity(), spec, include_full_term=True)
     assert res.n_infeasible_points >= len(singular)
@@ -447,28 +446,26 @@ def test_composite_reports_the_constrained_fit(monkeypatch, rng):
     # reads the status of its BFGS fit
     data = small_dataset(rng, n=60, p=2)
     spec = Hypothesis.composite([zero_coef()], [1], omega=(0.0, 1.0))
-    batch = local_el._batch_profile
-    handed = set()
+    batch, fit = local_el._batch_profile, local_el._fit
+    handed, n_handed = set(), []
 
-    def halved_batch(wins, *args):
-        fits = batch(wins, *args)
-        for e, win in enumerate(wins):
-            if e % 2:
-                fits[e] = None
-            if fits[e] is None:
-                handed.add(win.u0)
-        return fits
+    def halved_batch(*args):
+        value, *rest = batch(*args)
+        value[1::2] = np.nan  # every other window handed off
+        n_handed.append(int(np.isnan(value).sum()))
+        return value, *rest
 
-    fit_constrained = local_el._fit_constrained
-
-    def marked_bfgs(win, *args, **kwargs):
-        return replace(fit_constrained(win, *args, **kwargs), status="max_iter")
+    def marked_bfgs(win, y, g, init=None, free_idx=None, fixed_vec=None):
+        assert free_idx is not None  # the identity full fit needs no search
+        handed.add(win.u0)
+        return replace(fit(win, y, g, init, free_idx, fixed_vec), status="max_iter")
 
     monkeypatch.setattr(local_el, "_batch_profile", halved_batch)
-    monkeypatch.setattr(local_el, "_fit_constrained", marked_bfgs)
+    monkeypatch.setattr(local_el, "_fit", marked_bfgs)
     res = selr_composite(data, TRIWEIGHT, 0.5, make_identity(), spec)
     kept = [pt for pt in res.per_point if pt["contribution"] is not None]
     assert handed and len(handed) < len(kept)
+    assert len(handed) == sum(n_handed)  # each handoff fits once, by BFGS
     for pt in kept:
         assert pt["status"] == ("max_iter" if pt["u0"] in handed else "converged")
 
@@ -478,6 +475,32 @@ def test_composite_requires_partial_pin(rng):
     spec = Hypothesis.composite([zero_coef()], [0], omega=(0.0, 1.0))
     with pytest.raises(ConfigError):
         selr_composite(data, TRIWEIGHT, 0.4, make_identity(), spec)
+
+
+def test_composite_pins_in_the_order_given(rng):
+    # a10[k] pins coefficient fixed_idx[k]: the null A2 = 3, A3 = 1 written
+    # out of index order is the same null
+    coef = [lambda u: 0.5 * u, lambda u: np.full_like(u, 3.0), lambda u: np.full_like(u, 1.0)]
+    data = small_dataset(rng, n=150, p=3, coef=coef)
+    g = make_identity()
+    swapped = Hypothesis.composite([const_coef(1.0), const_coef(3.0)], [2, 1])
+    ordered = Hypothesis.composite([const_coef(3.0), const_coef(1.0)], [1, 2])
+    got = selr_composite(data, TRIWEIGHT, 0.4, g, swapped)
+    want = selr_composite(data, TRIWEIGHT, 0.4, g, ordered)
+    assert got.statistic == want.statistic
+    assert got.per_point == want.per_point
+    with pytest.raises(ConfigError):  # one coefficient pinned twice
+        selr_composite(data, TRIWEIGHT, 0.4, g,
+                       Hypothesis.composite([const_coef(3.0), const_coef(1.0)], [1, 1]))
+
+
+def test_bootstrap_refuses_an_out_of_range_pin(rng):
+    # with the observed statistic given, the null fit is the first to read
+    # the pins, and it checks them as the statistic does
+    data = small_dataset(rng, n=40, p=2)
+    spec = Hypothesis.composite([zero_coef()], [5])
+    with pytest.raises(ConfigError):
+        bootstrap_null(data, TRIWEIGHT, 0.4, make_identity(), spec, B=2, observed=1.0)
 
 
 # ---------------------------------------------------------------------------

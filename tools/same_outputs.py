@@ -4,8 +4,8 @@ Usage: python tools/same_outputs.py PARENT_SRC [CHANGE_SRC]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories (CHANGE_SRC defaults to
 this checkout's).  Each side runs in its own child process with that
-directory first on ``sys.path`` and BLAS on one thread, and computes 120
-outputs, 96 of them on the benchmark's seed-0 inputs
+directory first on ``sys.path`` and BLAS on one thread, and computes 123
+outputs, 99 of them on the benchmark's seed-0 inputs
 (``perfbench/workloads.py``'s ``draw_dataset``):
 
 - on each of the 8 cli_tests designs: the simple null at n = 200 and
@@ -21,6 +21,12 @@ outputs, 96 of them on the benchmark's seed-0 inputs
   the wild and resample schemes (B = 20 each), the simple null at
   n = 800 (B = 10), and ``select_bandwidth`` on the grid (0.2, 0.3) with
   its bootstrap sample (B = 10);
+- on design 0 at every 10th point, the one-window fits: the identity-G
+  ``fit_local_constrained`` with a2 pinned at 1.5, at h = 0.3 and at
+  h = 0.15 (where the batch hands the window at point 10 to BFGS), and
+  the smoothed-G ``fit_local`` from a ``LocalParameter`` start 0.1 above
+  the LLS values; each fit by its log-EL, beta, alpha, status and
+  iteration counts;
 - the 8 bootstrap workload calls (B = 199) with their p-values;
 - the 8 Monte Carlo passes (40 replicates, SELR and F-type statistics);
 - a Monte Carlo pass of the SELR statistic alone (40 replicates, the
@@ -63,6 +69,20 @@ def _result(res) -> tuple:
     return (res.statistic, res.df, res.n_infeasible_points, res.n_clamped, res.per_point)
 
 
+def _fits(fit_at, points) -> list:
+    """The one-window fit ``fit_at(u0)`` at each point, or the error it raises."""
+    out = []
+    for u0 in points:
+        try:
+            fit = fit_at(u0)
+        except Exception as exc:  # a skipped window: compared by its error
+            out.append((type(exc).__name__, str(exc)))
+            continue
+        out.append((fit.logel, fit.beta.vector.tolist(), fit.alpha.tolist(), fit.status,
+                    fit.inner_iters, fit.outer_iters))
+    return out
+
+
 def compute() -> dict:
     """The outputs of the selrtest first on ``sys.path``, by key."""
     import warnings
@@ -72,7 +92,7 @@ def compute() -> dict:
     sys.path.insert(1, str(ROOT / "perfbench"))
     from workloads import FULL, Bootstrap, CliTests, MonteCarlo, _rng, draw_dataset
 
-    from selrtest import Dataset, montecarlo, selr
+    from selrtest import Dataset, local_el, montecarlo, selr
     from selrtest.estfun import make_identity, parse_g_spec
     from selrtest.kernels import kernel_by_name
 
@@ -138,6 +158,18 @@ def compute() -> dict:
             selr._bootstrap = bootstrap
             out[f"select_bandwidth/{s}"] = (sel.h, sel.statistic, sorted(sel.per_h.items()),
                                             sel.p_bootstrap, samples)
+            points = p2.u[::10].tolist()
+            for h in (H, 0.15):
+                out[f"fit_local_constrained/{s}/{h}"] = _fits(
+                    lambda u0: local_el.fit_local_constrained(p2, kernel, h, u0, g, [1.5],
+                                                              [0.0], [1]), points)
+
+            def smoothed_fit(u0):
+                start = local_el.lls_init(p2, kernel, H, u0)
+                init = local_el.LocalParameter(start.a + 0.1, start.hb)
+                return local_el.fit_local(p2, kernel, H, u0, smoothed, init)
+
+            out[f"fit_local_smoothed/{s}"] = _fits(smoothed_fit, points)
     for s in range(DESIGNS):
         data = draw_dataset(_rng(SEED, Bootstrap.tag, s), FULL.n_small, 1)
         sample, p = selr.bootstrap_null(data, kernel, H, g, zero, B=FULL.boot_b, seed=SEED)
