@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 
-from .errors import EmptyFile, MissingColumn, ParseError
+from .errors import DataError, EmptyFile, MissingColumn, ParseError
 from .local_el import Dataset
 
 __all__ = ["ingest_csv", "write_csv"]
@@ -17,8 +17,8 @@ def ingest_csv(path: str) -> Dataset:
     """Read a dataset from a headed CSV file.
 
     The header must name columns ``u``, ``y`` and ``x1`` .. ``xp`` in any
-    order; rows containing unparseable or non-finite fields are rejected
-    and reported with their line numbers.
+    order, each once; rows containing unparseable or non-finite fields are
+    rejected and reported with their line numbers.
     """
     if not os.path.exists(path):
         raise EmptyFile(f"no such file: {path}")
@@ -29,6 +29,9 @@ def ingest_csv(path: str) -> Dataset:
         except StopIteration:
             raise EmptyFile(f"{path} is empty") from None
         names = [c.strip() for c in header]
+        for c in names:
+            if names.count(c) > 1 and (c in ("u", "y") or c[:1] == "x" and c[1:].isdigit()):
+                raise DataError(f"column {c!r} is named more than once in the header")
         if "u" not in names:
             raise MissingColumn("missing column 'u'")
         if "y" not in names:

@@ -103,6 +103,8 @@ def tabulated_kernel(t_grid, k_values) -> Kernel:
     k_values = np.asarray(k_values, dtype=float)
     if t_grid.ndim != 1 or t_grid.shape != k_values.shape or t_grid.size < 3:
         raise ConfigError("tabulated kernel needs two equal 1-d columns, >= 3 rows")
+    if not (np.isfinite(t_grid).all() and np.isfinite(k_values).all()):
+        raise ConfigError("tabulated kernel entries must be finite")
     if np.any(np.diff(t_grid) <= 0):
         raise ConfigError("tabulated kernel grid must be strictly increasing")
     if np.any(k_values < 0):

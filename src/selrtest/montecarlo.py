@@ -20,7 +20,7 @@ from .errors import ConfigError, DegenerateRSS1, NumericalError
 from .estfun import make_identity
 from .kernels import Kernel, kernel_by_name
 from .local_el import Dataset, _fitted_block, _local_linear_fitted, _windows
-from .selr import Hypothesis, _statistic, zero_coef
+from .selr import Hypothesis, _statistics, zero_coef
 
 __all__ = [
     "SimulationConfig",
@@ -143,9 +143,9 @@ def _one_replicate(args):
     statistic, NaN where one fails, from one walk over its design's windows:
     the smoother fills each block's fitted values as the SELR walk passes it.
     That walk covers all n points (omega = (0, 1), u in [0, 1)), a window is
-    the same in any block, and the SELR statistic raises only after its walk
-    (NoRetainedWindows), so F is :func:`f_type_stat`'s value whether or not
-    the SELR statistic fails; a block whose smoother fails leaves F NaN."""
+    the same in any block, and an all-skipped SELR statistic is NaN, not an
+    error, so F is :func:`f_type_stat`'s value whether or not the SELR
+    statistic fails; a block whose smoother fails leaves F NaN."""
     config, rep_index, stream_offset, want_f = args
     rng = streams.substream(config.seed, stream_offset + rep_index)
     data = generate(config, rng)
@@ -163,7 +163,8 @@ def _one_replicate(args):
             yield block, wins
 
     try:
-        selr_val = _statistic(data, kern, config.h, g, _zero_null_spec(), windows=windows).statistic
+        [selr_val], _ = _statistics(data, data.y[None], kern, config.h, g, _zero_null_spec(),
+                                    windows=windows).totals()
     except NumericalError:
         selr_val = math.nan
     f_val = math.nan

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -211,18 +211,14 @@ class TestResult:
 # evaluation-point machinery
 
 
-def _resolve_omega(data: Dataset, omega) -> tuple[float, float]:
-    if omega is None:
-        return float(data.u.min()), float(data.u.max())
-    return float(omega[0]), float(omega[1])
-
-
-def _eval_points(data: Dataset, omega) -> np.ndarray:
-    lo, hi = omega
+def _eval_points(data: Dataset, omega) -> tuple[tuple[float, float], np.ndarray]:
+    """The testing interval ``omega`` (by default [min u, max u]) and the
+    indices of the observations inside it."""
+    lo, hi = (data.u.min(), data.u.max()) if omega is None else omega
     idx = np.nonzero((data.u >= lo) & (data.u <= hi))[0]
     if len(idx) == 0:
         raise ConfigError("no observation inside the testing interval")
-    return idx
+    return (float(lo), float(hi)), idx
 
 
 def _walk(data: Dataset, eval_idx, windows):
@@ -235,7 +231,7 @@ def _walk(data: Dataset, eval_idx, windows):
 
 def sel_entropy(data: Dataset, kernel: Kernel, h: float, omega=None) -> float:
     """Saturated-model term: double sum of w log w over all windows."""
-    blocks = _windows(data, kernel, h)(_eval_points(data, _resolve_omega(data, omega)))
+    blocks = _windows(data, kernel, h)(_eval_points(data, omega)[1])
     return sum(win.entropy for block, wins in blocks for win in _nonempty(wins, data.u[block]))
 
 
@@ -274,25 +270,11 @@ def _full_fits(data, Y, g, walk):
 
 def sel_full(data: Dataset, kernel: Kernel, h: float, g: EstimatingFunction, omega=None) -> float:
     """Sum of maximized local log-EL values over the evaluation points."""
-    eval_idx = _eval_points(data, _resolve_omega(data, omega))
+    eval_idx = _eval_points(data, omega)[1]
     walk = _walk(data, eval_idx, _windows(data, kernel, h))
     # a left-to-right sum over the kept windows in walk order: np.nansum rounds otherwise
     return float(sum(v for _, _, logel, _, _ in _full_fits(data, data.y[None], g, walk)
                      for v in logel[0].tolist() if not math.isnan(v)))
-
-
-def _calibration(kind, k0, p, p1, omega_len, h, kernel, retained_frac, no_est=False):
-    consts = kernel_constants(kernel)
-    if kind == "goodness_of_fit":
-        dim = (k0 if no_est else k0 - 1) * p
-    elif kind in ("simple_null", "parametric_null"):
-        dim = p
-    elif kind == "composite_null":
-        dim = p1
-    else:
-        raise ConfigError(f"unknown hypothesis kind {kind!r}")
-    dof = dim * omega_len * consts.c_K / h * retained_frac
-    return TestCalibration(r_K=consts.r_K, df=dof, omega_len=omega_len, h=h, kind=kind), consts
 
 
 def asymptotic_pvalue(stat: float, cal: TestCalibration) -> float:
@@ -309,72 +291,90 @@ def asymptotic_pvalue(stat: float, cal: TestCalibration) -> float:
     return 1.0 if x < 0 else float(gammaincc(cal.df / 2.0, x / 2.0))
 
 
-def _assemble(kind, data, eval_idx, contribs, statuses, omega, h, kernel, k0, p1=None,
-              no_est=False) -> TestResult:
-    """Sum one replicate's per-point contributions into a calibrated result.
+@dataclass(frozen=True)
+class _Terms:
+    """The per-point terms of one statistic under R replicates, the value
+    every result, bootstrap sample and bandwidth comparison is read from.
 
-    ``contribs`` and ``statuses`` hold the contribution and status of each
-    evaluation point; a NaN contribution marks a skipped window, which also
-    removes its share of the degrees of freedom.  Raises
-    :class:`NoRetainedWindows` when every window was skipped, so a
-    bootstrap counts that replicate as failed.
+    ``contribs`` and ``statuses`` (R, points) hold the contribution and
+    status of each evaluation point ``eval_idx`` of the testing interval
+    ``omega``, a NaN contribution marking a skipped window; ``errors`` maps
+    each replicate whose null fit failed to its error, its row all NaN.
+    ``dim`` is the dimension the hypothesis ``kind`` tests.
     """
-    per_point = []
-    stat = 0.0
-    n_skipped = n_clamped = 0
-    for j, contrib, status in zip(eval_idx.tolist(), contribs.tolist(), statuses):
-        u0 = float(data.u[j])
-        if math.isnan(contrib):
-            n_skipped += 1
-            per_point.append({"u0": u0, "contribution": None, "status": "skipped"})
-            continue
-        if contrib < 0:
-            n_clamped += 1
-        stat += contrib
-        per_point.append({"u0": u0, "contribution": contrib, "status": status})
-    if n_skipped == len(eval_idx):
+
+    kind: str
+    dim: int
+    omega: tuple[float, float]
+    eval_idx: np.ndarray
+    contribs: np.ndarray
+    statuses: np.ndarray
+    errors: dict
+
+    def totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each replicate's statistic, the left-to-right sum of its kept
+        contributions (NaN where every window was skipped), and the fraction
+        of its windows retained."""
+        skipped = np.isnan(self.contribs)
+        stat = np.cumsum(np.where(skipped, 0.0, self.contribs), axis=1)[:, -1]
+        retained = 1.0 - skipped.sum(axis=1) / len(self.eval_idx)
+        return np.where(retained > 0, stat, np.nan), retained
+
+    def df(self, kernel: Kernel, h: float, retained):
+        """The degrees of freedom dim * |Omega| * c_K / h, scaled by the
+        retained fraction, and the kernel's constants."""
+        consts = kernel_constants(kernel)
+        return self.dim * (self.omega[1] - self.omega[0]) * consts.c_K / h * retained, consts
+
+
+def _standardized(r_K, stat, df):
+    """(r_K T - df) / sqrt(2 df), the statistic a bandwidth grid compares."""
+    return (r_K * stat - df) / np.sqrt(2.0 * df)
+
+
+def _assemble(terms: _Terms, data: Dataset, kernel: Kernel, h: float) -> TestResult:
+    """The calibrated result of a single statistic (R = 1), the one place a
+    result and its ``per_point`` list are built.
+
+    A skipped window also removes its share of the degrees of freedom.
+    Raises the error of a failed null fit, or :class:`NoRetainedWindows`
+    when every window was skipped.
+    """
+    if 0 in terms.errors:
+        raise terms.errors[0]
+    stat, retained = (float(v[0]) for v in terms.totals())
+    contribs = terms.contribs[0]
+    n_skipped = int(np.isnan(contribs).sum())
+    if math.isnan(stat):
         raise NoRetainedWindows(f"all {n_skipped} evaluation windows were skipped")
-    retained = 1.0 - n_skipped / len(eval_idx)
-    cal, consts = _calibration(
-        kind, k0, data.p, p1, omega[1] - omega[0], h, kernel, retained, no_est=no_est
-    )
+    df, consts = terms.df(kernel, h, retained)
+    cal = TestCalibration(r_K=consts.r_K, df=df, omega_len=terms.omega[1] - terms.omega[0],
+                          h=h, kind=terms.kind)
+    if terms.kind == "goodness_of_fit" and df <= 0:
+        warnings.warn(
+            "goodness-of-fit with a single constraint is degenerate (df = 0)",
+            DegenerateTestWarning,
+            stacklevel=3,
+        )
     return TestResult(
         statistic=stat,
         scaled=cal.r_K * stat,
-        df=cal.df,
-        p_asymptotic=asymptotic_pvalue(stat, cal) if cal.df > 0 else float("nan"),
+        df=df,
+        p_asymptotic=asymptotic_pvalue(stat, cal) if df > 0 else float("nan"),
         calibration=cal,
         kernel=kernel.family,
         h=h,
-        hypothesis=kind,
+        hypothesis=terms.kind,
         r_K=cal.r_K,
         c_K=consts.c_K,
         n_infeasible_points=n_skipped,
-        n_clamped=n_clamped,
+        n_clamped=int(np.sum(contribs < 0)),
         retained_frac=retained,
-        per_point=per_point,
+        per_point=[{"u0": u0, "contribution": None, "status": "skipped"} if math.isnan(c)
+                   else {"u0": u0, "contribution": c, "status": status}
+                   for u0, c, status in zip(data.u[terms.eval_idx].tolist(), contribs.tolist(),
+                                            terms.statuses[0])],
     )
-
-
-def _results(kind, data, eval_idx, contribs, statuses, *args, **kwargs):
-    """:func:`_assemble` of each replicate's row of ``contribs`` and
-    ``statuses`` (R, points), one replicate at a time as they are read (so
-    the B results of a bootstrap, per-point lists and all, are never alive
-    together): its result, or the NoRetainedWindows it raises."""
-    for contrib, status in zip(contribs, statuses):
-        try:
-            res = _assemble(kind, data, eval_idx, contrib, status, *args, **kwargs)
-        except NoRetainedWindows as exc:
-            res = exc.with_traceback(None)  # a traceback would keep this frame alive
-        yield res
-
-
-def _one(results) -> TestResult:
-    """The result of a single statistic; raises the error that failed it."""
-    [res] = results
-    if isinstance(res, NumericalError):
-        raise res
-    return res
 
 
 def selr_gof(
@@ -385,25 +385,7 @@ def selr_gof(
     spec: Hypothesis,
 ) -> TestResult:
     """Goodness-of-fit statistic for the estimating-equation constraints."""
-    return _one(_gof(data, data.y[None], kernel, h, g, spec, _windows(data, kernel, h)))
-
-
-def _gof(data, Y, kernel, h, g, spec, windows):
-    omega = _resolve_omega(data, spec.omega)
-    eval_idx = _eval_points(data, omega)
-    contribs, statuses = _fit_arrays((len(Y), len(eval_idx)))
-    for block, wins, logel, _, status in _full_fits(data, Y, g, _walk(data, eval_idx, windows)):
-        at = np.searchsorted(eval_idx, block)
-        contribs[:, at], statuses[:, at] = _entropies(wins) - logel, status
-    for res in _results("goodness_of_fit", data, eval_idx, contribs, statuses, omega, h,
-                        kernel, g.k0, no_est=spec.no_estimated_coefficients):
-        if isinstance(res, TestResult) and res.df <= 0:
-            warnings.warn(
-                "goodness-of-fit with a single constraint is degenerate (df = 0)",
-                DegenerateTestWarning,
-                stacklevel=3,
-            )
-        yield res
+    return selr_test(data, kernel, h, g, replace(spec, kind="goodness_of_fit"))
 
 
 def _coef_sum(data: Dataset, fns: Sequence[CoefFn], cols) -> np.ndarray:
@@ -433,32 +415,17 @@ def selr_simple(
     changes the statistic only where the LLS fit fails (a singular local
     design), which skips the window.
     """
-    if spec.a0 is None:  # a hypothesis of another kind
-        raise ConfigError("simple_null needs coefficient functions a0")
-    return _one(_simple(data, data.y[None], kernel, h, g, spec, include_full_term,
-                        _windows(data, kernel, h)))
+    # a hypothesis of another kind without a0 is refused by the replace
+    return selr_test(data, kernel, h, g, replace(spec, kind="simple_null"), include_full_term)
 
 
-def _simple(data, Y, kernel, h, g, spec, include_full_term, windows):
-    if len(spec.a0) != data.p:
-        raise ConfigError(f"a0 must supply {data.p} coefficient functions")
-    # shift the responses so the null becomes `all coefficients zero`; the
-    # shift changes y only, so the windows stay those of data
-    Y = Y - _coef_sum(data, spec.a0, range(data.p))
-    omega = _resolve_omega(data, spec.omega)
-    eval_idx = _eval_points(data, omega)
-    if include_full_term is None:
-        include_full_term = g.k0 > 1
-    walk = _walk(data, eval_idx, windows)
-    contribs = np.full((len(Y), len(eval_idx)), np.nan)
-    for block, wins, *full in _full_fits(data, Y, g, walk) if include_full_term else walk:
+def _simple(data, Y, g, full_term, walk):
+    """The simple zero null's terms of the shifted responses ``Y``."""
+    for block, wins, *full in _full_fits(data, Y, g, walk) if full_term else walk:
         terms = _log_ratios(wins, g, Y, np.zeros(2 * data.p))
         if full:  # less the unconstrained-fit term
             terms -= _entropies(wins) - full[0]
-        contribs[:, np.searchsorted(eval_idx, block)] = terms
-    statuses = np.broadcast_to(np.array("converged", dtype=object), contribs.shape)
-    return _results("simple_null", data, eval_idx, contribs, statuses, omega, h, kernel,
-                    g.k0)
+        yield block, terms, "converged"
 
 
 def selr_composite(
@@ -469,26 +436,20 @@ def selr_composite(
     spec: Hypothesis,
 ) -> TestResult:
     """Likelihood-ratio statistic against a composite null pinning A1 = A10."""
-    return _one(_composite(data, data.y[None], kernel, h, g, spec, _windows(data, kernel, h)))
+    return selr_test(data, kernel, h, g, replace(spec, kind="composite_null"))
 
 
-def _composite(data, Y, kernel, h, g, spec, windows):
-    if spec.a10 is None or spec.fixed_idx is None:
-        raise ConfigError("composite_null needs a10 and fixed_idx")
-    omega = _resolve_omega(data, spec.omega)
-    eval_idx = _eval_points(data, omega)
+def _composite(data, Y, h, g, spec, eval_idx, walk):
     u = data.u[eval_idx]
-    fixed, free_idx = _pins(data.p, h, spec.fixed_idx,
-                            np.column_stack([fn.value(u) for fn in spec.a10]),
-                            np.column_stack([fn.deriv(u) for fn in spec.a10]))
-    contribs, statuses = _fit_arrays((len(Y), len(eval_idx)))
-    for block, wins, full, beta, _ in _full_fits(data, Y, g, _walk(data, eval_idx, windows)):
-        at = np.searchsorted(eval_idx, block)
+    # the pin values, then slopes; a coefficient function may return a scalar
+    fixed, free_idx = _pins(data.p, h, spec.fixed_idx, *(
+        np.column_stack([np.broadcast_to(f(u), u.shape) for f in fns])
+        for fns in zip(*[(fn.value, fn.deriv) for fn in spec.a10])))
+    for block, wins, full, beta, _ in _full_fits(data, Y, g, walk):
         # a window whose full fit failed is skipped: its NaN start gets no constrained fit
-        logel, status = _constrained_fits(wins, Y, g, fixed[at], free_idx, beta)
-        contribs[:, at], statuses[:, at] = full - logel, status
-    return _results("composite_null", data, eval_idx, contribs, statuses, omega, h, kernel,
-                    g.k0, p1=len(spec.fixed_idx))
+        logel, status = _constrained_fits(wins, Y, g, fixed[np.searchsorted(eval_idx, block)],
+                                          free_idx, beta)
+        yield block, full - logel, status
 
 
 def bias_correct(
@@ -529,65 +490,58 @@ def selr_test(
 ) -> TestResult:
     """Dispatch on the hypothesis kind; parametric nulls are bias-corrected
     and reduced to a simple zero null."""
-    return _statistic(data, kernel, h, g, spec, include_full_term=include_full_term,
-                      windows=_windows(data, kernel, h))
+    return _assemble(_statistics(data, data.y[None], kernel, h, g, spec, include_full_term,
+                                 windows=_windows(data, kernel, h)), data, kernel, h)
 
 
-def _statistic(data, kernel, h, g, spec, include_full_term=None, *, windows):
-    """:func:`selr_test` with ``windows`` the window source of ``data``, so a
-    caller can see each block of windows as the statistic walks it."""
-    return _one(_statistics(data, data.y[None], kernel, h, g, spec, include_full_term,
-                            windows=windows))
-
-
-def _statistics(data, Y, kernel, h, g, spec, include_full_term=None, *, windows):
-    """:func:`selr_test` on the datasets (u, x, Y[r]) of the rows of the
-    responses ``Y`` (R, n), with ``windows`` the window source of ``data``:
-    an iterator over the replicates of each one's result, or of the
-    NumericalError that fails it.  One walk over the windows serves every
-    replicate."""
+def _statistics(data, Y, kernel, h, g, spec, include_full_term=None, *, windows) -> _Terms:
+    """The terms of :func:`selr_test` on the datasets (u, x, Y[r]) of the
+    rows of the responses ``Y`` (R, n), with ``windows`` the window source
+    of ``data``.  One walk over the windows serves every replicate: each
+    kind yields the (block, contributions, status) of its blocks."""
     full_term = g.k0 > 1 if include_full_term is None else include_full_term
     if spec.kind in ("goodness_of_fit", "composite_null") or full_term:
         _require_derivative(g)  # before any window is built
+    omega, eval_idx = _eval_points(data, spec.omega)
+    walk = _walk(data, eval_idx, windows)
+    rows, errors = np.arange(len(Y)), {}
     if spec.kind == "goodness_of_fit":
-        return _gof(data, Y, kernel, h, g, spec, windows)
-    if spec.kind == "simple_null":
-        return _simple(data, Y, kernel, h, g, spec, include_full_term, windows)
-    if spec.kind == "composite_null":
-        return _composite(data, Y, kernel, h, g, spec, windows)
-    if spec.kind == "parametric_null":
-        return _parametric(data, Y, kernel, h, g, spec, include_full_term, windows)
-    raise ConfigError(f"unknown hypothesis kind {spec.kind!r}")
+        dim = (g.k0 if spec.no_estimated_coefficients else g.k0 - 1) * data.p
+        blocks = ((block, _entropies(wins) - logel, status)
+                  for block, wins, logel, _, status in _full_fits(data, Y, g, walk))
+    elif spec.kind == "simple_null":
+        if len(spec.a0) != data.p:
+            raise ConfigError(f"a0 must supply {data.p} coefficient functions")
+        # shift the responses so the null becomes `all coefficients zero`; the
+        # shift changes y only, so the windows stay those of data
+        dim, blocks = data.p, _simple(data, Y - _coef_sum(data, spec.a0, range(data.p)), g,
+                                      full_term, walk)
+    elif spec.kind == "composite_null":
+        dim, blocks = len(spec.fixed_idx), _composite(data, Y, h, g, spec, eval_idx, walk)
+    elif spec.kind == "parametric_null":
+        rows, stars, errors = _parametric(data, Y, spec)
+        dim, blocks = data.p, _simple(data, stars, g, full_term, walk) if len(rows) else ()
+    else:
+        raise ConfigError(f"unknown hypothesis kind {spec.kind!r}")
+    contribs, statuses = _fit_arrays((len(Y), len(eval_idx)))
+    for block, contrib, status in blocks:
+        at = rows[:, None], np.searchsorted(eval_idx, block)
+        contribs[at], statuses[at] = contrib, status
+    return _Terms(spec.kind, dim, omega, eval_idx, contribs, statuses, errors)
 
 
-def _parametric(data, Y, kernel, h, g, spec, include_full_term, windows):
-    """Each replicate's parametric-null statistic: the bias correction, then
-    the simple zero null of the corrected responses; a failed correction
-    fails its replicate alone."""
-    stars, failed = [], {}
+def _parametric(data, Y, spec):
+    """The bias correction of each replicate for the parametric null: the
+    replicates it corrects, their corrected responses, whose null is the
+    simple zero null, and the error of each other replicate, which fails
+    alone."""
+    stars, errors = {}, {}
     for r, y in enumerate(Y):
         try:
-            stars.append(bias_correct(Dataset(data.u, data.x, y), spec.family,
-                                      spec.theta_init)[1].y)
+            stars[r] = bias_correct(Dataset(data.u, data.x, y), spec.family, spec.theta_init)[1].y
         except NumericalError as exc:
-            failed[r] = exc.with_traceback(None)
-    zero_spec = Hypothesis.simple([zero_coef()] * data.p, omega=spec.omega)
-    simple = _simple(data, np.array(stars), kernel, h, g, zero_spec, include_full_term,
-                     windows) if stars else iter(())
-    for r in range(len(Y)):
-        if r in failed:
-            yield failed[r]
-            continue
-        res = next(simple)
-        if isinstance(res, TestResult):
-            res.hypothesis = "parametric_null"
-        yield res
-
-
-def _sample(results, value) -> np.ndarray:
-    """``value(result)`` of each replicate's result, NaN where it failed."""
-    return np.array([math.nan if isinstance(res, NumericalError) else value(res)
-                     for res in results])
+            errors[r] = exc.with_traceback(None)  # a traceback would keep this frame alive
+    return np.array(list(stars), dtype=int), np.array(list(stars.values())), errors
 
 
 # ---------------------------------------------------------------------------
@@ -694,12 +648,11 @@ def bootstrap_null(
         raise ConfigError("need at least one bootstrap replicate")
     windows = _windows(data, kernel, h)
     if observed is None:
-        observed = _statistic(data, kernel, h, g, spec, include_full_term,
-                              windows=windows).statistic
+        observed = selr_test(data, kernel, h, g, spec, include_full_term).statistic
     return _bootstrap(
         data, kernel, h, spec, B, scheme, seed,
-        lambda Y: _sample(_statistics(data, Y, kernel, h, g, spec, include_full_term,
-                                      windows=windows), lambda res: res.statistic),
+        lambda Y: _statistics(data, Y, kernel, h, g, spec, include_full_term,
+                              windows=windows).totals()[0],
         observed, windows)
 
 
@@ -729,22 +682,25 @@ def select_bandwidth(
     if not h_grid:
         raise ConfigError("bandwidth grid is empty")
 
-    def standardized(res):
+    per_h = {}
+    for h in h_grid:
+        res = selr_test(data, kernel, h, g, spec)
         if res.df <= 0:
             raise ConfigError("bandwidth selection needs positive df")
-        return (res.r_K * res.statistic - res.df) / np.sqrt(2.0 * res.df)
-
-    per_h = {h: standardized(_statistic(data, kernel, h, g, spec,
-                                        windows=_windows(data, kernel, h))) for h in h_grid}
+        per_h[h] = _standardized(res.r_K, res.statistic, res.df)
     h_hat = max(per_h, key=per_h.get)
     observed = per_h[h_hat]
 
     p_boot = None
     if B > 0:
+        def standardized(h, Y):  # NaN where a replicate fails
+            terms = _statistics(data, Y, kernel, h, g, spec, windows=_windows(data, kernel, h))
+            stat, retained = terms.totals()
+            df, consts = terms.df(kernel, h, retained)
+            return _standardized(consts.r_K, stat, df)
+
         def maxima(Y):  # NaN where a replicate fails at any bandwidth
-            return np.max([_sample(_statistics(data, Y, kernel, h, g, spec,
-                                               windows=_windows(data, kernel, h)), standardized)
-                           for h in h_grid], axis=0)
+            return np.max([standardized(h, Y) for h in h_grid], axis=0)
 
         _, p_boot = _bootstrap(data, kernel, min(h_grid), spec, B, scheme, seed, maxima,
                                observed, _windows(data, kernel, min(h_grid)))

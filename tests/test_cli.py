@@ -46,6 +46,9 @@ def test_kernel_constants_tabulated(tmp_path, capsys):
     np.savetxt(table, np.column_stack([t, k]))
     assert main(["kernel-constants", "--tabulated-kernel", str(table)]) == 0
     assert "kernel: tabulated" in capsys.readouterr().out
+    k[len(k) // 2] = np.nan  # bad input, not a quadrature failure
+    np.savetxt(table, np.column_stack([t, k]))
+    assert main(["kernel-constants", "--tabulated-kernel", str(table)]) == 2
 
 
 def test_test_subcommand_json_report(csv_path, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from selrtest import Dataset
 from selrtest.dataio import ingest_csv, write_csv
-from selrtest.errors import EmptyFile, MissingColumn, ParseError
+from selrtest.errors import DataError, EmptyFile, MissingColumn, ParseError
 
 
 def test_roundtrip(tmp_path, rng):
@@ -38,6 +38,15 @@ def test_missing_columns(tmp_path):
     path.write_text("x1,y\n1.0,1.0\n")
     with pytest.raises(MissingColumn):
         ingest_csv(str(path))
+
+
+def test_column_named_twice(tmp_path):
+    # the last column of a name would win: u from column 4 here
+    path = tmp_path / "d.csv"
+    for header, name in (("u,x1,y,u", "u"), ("u,x1,y,y", "y"), ("u,x1,x1,y", "x1")):
+        path.write_text(f"{header}\n0.5,1.0,2.0,0.7\n")
+        with pytest.raises(DataError, match=f"'{name}'"):
+            ingest_csv(str(path))
 
 
 def test_bad_rows_reported_with_line_numbers(tmp_path):

@@ -155,3 +155,8 @@ def test_tabulated_kernel_validation():
     skew = np.linspace(0, 1, 11)
     with pytest.raises(ConfigError):
         tabulated_kernel(t, skew / np.trapezoid(skew, t))  # asymmetric
+    for bad in (np.where(t == 0, np.nan, t), np.where(t == 1, np.inf, t)):
+        with pytest.raises(ConfigError, match="finite"):
+            tabulated_kernel(bad, 0.75 * (1 - t**2))  # a NaN or inf in t
+    with pytest.raises(ConfigError, match="finite"):
+        tabulated_kernel(t, np.where(t == 0, np.nan, 0.75 * (1 - t**2)))  # a NaN in K(t)

@@ -4,7 +4,6 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -206,17 +205,19 @@ def test_full_fit_arrays_skip_alike_in_every_replicate(rng):
     assert all(s is None for s in status[skipped])
     assert all(s == "converged" for s in status[~skipped])
     spec = Hypothesis.composite([zero_coef()], [1])
-    results = list(selr._composite(data, Y, TRIWEIGHT, h, g, spec,
-                                   selr._windows(data, TRIWEIGHT, h)))
+    terms = selr._statistics(data, Y, TRIWEIGHT, h, g, spec,
+                             windows=selr._windows(data, TRIWEIGHT, h))
     for r, y in enumerate(Y):
         one = full_fits(y[None])
         np.testing.assert_array_equal(logel[r], one[0][0])
         np.testing.assert_array_equal(beta[r], one[1][0])
         assert status[r].tolist() == one[2][0].tolist()
         single = selr_composite(Dataset(data.u, data.x, y), TRIWEIGHT, h, g, spec)
-        assert results[r].per_point == single.per_point
-        assert all(pt["contribution"] is None
-                   for pt, skip in zip(results[r].per_point, skipped[r]) if skip)
+        # u is increasing, so the walk's order is the evaluation points' order
+        assert [(None, "skipped") if math.isnan(c) else (c, s) for c, s in
+                zip(terms.contribs[r].tolist(), terms.statuses[r])] == [
+            (pt["contribution"], pt["status"]) for pt in single.per_point]
+        assert np.isnan(terms.contribs[r][skipped[r]]).all()
 
 
 @pytest.mark.filterwarnings("ignore::selrtest.errors.ThinWindowWarning")
@@ -492,6 +493,16 @@ def test_composite_pins_in_the_order_given(rng):
     with pytest.raises(ConfigError):  # one coefficient pinned twice
         selr_composite(data, TRIWEIGHT, 0.4, g,
                        Hypothesis.composite([const_coef(3.0), const_coef(1.0)], [1, 1]))
+
+
+def test_composite_pin_from_a_scalar_coefficient_function(rng):
+    # a CoefFn that returns a scalar pins every point, as in the simple null
+    data = small_dataset(rng, n=60, p=2)
+    g = make_identity()
+    scalar = Hypothesis.composite([CoefFn(lambda u: 1.5, lambda u: 0.0)], [1])
+    got = selr_composite(data, TRIWEIGHT, 0.4, g, scalar)
+    want = selr_composite(data, TRIWEIGHT, 0.4, g, Hypothesis.composite([const_coef(1.5)], [1]))
+    assert got.to_dict() == want.to_dict()
 
 
 def test_bootstrap_refuses_an_out_of_range_pin(rng):
@@ -839,6 +850,52 @@ def test_bootstrap_sample_is_each_replicates_statistic(monkeypatch, rng, kind):
     assert failed == ([2] if skips else [])
 
 
+def test_bootstrap_assembles_only_the_observed_result(monkeypatch, rng):
+    """The replicates' statistics are read from the terms arrays: a result,
+    with its per_point list, is built for the observed statistic alone."""
+    data = small_dataset(rng, n=40)
+    calls = Counter()
+    assemble = selr._assemble
+
+    def spy(*args, **kwargs):
+        calls["assemble"] += 1
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(selr, "_assemble", spy)
+    sample, _ = bootstrap_null(data, TRIWEIGHT, 0.4, make_identity(),
+                               Hypothesis.simple([zero_coef()]), B=5)
+    assert len(sample) == 5
+    assert calls["assemble"] == 1
+
+
+@pytest.mark.filterwarnings("ignore::selrtest.errors.ReplicateFailureWarning")
+def test_failed_parametric_correction_fails_its_replicate_alone(monkeypatch, rng):
+    """A replicate whose bias correction fails gets a NaN row and its error;
+    the other replicates keep their own statistics, and a single statistic
+    raises that error rather than NoRetainedWindows."""
+    data = small_dataset(rng, n=50)
+    spec = Hypothesis.parametric(ParametricFamily(lambda v, th: th[0] + 0.0 * v, 1), [0.0])
+    Y = data.y + rng.normal(size=(3, data.n))
+    correct = selr.bias_correct
+
+    def failing(dset, family, theta_init):
+        if np.array_equal(dset.y, Y[1]):
+            raise NumericalError("forced correction failure")
+        return correct(dset, family, theta_init)
+
+    monkeypatch.setattr(selr, "bias_correct", failing)
+    terms = selr._statistics(data, Y, TRIWEIGHT, 0.4, make_identity(), spec,
+                             windows=selr._windows(data, TRIWEIGHT, 0.4))
+    assert list(terms.errors) == [1] and np.isnan(terms.contribs[1]).all()
+    stat, retained = terms.totals()
+    assert np.isnan(stat[1]) and retained[1] == 0.0
+    for r in (0, 2):
+        rep = Dataset(data.u, data.x, Y[r])
+        assert stat[r] == selr_test(rep, TRIWEIGHT, 0.4, make_identity(), spec).statistic
+    with pytest.raises(NumericalError, match="forced correction failure"):
+        selr_test(Dataset(data.u, data.x, Y[1]), TRIWEIGHT, 0.4, make_identity(), spec)
+
+
 @pytest.mark.filterwarnings("ignore::selrtest.errors.ReplicateFailureWarning")
 def test_select_bandwidth_sample_is_each_replicates_maximum(monkeypatch, rng):
     """The calibration sample of select_bandwidth is, bit for bit, the
@@ -926,12 +983,15 @@ def test_replicate_failures(monkeypatch, rng, method, n_fail):
     walks = []
 
     def fake_statistics(dset, Y, kernel, h, g, spec, include_full_term=None, **kwargs):
+        # one evaluation point whose contribution is y'y
+        contribs = np.array([[y @ y] for y in Y])
+        errors = {}
         if len(Y) == B:  # a replicate walk, not the observed statistic
             walks.append(len(Y))
-            return [Infeasible("forced replicate failure") if r < n_fail else
-                    SimpleNamespace(statistic=float(y @ y), r_K=1.0, df=2.0)
-                    for r, y in enumerate(Y)]
-        return [SimpleNamespace(statistic=float(y @ y), r_K=1.0, df=2.0) for y in Y]
+            errors = {r: Infeasible("forced replicate failure") for r in range(n_fail)}
+            contribs[:n_fail] = np.nan
+        statuses = np.full(contribs.shape, "converged", dtype=object)
+        return selr._Terms(spec.kind, 1, (0.0, 1.0), np.arange(1), contribs, statuses, errors)
 
     monkeypatch.setattr(selr, "_statistics", fake_statistics)
 

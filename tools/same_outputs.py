@@ -4,8 +4,8 @@ Usage: python tools/same_outputs.py PARENT_SRC [CHANGE_SRC]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories (CHANGE_SRC defaults to
 this checkout's).  Each side runs in its own child process with that
-directory first on ``sys.path`` and BLAS on one thread, and computes 123
-outputs, 99 of them on the benchmark's seed-0 inputs
+directory first on ``sys.path`` and BLAS on one thread, and computes 124
+outputs, 100 of them on the benchmark's seed-0 inputs
 (``perfbench/workloads.py``'s ``draw_dataset``):
 
 - on each of the 8 cli_tests designs: the simple null at n = 200 and
@@ -15,7 +15,8 @@ outputs, 99 of them on the benchmark's seed-0 inputs
 - composite and identity goodness-of-fit bootstrap samples (B = 20) on
   designs 0-1;
 - on design 0, the smoothed-G (``smoothed:0.8,2.0:0.3``) composite null,
-  simple null at p = 2 (k0 = 2, so with the full term) and ``sel_full``;
+  simple null at p = 2 (k0 = 2, so with the full term) and ``sel_full``,
+  and the identity-G linear parametric null;
   the bootstrap samples of the smoothed-G goodness-of-fit (B = 5), the
   simple null with the full term at p = 2, a linear parametric null and
   the wild and resample schemes (B = 20 each), the simple null at
@@ -40,8 +41,10 @@ workload's designs) and hands far more windows to the scalar solver
 y = 0.3 + t_2 (1 + 2u), each at h = 0.06 and 0.1, give the simple null
 (a1 = a2 = 0) and its bootstrap sample (B = 6).
 
-A test result is compared by its statistic, df, skip and clamp counts and
-full ``per_point``.  Outputs are compared with ``==``, NaN equal to NaN.
+A test result is compared by its whole ``to_dict()`` report: statistic,
+scaled statistic, df, p-value, retained fraction, constants, hypothesis,
+skip and clamp counts and full ``per_point``.  Outputs are compared with
+``==``, NaN equal to NaN.
 Prints the count of equal outputs and every key that differs; exits 1 on
 any difference.
 """
@@ -63,10 +66,6 @@ H = 0.3
 DESIGNS = 8
 STRESS_DESIGNS = 6
 STRESS_TAG = 99  # the stress designs' stream, apart from the workloads' tags 1-3
-
-
-def _result(res) -> tuple:
-    return (res.statistic, res.df, res.n_infeasible_points, res.n_clamped, res.per_point)
 
 
 def _fits(fit_at, points) -> list:
@@ -122,8 +121,8 @@ def compute() -> dict:
             "gof_smoothed": (p2, gof, None, smoothed),
         }
         for name, (data, spec, full, gg) in tests.items():
-            out[f"{name}/{s}"] = _result(
-                selr.selr_test(data, kernel, H, gg, spec, include_full_term=full))
+            res = selr.selr_test(data, kernel, H, gg, spec, include_full_term=full)
+            out[f"{name}/{s}"] = res.to_dict()
         out[f"sel_full/{s}"] = selr.sel_full(p2, kernel, H, g)
         if s < 2:
             for name, spec in (("composite", composite), ("gof_identity", gof)):
@@ -131,8 +130,9 @@ def compute() -> dict:
                 out[f"bootstrap_{name}/{s}"] = (sample.tolist(), p)
         if s == 0:
             for name, spec in (("composite_smoothed", composite), ("simple_smoothed_p2", zero2)):
-                out[f"{name}/{s}"] = _result(selr.selr_test(p2, kernel, H, smoothed, spec))
+                out[f"{name}/{s}"] = selr.selr_test(p2, kernel, H, smoothed, spec).to_dict()
             out[f"sel_full_smoothed/{s}"] = selr.sel_full(p2, kernel, H, smoothed)
+            out[f"parametric/{s}"] = selr.selr_test(p1, kernel, H, g, linear).to_dict()
             boots = {
                 "gof_smoothed": (p2, gof, smoothed, None, 5, "gaussian"),
                 "simple_full_p2": (p2, zero2, g, True, 20, "gaussian"),
@@ -197,7 +197,7 @@ def compute() -> dict:
         x = np.column_stack([np.ones(n), rng.standard_normal(n)])
         data = Dataset(u, x, 0.3 + rng.standard_t(2, n) * (1.0 + 2.0 * u))
         for h in (0.06, 0.1):
-            out[f"stress/{s}/{h}"] = _result(selr.selr_test(data, kernel, h, g, zero2))
+            out[f"stress/{s}/{h}"] = selr.selr_test(data, kernel, h, g, zero2).to_dict()
             sample, p = selr.bootstrap_null(data, kernel, h, g, zero2, B=6, seed=SEED)
             out[f"stress_bootstrap/{s}/{h}"] = (sample.tolist(), p)
     return out
