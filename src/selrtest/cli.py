@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import json
@@ -38,7 +39,11 @@ __all__ = ["main", "build_parser"]
 
 def _read_config_file(path: str) -> dict:
     out = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read --config {path}: {exc.strerror}") from None
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -99,23 +104,24 @@ def build_parser() -> argparse.ArgumentParser:
     kc = sub.add_parser("kernel-constants", help="print calibration constants")
     add_kernel(kc)
 
+    def add_data(p, bootstrap):
+        """The options of a subcommand that tests a null on a CSV dataset."""
+        p.add_argument("--input", required=True)
+        p.add_argument("--g", default="identity")
+        add_kernel(p)
+        p.add_argument("--null", default="zero",
+                       help="zero | const:<v1,v2,...> (simple null)")
+        p.add_argument("--gof", action="store_true", help="goodness-of-fit test")
+        p.add_argument("--no-estimated-coefficients", action="store_true")
+        p.add_argument("--fix", help="composite null: idx=value[,idx=value...] (0-based)")
+        p.add_argument("--omega", help="lo,hi testing interval")
+        p.add_argument("--bootstrap", type=int, default=bootstrap, metavar="B")
+        p.add_argument("--scheme", default="gaussian",
+                       choices=["gaussian", "wild", "resample"])
+        p.add_argument("--seed", type=int)
+        p.add_argument("--output", help="JSON report path")
+
     t = sub.add_parser("test", help="run a test on a CSV dataset")
-    t.add_argument("--input", required=True)
-    t.add_argument("--h", type=float, required=True)
-    t.add_argument("--g", default="identity")
-    add_kernel(t)
-    t.add_argument("--null", default="zero",
-                   help="zero | const:<v1,v2,...> (simple null)")
-    t.add_argument("--gof", action="store_true", help="goodness-of-fit test")
-    t.add_argument("--no-estimated-coefficients", action="store_true")
-    t.add_argument("--fix", help="composite null: idx=value[,idx=value...] (0-based)")
-    t.add_argument("--bootstrap", type=int, default=0, metavar="B")
-    t.add_argument("--scheme", default="gaussian",
-                   choices=["gaussian", "wild", "resample"])
-    t.add_argument("--seed", type=int)
-    t.add_argument("--omega", help="lo,hi testing interval")
-    t.add_argument("--include-full-term", action="store_true")
-    t.add_argument("--output", help="JSON report path")
 
     s = sub.add_parser("simulate", help="simulation studies")
     mode = s.add_mutually_exclusive_group(required=True)
@@ -137,36 +143,23 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threads", type=int, default=1)
 
     c = sub.add_parser("calibrate", help="bootstrap null distribution")
-    c.add_argument("--input", required=True)
-    c.add_argument("--h", type=float, required=True)
-    c.add_argument("--g", default="identity")
-    add_kernel(c)
-    c.add_argument("--null", default="zero")
-    c.add_argument("--bootstrap", type=int, default=199, metavar="B")
-    c.add_argument("--scheme", default="gaussian",
-                   choices=["gaussian", "wild", "resample"])
-    c.add_argument("--seed", type=int)
-    c.add_argument("--omega")
-    c.add_argument("--output")
-
     b = sub.add_parser("bandwidth", help="multi-scale bandwidth selection")
-    b.add_argument("--input", required=True)
+    for p, bootstrap in ((t, 0), (c, 199), (b, 0)):
+        add_data(p, bootstrap)
+    for p in (t, c):
+        p.add_argument("--h", type=float, required=True)
+        p.add_argument("--include-full-term", action="store_true")
     b.add_argument("--grid", required=True, help="h1,h2,...")
-    b.add_argument("--g", default="identity")
-    add_kernel(b)
-    b.add_argument("--null", default="zero")
-    b.add_argument("--bootstrap", type=int, default=0, metavar="B")
-    b.add_argument("--scheme", default="gaussian",
-                   choices=["gaussian", "wild", "resample"])
-    b.add_argument("--seed", type=int)
-    b.add_argument("--omega")
-    b.add_argument("--output")
     return parser
 
 
 def _kernel_from(args):
-    if args.tabulated_kernel:
-        table = np.loadtxt(args.tabulated_kernel)
+    path = args.tabulated_kernel
+    if path:
+        try:
+            table = np.loadtxt(path)
+        except (OSError, ValueError) as exc:
+            raise DataError(f"cannot read --tabulated-kernel {path}: {exc}") from None
         if table.ndim != 2 or table.shape[1] != 2:
             raise DataError("tabulated kernel file needs two columns (t, K(t))")
         return tabulated_kernel(table[:, 0], table[:, 1])
@@ -174,7 +167,7 @@ def _kernel_from(args):
 
 
 def _omega_from(args):
-    if getattr(args, "omega", None) is None:
+    if args.omega is None:
         return None
     try:
         lo, hi = (float(v) for v in args.omega.split(","))
@@ -210,13 +203,19 @@ def _null_coefs(spec: str, p: int):
 
 
 def _hypothesis_from(args, data):
+    """The null the flags of ``args`` choose.  Flags that choose two nulls,
+    or that qualify a null not chosen, are refused."""
+    chosen = [flag for flag, on in (("--gof", args.gof), ("--fix", args.fix),
+                                    ("--null", args.null != "zero")) if on]
+    if len(chosen) > 1:
+        raise ConfigError(f"{' and '.join(chosen)} choose different nulls; give one")
+    if args.no_estimated_coefficients and not args.gof:
+        raise ConfigError("--no-estimated-coefficients applies to --gof only")
     omega = _omega_from(args)
-    if getattr(args, "gof", False):
+    if args.gof:
         return Hypothesis.goodness_of_fit(
-            omega=omega,
-            no_estimated_coefficients=getattr(args, "no_estimated_coefficients", False),
-        )
-    if getattr(args, "fix", None):
+            omega=omega, no_estimated_coefficients=args.no_estimated_coefficients)
+    if args.fix:
         pairs = []
         for item in args.fix.split(","):
             idx, _, val = item.partition("=")
@@ -230,7 +229,7 @@ def _hypothesis_from(args, data):
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     seed = secrets.randbelow(2**31)
     # stderr, so a report written to stdout still parses
@@ -238,20 +237,23 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _open_output(path: str, flag: str, **kwargs):
+    """The file ``path`` of ``flag`` opened for writing; one that cannot be
+    opened is a configuration error."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {flag} {path}: {exc.strerror}") from None
+
+
 def _write_report(report: dict, path: str | None) -> None:
-    doc = dict(report)
-    doc["metadata"] = {
-        "created": datetime.datetime.now(datetime.timezone.utc).isoformat()
-    }
+    doc = dict(report, metadata={
+        "created": datetime.datetime.now(datetime.timezone.utc).isoformat()})
     # streamed: joining the text of a long per_point list first would
     # raise the peak memory of a large test
-    if path:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        print()
+    with _open_output(path, "--output") if path else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _cmd_kernel_constants(args) -> int:
@@ -267,22 +269,29 @@ def _cmd_kernel_constants(args) -> int:
 
 
 def _cmd_test(args) -> int:
+    """``test`` and ``calibrate``: the statistic with its bootstrap p-value,
+    drawn when B > 0 and always by ``calibrate`` (which refuses B = 0 and
+    reports the null sample too)."""
     B = _replicates(args)
     data = ingest_csv(args.input)
     kern = _kernel_from(args)
     g = parse_g_spec(args.g)
     spec = _hypothesis_from(args, data)
+    if args.include_full_term and spec.kind != "simple_null":
+        raise ConfigError("--include-full-term applies to a simple null, not to --gof or --fix")
     include_full = True if args.include_full_term else None
     result = selr_test(data, kern, args.h, g, spec, include_full_term=include_full)
-    if B > 0:
-        seed = _resolve_seed(args)
-        _, p_boot = bootstrap_null(
-            data, kern, args.h, g, spec, B=B, scheme=args.scheme,
-            seed=seed, include_full_term=include_full, observed=result.statistic,
+    calibrate = args.command == "calibrate"
+    if B > 0 or calibrate:
+        sample, result.p_bootstrap = bootstrap_null(
+            data, kern, args.h, g, spec, B=B, scheme=args.scheme, seed=_resolve_seed(args),
+            include_full_term=include_full, observed=result.statistic,
         )
-        result.p_bootstrap = p_boot
         result.B = B
-    _write_report(result.to_dict(), args.output)
+    report = result.to_dict()
+    if calibrate:
+        report["null_sample"] = [float(v) for v in sample]
+    _write_report(report, args.output)
     return 0
 
 
@@ -308,39 +317,15 @@ def _cmd_simulate(args) -> int:
         header = ["n", "h", "c1", "r", "power_selr", "power_f"]
         records = [[row.n, f"{row.h:.5f}", row.c1, row.r,
                     f"{row.power_selr:.4f}", f"{row.power_f:.4f}"] for row in rows]
-    out = sys.stdout if not args.output else open(args.output, "w", newline="")
-    try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(records)
-    finally:
-        if args.output:
-            out.close()
+    with (_open_output(args.output, "--output", newline="") if args.output
+          else contextlib.nullcontext(sys.stdout)) as out:
+        csv.writer(out).writerows([header, *records])
     if args.power and args.plot_data:
-        with open(args.plot_data, "w") as fh:
+        with _open_output(args.plot_data, "--plot-data") as fh:
             fh.write(f"# power curves: n={args.n} h={config.h:.5f} c1={args.c1}\n")
             fh.write("# r power_selr power_f\n")
             for row in rows:
                 fh.write(f"{row.r:g} {row.power_selr:.4f} {row.power_f:.4f}\n")
-    return 0
-
-
-def _cmd_calibrate(args) -> int:
-    data = ingest_csv(args.input)
-    kern = _kernel_from(args)
-    g = parse_g_spec(args.g)
-    spec = _hypothesis_from(args, data)
-    seed = _resolve_seed(args)
-    result = selr_test(data, kern, args.h, g, spec)
-    sample, p = bootstrap_null(
-        data, kern, args.h, g, spec, B=args.bootstrap,
-        scheme=args.scheme, seed=seed, observed=result.statistic,
-    )
-    report = result.to_dict()
-    report["p_bootstrap"] = p
-    report["B"] = args.bootstrap
-    report["null_sample"] = [float(v) for v in sample]
-    _write_report(report, args.output)
     return 0
 
 
@@ -367,7 +352,7 @@ _COMMANDS = {
     "kernel-constants": _cmd_kernel_constants,
     "test": _cmd_test,
     "simulate": _cmd_simulate,
-    "calibrate": _cmd_calibrate,
+    "calibrate": _cmd_test,
     "bandwidth": _cmd_bandwidth,
 }
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import os
 
 import numpy as np
 
@@ -18,11 +17,16 @@ def ingest_csv(path: str) -> Dataset:
 
     The header must name columns ``u``, ``y`` and ``x1`` .. ``xp`` in any
     order, each once; rows containing unparseable or non-finite fields are
-    rejected and reported with their line numbers.
+    rejected and reported with their line numbers.  A path that is missing
+    or cannot be opened is a :class:`DataError` too.
     """
-    if not os.path.exists(path):
-        raise EmptyFile(f"no such file: {path}")
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except FileNotFoundError:
+        raise EmptyFile(f"no such file: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -38,16 +38,14 @@ class EstimatingFunction:
 
     k0: int
     kind: str
-    evaluator: Callable[[float], np.ndarray]
     batch: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[float], np.ndarray] | None = None
     batch_derivative: Callable[[np.ndarray], np.ndarray] | None = None
     grid: tuple[float, ...] | None = None
     smoothing_width: float | None = None
 
     @property
     def has_derivative(self) -> bool:
-        return self.derivative is not None
+        return self.batch_derivative is not None
 
 
 def make_identity() -> EstimatingFunction:
@@ -55,9 +53,7 @@ def make_identity() -> EstimatingFunction:
     return EstimatingFunction(
         k0=1,
         kind="identity",
-        evaluator=lambda e: np.array([e], dtype=float),
         batch=lambda e: np.asarray(e, dtype=float)[:, None],
-        derivative=lambda e: np.array([1.0]),
         batch_derivative=lambda e: np.ones((len(e), 1)),
     )
 
@@ -89,7 +85,6 @@ def make_symmetric_indicator(grid) -> EstimatingFunction:
     return EstimatingFunction(
         k0=k0,
         kind="symmetric_indicator",
-        evaluator=lambda e: batch(np.array([e]))[0],
         batch=batch,
         grid=grid,
     )
@@ -149,9 +144,7 @@ def make_smoothed_indicator(grid, width: float) -> EstimatingFunction:
     return EstimatingFunction(
         k0=k0,
         kind="smoothed_indicator",
-        evaluator=lambda e: batch(np.array([e]))[0],
         batch=batch,
-        derivative=lambda e: batch_derivative(np.array([e]))[0],
         batch_derivative=batch_derivative,
         grid=grid,
         smoothing_width=width,
@@ -169,15 +162,15 @@ def default_grid(residuals) -> tuple[float, ...]:
 
 
 def eval_g(g: EstimatingFunction, eps: float) -> np.ndarray:
-    return g.evaluator(float(eps))
+    return g.batch(np.array([float(eps)]))[0]
 
 
 def eval_g_deriv(g: EstimatingFunction, eps: float) -> np.ndarray:
-    if g.derivative is None:
+    if not g.has_derivative:
         raise DerivativeUnavailable(
             "hard symmetric_indicator has no derivative; use the smoothed kind"
         )
-    return g.derivative(float(eps))
+    return g.batch_derivative(np.array([float(eps)]))[0]
 
 
 def parse_g_spec(spec: str) -> EstimatingFunction:

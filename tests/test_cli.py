@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from selrtest import Dataset
+from selrtest import (Dataset, Hypothesis, bootstrap_null, cli, const_coef, kernel_by_name,
+                      parse_g_spec, select_bandwidth)
 from selrtest.cli import main
-from selrtest.dataio import write_csv
+from selrtest.dataio import ingest_csv, write_csv
 
 
 @pytest.fixture
@@ -164,14 +165,15 @@ def test_exit_codes(tmp_path, csv_path):
      "--threshold-selr", "nan", "--threshold-f", "1"],
     ["simulate", "--table1", "--n", "20", "--reps", "0", "--seed", "1"],
     ["simulate", "--table1", "--n", "5", "--reps", "2", "--seed", "1"],
+    ["calibrate", "--input", "{csv}", "--h", "0.4", "--bootstrap", "0", "--seed", "1"],
 ])
 def test_bad_number_in_a_flag_is_a_config_error(csv_path, csv_path_p2, tmp_path, capsys, argv):
-    # a non-number in a list-valued flag, a negative replicate count, a level
-    # outside (0, 1), one threshold without the other, fewer than one
-    # thread, a bandwidth that is not finite and > 0, a NaN indicator grid
-    # point or smoothing width, and a null value, pin, omega end, r or
-    # threshold that is not finite is refused (exit 2) with no traceback and
-    # no report
+    # a non-number in a list-valued flag, a negative replicate count (or
+    # none for calibrate), a level outside (0, 1), one threshold without the
+    # other, fewer than one thread, a bandwidth that is not finite and > 0,
+    # a NaN indicator grid point or smoothing width, and a null value, pin,
+    # omega end, r or threshold that is not finite is refused (exit 2) with
+    # no traceback and no report
     report = tmp_path / "r.json"
     code = main([a.format(csv=csv_path, csv2=csv_path_p2) for a in argv]
                 + ["--output", str(report)])
@@ -303,6 +305,100 @@ def test_calibrate_subcommand(csv_path, tmp_path):
     doc = json.loads(report.read_text())
     assert doc["B"] == 6
     assert len(doc["null_sample"]) == 6
+
+
+@pytest.mark.parametrize("flags, spec, g", [
+    (["--fix", "1=1.5"], Hypothesis.composite([const_coef(1.5)], [1]), "identity"),
+    (["--gof", "--g", "smoothed:0.8,2.0:0.3"], Hypothesis.goodness_of_fit(),
+     "smoothed:0.8,2.0:0.3"),
+], ids=["fix", "gof"])
+def test_calibrate_any_null_equals_bootstrap_null(csv_path_p2, tmp_path, flags, spec, g):
+    report = tmp_path / "cal.json"
+    assert main(["calibrate", "--input", csv_path_p2, "--h", "0.5", "--bootstrap", "3",
+                 "--seed", "5", "--output", str(report)] + flags) == 0
+    doc = json.loads(report.read_text())
+    sample, p = bootstrap_null(ingest_csv(csv_path_p2), kernel_by_name("triweight"), 0.5,
+                               parse_g_spec(g), spec, B=3, seed=5)
+    assert doc["null_sample"] == sample.tolist()
+    assert doc["p_bootstrap"] == p
+    assert doc["hypothesis"] == spec.kind
+
+
+def test_calibrate_passes_include_full_term(csv_path, tmp_path, monkeypatch):
+    seen = []
+    real = cli.bootstrap_null
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["include_full_term"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "bootstrap_null", spy)
+    assert main(["calibrate", "--input", csv_path, "--h", "0.45", "--bootstrap", "3",
+                 "--seed", "1", "--include-full-term", "--output", str(tmp_path / "r.json")]) == 0
+    assert seen == [True]
+
+
+def test_bandwidth_composite_null_equals_select_bandwidth(csv_path_p2, tmp_path):
+    report = tmp_path / "bw.json"
+    assert main(["bandwidth", "--input", csv_path_p2, "--grid", "0.4,0.5", "--fix", "1=1.5",
+                 "--bootstrap", "3", "--seed", "2", "--output", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    sel = select_bandwidth(ingest_csv(csv_path_p2), kernel_by_name("triweight"),
+                           parse_g_spec("identity"), Hypothesis.composite([const_coef(1.5)], [1]),
+                           [0.4, 0.5], B=3, seed=2)
+    assert (doc["h_selected"], doc["statistic"], doc["p_bootstrap"]) == (
+        sel.h, sel.statistic, sel.p_bootstrap)
+    assert doc["per_h"] == {f"{h:g}": v for h, v in sel.per_h.items()}
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["test", "--gof", "--fix", "1=1.5"], "--gof and --fix"),
+    (["test", "--fix", "1=1.5", "--null", "const:9,9"], "--fix and --null"),
+    (["calibrate", "--gof", "--null", "const:1,1"], "--gof and --null"),
+    (["bandwidth", "--gof", "--fix", "1=1.5"], "--gof and --fix"),
+    (["test", "--no-estimated-coefficients"], "--no-estimated-coefficients"),
+    (["bandwidth", "--no-estimated-coefficients", "--fix", "1=1.5"],
+     "--no-estimated-coefficients"),
+    (["test", "--fix", "1=1.5", "--include-full-term"], "--include-full-term"),
+    (["calibrate", "--gof", "--include-full-term"], "--include-full-term"),
+], ids=["gof-fix", "fix-null", "calibrate-gof-null", "bandwidth-gof-fix", "no-estimated",
+        "bandwidth-no-estimated", "fix-full-term", "calibrate-gof-full-term"])
+def test_flags_the_chosen_null_ignores_are_refused(csv_path_p2, tmp_path, capsys, argv, named):
+    # a flag that would choose a second null, or qualify a null not chosen,
+    # is refused rather than dropped
+    where = ["--grid", "0.4"] if argv[0] == "bandwidth" else ["--h", "0.4"]
+    report = tmp_path / "r.json"
+    assert main(argv[:1] + ["--input", csv_path_p2, *where] + argv[1:]
+                + ["--output", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: ") and named in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    (["test", "--input", "{csv}", "--h", "0.4", "--output", "{missing}/r.json"], 2, "--output"),
+    (["simulate", "--table1", "--n", "20", "--reps", "2", "--seed", "1",
+      "--output", "{missing}/t.csv"], 2, "--output"),
+    (["simulate", "--power", "--n", "20", "--reps", "2", "--seed", "1", "--r-grid", "0",
+      "--threshold-selr", "3", "--threshold-f", "0.2", "--plot-data", "{missing}/p.dat"],
+     2, "--plot-data"),
+    (["--config", "{missing}/d.cfg", "test", "--input", "{csv}", "--h", "0.4"], 2, "--config"),
+    (["kernel-constants", "--tabulated-kernel", "{missing}/k.txt"], 3, "--tabulated-kernel"),
+    (["kernel-constants", "--tabulated-kernel", "{words}"], 3, "--tabulated-kernel"),
+    (["test", "--input", "{tmp}", "--h", "0.4"], 3, "{tmp}"),
+], ids=["output", "simulate-output", "plot-data", "config", "kernel-missing", "kernel-text",
+        "input-directory"])
+def test_path_that_cannot_be_opened(csv_path, tmp_path, capsys, argv, code, named):
+    # an input that cannot be read is a data error, a config file or an
+    # output that cannot be opened a configuration error: no traceback
+    words = tmp_path / "words.txt"
+    words.write_text("t k\none two\n")
+    paths = dict(csv=csv_path, missing=tmp_path / "missing", words=words, tmp=tmp_path)
+    assert main([a.format(**paths) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: " if code == 2 else "error[data]: ")
+    assert named.format(**paths) in err
+    assert "Traceback" not in err
 
 
 def test_bandwidth_subcommand(csv_path, tmp_path):

@@ -23,6 +23,7 @@ from selrtest import (
     solve_lagrange,
 )
 from selrtest import local_el
+from selrtest.estfun import eval_g
 from selrtest.errors import (
     DerivativeUnavailable,
     EmptyWindow,
@@ -127,7 +128,7 @@ def test_moment_vectors_kron_oracle(rng):
     z = _design(data, active, u0, h)
     resid = data.y[active] - z @ beta.vector
     for row, e, zi in zip(got, resid, z):
-        np.testing.assert_allclose(row, np.kron(g.evaluator(e), zi), atol=1e-12)
+        np.testing.assert_allclose(row, np.kron(eval_g(g, e), zi), atol=1e-12)
 
 
 def test_moment_vectors_default_active_is_the_window(rng):

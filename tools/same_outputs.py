@@ -4,8 +4,8 @@ Usage: python tools/same_outputs.py PARENT_SRC [CHANGE_SRC]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories (CHANGE_SRC defaults to
 this checkout's).  Each side runs in its own child process with that
-directory first on ``sys.path`` and BLAS on one thread, and computes 124
-outputs, 100 of them on the benchmark's seed-0 inputs
+directory first on ``sys.path`` and BLAS on one thread, and computes 127
+outputs, 103 of them on the benchmark's seed-0 inputs
 (``perfbench/workloads.py``'s ``draw_dataset``):
 
 - on each of the 8 cli_tests designs: the simple null at n = 200 and
@@ -22,6 +22,11 @@ outputs, 100 of them on the benchmark's seed-0 inputs
   the wild and resample schemes (B = 20 each), the simple null at
   n = 800 (B = 10), and ``select_bandwidth`` on the grid (0.2, 0.3) with
   its bootstrap sample (B = 10);
+- on design 0's p = 2 CSV (written with ``dataio.write_csv``), the JSON
+  reports of the CLI's ``test --fix 1=1.5 --bootstrap 5``,
+  ``calibrate --bootstrap 5`` and ``bandwidth --grid 0.2,0.3
+  --bootstrap 4``, each with ``--seed 0`` and without
+  ``metadata.created``, with the exit code;
 - on design 0 at every 10th point, the one-window fits: the identity-G
   ``fit_local_constrained`` with a2 pinned at 1.5, at h = 0.3 and at
   h = 0.15 (where the batch hands the window at point 10 to BFGS), and
@@ -51,6 +56,7 @@ any difference.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import pickle
@@ -91,7 +97,7 @@ def compute() -> dict:
     sys.path.insert(1, str(ROOT / "perfbench"))
     from workloads import FULL, Bootstrap, CliTests, MonteCarlo, _rng, draw_dataset
 
-    from selrtest import Dataset, local_el, montecarlo, selr
+    from selrtest import Dataset, cli, dataio, local_el, montecarlo, selr
     from selrtest.estfun import make_identity, parse_g_spec
     from selrtest.kernels import kernel_by_name
 
@@ -170,6 +176,24 @@ def compute() -> dict:
                 return local_el.fit_local(p2, kernel, H, u0, smoothed, init)
 
             out[f"fit_local_smoothed/{s}"] = _fits(smoothed_fit, points)
+            runs = {
+                "test_fix": ["test", "--h", str(H), "--fix", "1=1.5", "--bootstrap", "5"],
+                "calibrate": ["calibrate", "--h", str(H), "--bootstrap", "5"],
+                "bandwidth": ["bandwidth", "--grid", "0.2,0.3", "--bootstrap", "4"],
+            }
+            with tempfile.TemporaryDirectory() as tmp:
+                path, report = os.path.join(tmp, "p2.csv"), os.path.join(tmp, "report.json")
+                dataio.write_csv(p2, path)
+                for name, argv in runs.items():
+                    code = cli.main(argv + ["--input", path, "--seed", str(SEED),
+                                            "--output", report])
+                    doc = None
+                    if code == 0:
+                        with open(report) as fh:
+                            doc = json.load(fh)
+                        del doc["metadata"]["created"]
+                        os.remove(report)
+                    out[f"cli_{name}/{s}"] = (code, doc)
     for s in range(DESIGNS):
         data = draw_dataset(_rng(SEED, Bootstrap.tag, s), FULL.n_small, 1)
         sample, p = selr.bootstrap_null(data, kernel, H, g, zero, B=FULL.boot_b, seed=SEED)
