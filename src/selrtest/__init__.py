@@ -25,7 +25,6 @@ from .kernels import (
     KernelConstants,
     kernel_by_name,
     kernel_constants,
-    kernel_eval,
     kstar,
     second_moment,
     tabulated_kernel,
@@ -37,11 +36,8 @@ from .local_el import (
     LocalWeights,
     fit_local,
     fit_local_constrained,
-    implied_probabilities,
     lls_init,
-    local_logel,
     local_weights,
-    moment_vectors,
     solve_lagrange,
 )
 from .montecarlo import (
@@ -62,7 +58,6 @@ from .selr import (
     CoefFn,
     Hypothesis,
     ParametricFamily,
-    TestCalibration,
     TestResult,
     asymptotic_pvalue,
     bias_correct,

@@ -15,6 +15,7 @@ import contextlib
 import csv
 import datetime
 import json
+import os
 import secrets
 import sys
 
@@ -237,6 +238,14 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _check_output_dir(path: str | None, flag: str) -> None:
+    """Refuse the path ``path`` of ``flag`` before any work when its directory
+    does not exist; the file itself is opened only at the end, so a failed run
+    leaves none behind."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write {flag} {path}: no such directory")
+
+
 def _open_output(path: str, flag: str, **kwargs):
     """The file ``path`` of ``flag`` opened for writing; one that cannot be
     opened is a configuration error."""
@@ -272,6 +281,7 @@ def _cmd_test(args) -> int:
     """``test`` and ``calibrate``: the statistic with its bootstrap p-value,
     drawn when B > 0 and always by ``calibrate`` (which refuses B = 0 and
     reports the null sample too)."""
+    _check_output_dir(args.output, "--output")
     B = _replicates(args)
     data = ingest_csv(args.input)
     kern = _kernel_from(args)
@@ -296,6 +306,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_output_dir(args.output, "--output")
+    _check_output_dir(args.plot_data if args.power else None, "--plot-data")
     seed = _resolve_seed(args)
     config = SimulationConfig(
         n=args.n, c0=args.c0, c1=args.c1, reps=args.reps, seed=seed, kernel=args.kernel,
@@ -330,6 +342,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bandwidth(args) -> int:
+    _check_output_dir(args.output, "--output")
     B = _replicates(args)
     grid = _floats(args.grid, "--grid")
     data = ingest_csv(args.input)

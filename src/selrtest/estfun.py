@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DerivativeUnavailable
+from .errors import ConfigError
 
 __all__ = [
     "EstimatingFunction",
@@ -22,8 +22,6 @@ __all__ = [
     "make_symmetric_indicator",
     "make_smoothed_indicator",
     "default_grid",
-    "eval_g",
-    "eval_g_deriv",
     "parse_g_spec",
 ]
 
@@ -40,8 +38,6 @@ class EstimatingFunction:
     kind: str
     batch: Callable[[np.ndarray], np.ndarray]
     batch_derivative: Callable[[np.ndarray], np.ndarray] | None = None
-    grid: tuple[float, ...] | None = None
-    smoothing_width: float | None = None
 
     @property
     def has_derivative(self) -> bool:
@@ -82,12 +78,7 @@ def make_symmetric_indicator(grid) -> EstimatingFunction:
         neg = (lower <= -e) & (-e <= upper)
         return pos.astype(float) - neg.astype(float)
 
-    return EstimatingFunction(
-        k0=k0,
-        kind="symmetric_indicator",
-        batch=batch,
-        grid=grid,
-    )
+    return EstimatingFunction(k0=k0, kind="symmetric_indicator", batch=batch)
 
 
 def _smoothstep(x):
@@ -146,8 +137,6 @@ def make_smoothed_indicator(grid, width: float) -> EstimatingFunction:
         kind="smoothed_indicator",
         batch=batch,
         batch_derivative=batch_derivative,
-        grid=grid,
-        smoothing_width=width,
     )
 
 
@@ -159,18 +148,6 @@ def default_grid(residuals) -> tuple[float, ...]:
     if not 0.0 < q50 < q100:
         raise ConfigError("residuals too degenerate for a default grid")
     return (0.0, q50, q100)
-
-
-def eval_g(g: EstimatingFunction, eps: float) -> np.ndarray:
-    return g.batch(np.array([float(eps)]))[0]
-
-
-def eval_g_deriv(g: EstimatingFunction, eps: float) -> np.ndarray:
-    if not g.has_derivative:
-        raise DerivativeUnavailable(
-            "hard symmetric_indicator has no derivative; use the smoothed kind"
-        )
-    return g.batch_derivative(np.array([float(eps)]))[0]
 
 
 def parse_g_spec(spec: str) -> EstimatingFunction:

@@ -30,7 +30,6 @@ __all__ = [
     "KernelConstants",
     "kernel_by_name",
     "tabulated_kernel",
-    "kernel_eval",
     "second_moment",
     "kstar",
     "kernel_constants",
@@ -123,11 +122,6 @@ def tabulated_kernel(t_grid, k_values) -> Kernel:
     return kern
 
 
-def kernel_eval(kernel: Kernel, t: float) -> float:
-    """Evaluate K(t); zero outside [-1, 1]."""
-    return float(kernel(np.asarray(t, dtype=float)))
-
-
 def _adaptive(f, a, b):
     # full_output keeps quad from warning when it cannot certify the
     # tolerance: the error estimate is tested below, and that test alone
@@ -145,7 +139,7 @@ def _adaptive(f, a, b):
 
 def second_moment(kernel: Kernel) -> float:
     """Second moment mu2 = int t^2 K(t) dt."""
-    return _adaptive(lambda t: t * t * kernel_eval(kernel, t), -1.0, 1.0)
+    return _adaptive(lambda t: t * t * kernel(t), -1.0, 1.0)
 
 
 def kstar(kernel: Kernel, s: float, mu2: float | None = None) -> float:
@@ -159,14 +153,7 @@ def kstar(kernel: Kernel, s: float, mu2: float | None = None) -> float:
     if lo >= hi:
         return 0.0
 
-    def integrand(t):
-        return (
-            kernel_eval(kernel, t)
-            * kernel_eval(kernel, s + t)
-            * (1.0 + t * (s + t) / mu2)
-        )
-
-    return _adaptive(integrand, lo, hi)
+    return _adaptive(lambda t: kernel(t) * kernel(s + t) * (1.0 + t * (s + t) / mu2), lo, hi)
 
 
 @lru_cache(maxsize=64)

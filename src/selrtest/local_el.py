@@ -39,10 +39,7 @@ __all__ = [
     "LocalWeights",
     "LocalELFit",
     "local_weights",
-    "moment_vectors",
     "solve_lagrange",
-    "implied_probabilities",
-    "local_logel",
     "lls_init",
     "fit_local",
     "fit_local_constrained",
@@ -235,27 +232,6 @@ def _moments(g: EstimatingFunction, resid: np.ndarray, z: np.ndarray) -> np.ndar
     return (gvals[:, :, None] * z[:, None, :]).reshape(len(z), -1)
 
 
-def moment_vectors(
-    data: Dataset,
-    h: float,
-    u0: float,
-    beta: LocalParameter,
-    g: EstimatingFunction,
-    active: np.ndarray | None = None,
-) -> np.ndarray:
-    """Moment vectors G(residual_i) kron z_i over the active window.
-
-    The Kronecker product varies the estimating-function component slowest,
-    so rows have length k0 * 2p.  The default active set is |u_i - u0| < h,
-    the window of every kernel that vanishes at +-1; pass
-    ``local_weights(...).active`` for a kernel that does not.
-    """
-    if active is None:
-        active = np.nonzero(np.abs((data.u - u0) / h) < 1.0)[0]
-    z = _design(data, active, u0, h)
-    return _moments(g, data.y[active] - z @ beta.vector, z)
-
-
 def _hull_contains_zero(moments: np.ndarray) -> bool:
     """LP certificate for 0 in the convex hull of the rows of ``moments``."""
     m, d = moments.shape
@@ -265,12 +241,7 @@ def _hull_contains_zero(moments: np.ndarray) -> bool:
     return res.status == 0
 
 
-def solve_lagrange(
-    moments: np.ndarray,
-    weights: np.ndarray,
-    gtol: float = _DUAL_GTOL,
-    max_iter: int = _DUAL_MAX_ITER,
-) -> np.ndarray:
+def solve_lagrange(moments: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Maximize the concave dual by damped Newton; returns the multiplier.
 
     Raises :class:`Infeasible` when 0 is not in the convex hull of the
@@ -289,8 +260,8 @@ def solve_lagrange(
     f0 = float(weights @ np.log(denom))  # the dual value at alpha
     # the gradient scales linearly with the moments, so the stopping rule
     # must too or the solver would not be invariant under y -> c y
-    gtol_eff = gtol * max(1.0, float(np.abs(moments).max()))
-    for _ in range(max_iter):
+    gtol_eff = _DUAL_GTOL * max(1.0, float(np.abs(moments).max()))
+    for _ in range(_DUAL_MAX_ITER):
         wd = weights / denom
         grad = moments.T @ wd
         # at an interior optimum the tilted masses keep their total:
@@ -319,7 +290,7 @@ def solve_lagrange(
         else:
             break  # step underflow: feasible region exhausted
         # an exact fixed point: every later step would repeat this one, so
-        # the loop would only run out its max_iter
+        # the loop would only run out its _DUAL_MAX_ITER steps
         fixed = fc == f0 and (cand == alpha).all()
         alpha, denom, f0 = cand, dc, fc
         if fixed:
@@ -338,16 +309,6 @@ def solve_lagrange(
     raise MaxIterations(
         "dual Newton did not converge (hull condition holds only on the boundary)"
     )
-
-
-def implied_probabilities(
-    moments: np.ndarray, weights: np.ndarray, alpha: np.ndarray
-) -> np.ndarray:
-    """Tilted masses p_i = w_i / (1 + alpha' G_i) on the active set."""
-    denom = 1.0 + np.asarray(moments) @ np.asarray(alpha)
-    if denom.min() <= 0:
-        raise Infeasible("alpha is not dual feasible")
-    return np.asarray(weights) / denom
 
 
 def _dual(win: _LocalWindow, g: EstimatingFunction, y: np.ndarray, beta_vec: np.ndarray,
@@ -631,20 +592,6 @@ def _solve_or_nan(a, b) -> np.ndarray:
         x = np.linalg.solve(a, b)
         x[singular] = np.nan
         return x
-
-
-def local_logel(
-    data: Dataset,
-    kernel: Kernel,
-    h: float,
-    u0: float,
-    beta: LocalParameter,
-    g: EstimatingFunction,
-) -> tuple[float, float]:
-    """Local log empirical likelihood and window entropy at (u0, beta)."""
-    win = _window(data, kernel, h, u0)
-    value, _ = _log_ratio(win, g, data.y, beta.vector)
-    return win.entropy - value, win.entropy
 
 
 def _lls(win: _LocalWindow, y: np.ndarray) -> np.ndarray:

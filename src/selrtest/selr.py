@@ -54,7 +54,6 @@ __all__ = [
     "const_coef",
     "ParametricFamily",
     "Hypothesis",
-    "TestCalibration",
     "TestResult",
     "BandwidthSelection",
     "sel_entropy",
@@ -108,6 +107,9 @@ class Hypothesis:
     no_estimated_coefficients: bool = False
 
     def __post_init__(self):
+        if self.kind not in ("goodness_of_fit", "simple_null", "composite_null",
+                             "parametric_null"):
+            raise ConfigError(f"unknown hypothesis kind {self.kind!r}")
         if self.omega is not None:
             lo, hi = self.omega
             if not -math.inf < lo < hi < math.inf:
@@ -153,22 +155,12 @@ class Hypothesis:
         )
 
 
-@dataclass(frozen=True)
-class TestCalibration:
-    r_K: float
-    df: float
-    omega_len: float
-    h: float
-    kind: str
-
-
 @dataclass
 class TestResult:
     statistic: float
     scaled: float
     df: float
     p_asymptotic: float
-    calibration: TestCalibration
     kernel: str
     h: float
     hypothesis: str
@@ -277,18 +269,18 @@ def sel_full(data: Dataset, kernel: Kernel, h: float, g: EstimatingFunction, ome
                      for v in logel[0].tolist() if not math.isnan(v)))
 
 
-def asymptotic_pvalue(stat: float, cal: TestCalibration) -> float:
-    """Upper chi-squared tail (gamma(df/2, 2)) of the rescaled statistic."""
-    if cal.df <= 0:
+def asymptotic_pvalue(stat: float, r_K: float, df: float) -> float:
+    """Upper chi-squared tail (gamma(df/2, 2)) of the rescaled statistic r_K * stat."""
+    if df <= 0:
         warnings.warn(
             "zero degrees of freedom: asymptotic p-value undefined",
             DegenerateTestWarning,
             stacklevel=2,
         )
         return float("nan")
-    x = cal.r_K * stat
+    x = r_K * stat
     # gammaincc is NaN below 0, where the tail is 1
-    return 1.0 if x < 0 else float(gammaincc(cal.df / 2.0, x / 2.0))
+    return 1.0 if x < 0 else float(gammaincc(df / 2.0, x / 2.0))
 
 
 @dataclass(frozen=True)
@@ -348,8 +340,6 @@ def _assemble(terms: _Terms, data: Dataset, kernel: Kernel, h: float) -> TestRes
     if math.isnan(stat):
         raise NoRetainedWindows(f"all {n_skipped} evaluation windows were skipped")
     df, consts = terms.df(kernel, h, retained)
-    cal = TestCalibration(r_K=consts.r_K, df=df, omega_len=terms.omega[1] - terms.omega[0],
-                          h=h, kind=terms.kind)
     if terms.kind == "goodness_of_fit" and df <= 0:
         warnings.warn(
             "goodness-of-fit with a single constraint is degenerate (df = 0)",
@@ -358,14 +348,13 @@ def _assemble(terms: _Terms, data: Dataset, kernel: Kernel, h: float) -> TestRes
         )
     return TestResult(
         statistic=stat,
-        scaled=cal.r_K * stat,
+        scaled=consts.r_K * stat,
         df=df,
-        p_asymptotic=asymptotic_pvalue(stat, cal) if df > 0 else float("nan"),
-        calibration=cal,
+        p_asymptotic=asymptotic_pvalue(stat, consts.r_K, df) if df > 0 else float("nan"),
         kernel=kernel.family,
         h=h,
         hypothesis=terms.kind,
-        r_K=cal.r_K,
+        r_K=consts.r_K,
         c_K=consts.c_K,
         n_infeasible_points=n_skipped,
         n_clamped=int(np.sum(contribs < 0)),
@@ -394,6 +383,14 @@ def _coef_sum(data: Dataset, fns: Sequence[CoefFn], cols) -> np.ndarray:
     for fn, k in zip(fns, cols, strict=True):
         total += np.asarray(fn.value(data.u), dtype=float) * data.x[:, k]
     return total
+
+
+def _simple_null_fitted(data: Dataset, spec: Hypothesis) -> np.ndarray:
+    """The regression function sum_k a0_k(u) x_k of the simple null ``spec``,
+    refused unless a0 supplies one coefficient function per covariate."""
+    if len(spec.a0) != data.p:
+        raise ConfigError(f"a0 must supply {data.p} coefficient functions")
+    return _coef_sum(data, spec.a0, range(data.p))
 
 
 def selr_simple(
@@ -510,19 +507,15 @@ def _statistics(data, Y, kernel, h, g, spec, include_full_term=None, *, windows)
         blocks = ((block, _entropies(wins) - logel, status)
                   for block, wins, logel, _, status in _full_fits(data, Y, g, walk))
     elif spec.kind == "simple_null":
-        if len(spec.a0) != data.p:
-            raise ConfigError(f"a0 must supply {data.p} coefficient functions")
         # shift the responses so the null becomes `all coefficients zero`; the
         # shift changes y only, so the windows stay those of data
-        dim, blocks = data.p, _simple(data, Y - _coef_sum(data, spec.a0, range(data.p)), g,
-                                      full_term, walk)
+        dim, blocks = data.p, _simple(data, Y - _simple_null_fitted(data, spec), g, full_term,
+                                      walk)
     elif spec.kind == "composite_null":
         dim, blocks = len(spec.fixed_idx), _composite(data, Y, h, g, spec, eval_idx, walk)
-    elif spec.kind == "parametric_null":
+    else:  # parametric_null
         rows, stars, errors = _parametric(data, Y, spec)
         dim, blocks = data.p, _simple(data, stars, g, full_term, walk) if len(rows) else ()
-    else:
-        raise ConfigError(f"unknown hypothesis kind {spec.kind!r}")
     contribs, statuses = _fit_arrays((len(Y), len(eval_idx)))
     for block, contrib, status in blocks:
         at = rows[:, None], np.searchsorted(eval_idx, block)
@@ -553,7 +546,7 @@ def _null_fitted_values(data: Dataset, kernel: Kernel, h: float, spec: Hypothesi
     """Regression function fixed under the null, used to generate replicates;
     ``windows`` is the window source of ``data``."""
     if spec.kind == "simple_null":
-        return _coef_sum(data, spec.a0, range(data.p))
+        return _simple_null_fitted(data, spec)
     if spec.kind == "parametric_null":
         theta_hat, _ = bias_correct(data, spec.family, spec.theta_init)
         return _family_fitted(data, spec.family, theta_hat)

@@ -401,6 +401,27 @@ def test_path_that_cannot_be_opened(csv_path, tmp_path, capsys, argv, code, name
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["calibrate", "--input", "{csv}", "--h", "0.4", "--bootstrap", "50", "--seed", "1",
+      "--output", "{missing}/r.json"], "--output"),
+    (["bandwidth", "--input", "{csv}", "--grid", "0.3,0.4", "--output", "{missing}/b.json"],
+     "--output"),
+    (["simulate", "--power", "--n", "20", "--reps", "2", "--seed", "1", "--r-grid", "0",
+      "--plot-data", "{missing}/p.dat"], "--plot-data"),
+], ids=["calibrate", "bandwidth", "simulate-plot-data"])
+def test_missing_output_directory_refused_before_any_work(csv_path, tmp_path, monkeypatch,
+                                                          capsys, argv, named):
+    def fail(*args, **kwargs):
+        raise AssertionError("work done before the output path was checked")
+
+    for name in ("ingest_csv", "bootstrap_null", "select_bandwidth", "size_power_study"):
+        monkeypatch.setattr(cli, name, fail)
+    paths = dict(csv=csv_path, missing=tmp_path / "missing")
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: ") and named in err
+
+
 def test_bandwidth_subcommand(csv_path, tmp_path):
     report = tmp_path / "bw.json"
     code = main(

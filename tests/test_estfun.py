@@ -10,14 +10,7 @@ from selrtest import (
     make_symmetric_indicator,
     parse_g_spec,
 )
-from selrtest.errors import DerivativeUnavailable
-from selrtest.estfun import (
-    _smoothstep,
-    _smoothstep_deriv,
-    default_grid,
-    eval_g,
-    eval_g_deriv,
-)
+from selrtest.estfun import _smoothstep, _smoothstep_deriv, default_grid
 
 
 def test_identity_values_and_derivative():
@@ -26,8 +19,6 @@ def test_identity_values_and_derivative():
     e = np.array([-1.5, 0.0, 2.0])
     np.testing.assert_allclose(g.batch(e), e[:, None])
     np.testing.assert_allclose(g.batch_derivative(e), np.ones((3, 1)))
-    np.testing.assert_allclose(eval_g(g, -3.0), [-3.0])
-    np.testing.assert_allclose(eval_g_deriv(g, 7.0), [1.0])
 
 
 def test_symmetric_indicator_values(rng):
@@ -48,8 +39,6 @@ def test_symmetric_indicator_values(rng):
 def test_symmetric_indicator_has_no_derivative():
     g = make_symmetric_indicator([0.0, 1.0])
     assert not g.has_derivative
-    with pytest.raises(DerivativeUnavailable):
-        eval_g_deriv(g, 0.5)
 
 
 def test_grid_validation():
@@ -138,10 +127,12 @@ def test_default_grid(rng):
 
 def test_parse_g_spec():
     assert parse_g_spec("identity").kind == "identity"
-    g = parse_g_spec("symmetric:1,2.5")
-    assert g.kind == "symmetric_indicator" and g.grid == (0.0, 1.0, 2.5)
-    g = parse_g_spec("smoothed:1,2:0.25")
-    assert g.kind == "smoothed_indicator" and g.smoothing_width == 0.25
+    e = np.linspace(-3.0, 3.0, 241)
+    for spec, want in (("symmetric:1,2.5", make_symmetric_indicator([0.0, 1.0, 2.5])),
+                       ("smoothed:1,2:0.25", make_smoothed_indicator([0.0, 1.0, 2.0], 0.25))):
+        g = parse_g_spec(spec)
+        assert g.kind == want.kind
+        np.testing.assert_array_equal(g.batch(e), want.batch(e))
     for bad in ("identity:1", "symmetric", "smoothed:1", "banana"):
         with pytest.raises(ConfigError):
             parse_g_spec(bad)

@@ -1,11 +1,14 @@
-"""Every name a module of the package imports is used in that module, and
-every private function or class it defines is used somewhere in the package.
+"""Every name a module of the package imports is used in that module, every
+name it exports is defined in it, and every private function or class it
+defines is used somewhere in the package.
 
 AST checks standing in for a linter: a name bound by ``import`` or
 ``from ... import`` must be read somewhere in the module or listed in its
 ``__all__`` (``__init__.py`` is skipped because its imports are the
-package's re-exports), and a module-level ``_private`` function or class
-must be read by name or attribute in some module of the package.
+package's re-exports), each ``__all__`` entry must be bound by a top-level
+definition or assignment of its module, and a module-level ``_private``
+function or class must be read by name or attribute in some module of the
+package.
 """
 
 import ast
@@ -49,6 +52,31 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def undefined_exports(source: str) -> list[str]:
+    """The ``__all__`` entries that no top-level statement of the module binds."""
+    defined, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            if "__all__" in names:
+                exported = [elt.value for elt in node.value.elts]
+            defined |= names
+    return [name for name in exported if name not in defined]
+
+
+def test_export_checker_flags_a_stale_name():
+    source = "__all__ = ['f', 'C', 'K', 'gone']\ndef f(): pass\nclass C: pass\nK: int = 1\n"
+    assert undefined_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_defined(path):
+    assert undefined_exports(path.read_text()) == []
 
 
 def orphans(sources: dict[str, str]) -> list[tuple[str, str]]:

@@ -10,20 +10,16 @@ from selrtest import (
     Infeasible,
     fit_local,
     fit_local_constrained,
-    implied_probabilities,
     kernel_by_name,
     lls_init,
-    local_logel,
     local_weights,
     make_identity,
     make_smoothed_indicator,
     make_symmetric_indicator,
-    moment_vectors,
     parse_g_spec,
     solve_lagrange,
 )
 from selrtest import local_el
-from selrtest.estfun import eval_g
 from selrtest.errors import (
     DerivativeUnavailable,
     EmptyWindow,
@@ -124,29 +120,11 @@ def test_moment_vectors_kron_oracle(rng):
     beta = LocalParameter([0.2, -0.1], [0.5, 0.3])
     h, u0 = 0.4, 0.5
     active = np.nonzero(np.abs(data.u - u0) <= h)[0]
-    got = moment_vectors(data, h, u0, beta, g, active=active)
     z = _design(data, active, u0, h)
     resid = data.y[active] - z @ beta.vector
-    for row, e, zi in zip(got, resid, z):
-        np.testing.assert_allclose(row, np.kron(eval_g(g, e), zi), atol=1e-12)
-
-
-def test_moment_vectors_default_active_is_the_window(rng):
-    # the triweight vanishes at |t| = 1, so u = 0.25 lies outside the window
-    # at u0 = 0.5, h = 0.25 although |u - u0| <= h
-    u = np.array([0.25, 0.4, 0.5, 0.6, 0.7])
-    data = Dataset(u, np.ones((5, 1)), rng.normal(size=5))
-    beta = LocalParameter([0.1], [0.2])
-    active = local_weights(data, TRIWEIGHT, 0.25, 0.5).active
-    assert len(active) == 4
-    got = moment_vectors(data, 0.25, 0.5, beta, make_identity())
-    np.testing.assert_array_equal(
-        got, moment_vectors(data, 0.25, 0.5, beta, make_identity(), active=active))
-    # the uniform kernel is positive at |t| = 1, so its window holds u = 0.25
-    # too; the default rows (|u - u0| < h) leave it out, as documented
-    uniform = local_weights(data, kernel_by_name("uniform"), 0.25, 0.5).active
-    assert len(uniform) == 5
-    assert len(got) == 4
+    got = _moments(g, resid, z)
+    for row, gi, zi in zip(got, g.batch(resid), z):
+        np.testing.assert_allclose(row, np.kron(gi, zi), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +183,10 @@ def test_implied_probabilities_sum_to_one(rng):
     weights /= weights.sum()
     moments = rng.normal(size=(m, 2))
     alpha = solve_lagrange(moments, weights)
-    p = implied_probabilities(moments, weights, alpha)
+    p = weights / (1.0 + moments @ alpha)  # the tilted masses at the dual optimum
     assert np.all(p > 0)
     assert abs(p.sum() - 1.0) < 1e-8
     np.testing.assert_allclose(moments.T @ p, 0.0, atol=1e-8)
-    with pytest.raises(Infeasible):
-        implied_probabilities(moments, weights, alpha * 1e6)
 
 
 def scalar_log_ratio(win, g, y, beta):
@@ -662,10 +638,10 @@ def test_batch_dual_window_alone_equals_in_the_stack(rng, d):
 
 
 def test_local_logel_bounded_by_entropy(rng):
+    # the dual value is the window's entropy less its local log-EL
     data = random_dataset(rng, n=60)
-    beta = LocalParameter([0.0], [0.0])
-    logel, entropy = local_logel(data, TRIWEIGHT, 0.35, 0.5, beta, make_identity())
-    assert logel <= entropy + 1e-12
+    win = _window(data, TRIWEIGHT, 0.35, 0.5)
+    assert _log_ratio(win, make_identity(), data.y, np.zeros(2))[0] >= 0
 
 
 def test_lls_init_normal_equations_oracle(rng):

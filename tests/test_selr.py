@@ -46,7 +46,6 @@ from selrtest.errors import (
 )
 from selrtest.local_el import _window
 from selrtest.selr import CoefFn
-from selrtest.selr import TestCalibration as Calibration
 
 from conftest import count_windows, random_dataset
 
@@ -78,6 +77,8 @@ def test_hypothesis_validation():
         Hypothesis.composite([], [])
     with pytest.raises(ConfigError):
         Hypothesis.composite([const_coef(0.0)], [0, 1])
+    with pytest.raises(ConfigError, match="unknown hypothesis kind 'simple'"):
+        Hypothesis("simple")  # a typo for simple_null
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -514,23 +515,35 @@ def test_bootstrap_refuses_an_out_of_range_pin(rng):
         bootstrap_null(data, TRIWEIGHT, 0.4, make_identity(), spec, B=2, observed=1.0)
 
 
+def test_bootstrap_refuses_a_short_a0_before_any_window(monkeypatch, rng):
+    # with the observed statistic given, the null fit is the first to read
+    # a0, and it checks it as the statistic does: before any window or draw
+    def fail(*args):
+        raise AssertionError("work done before a0 was checked")
+
+    monkeypatch.setattr(local_el, "_window_block", fail)
+    monkeypatch.setattr(streams, "substream", fail)
+    data = small_dataset(rng, n=40, p=2)
+    spec = Hypothesis.simple([zero_coef()])
+    with pytest.raises(ConfigError, match="a0 must supply 2 coefficient functions"):
+        bootstrap_null(data, TRIWEIGHT, 0.4, make_identity(), spec, B=2, observed=1.0)
+
+
 # ---------------------------------------------------------------------------
 # calibration and p-values
 
 
 def test_asymptotic_pvalue_endpoints():
-    cal = Calibration(r_K=2.0, df=4.0, omega_len=1.0, h=0.25, kind="simple_null")
-    assert asymptotic_pvalue(0.0, cal) == 1.0
-    assert asymptotic_pvalue(1e6, cal) < 1e-12
+    assert asymptotic_pvalue(0.0, 2.0, 4.0) == 1.0
+    assert asymptotic_pvalue(1e6, 2.0, 4.0) < 1e-12
     # median of chi2_df sits slightly below df
-    p_at_df = asymptotic_pvalue(cal.df / cal.r_K, cal)
+    p_at_df = asymptotic_pvalue(4.0 / 2.0, 2.0, 4.0)
     assert 0.40 < p_at_df < 0.50
 
 
 def test_asymptotic_pvalue_degenerate():
-    cal = Calibration(r_K=2.0, df=0.0, omega_len=1.0, h=0.25, kind="simple_null")
     with pytest.warns(DegenerateTestWarning):
-        assert np.isnan(asymptotic_pvalue(1.0, cal))
+        assert np.isnan(asymptotic_pvalue(1.0, 2.0, 0.0))
 
 
 def test_asymptotic_pvalue_is_scipy_stats_gamma_tail():
@@ -540,9 +553,8 @@ def test_asymptotic_pvalue_is_scipy_stats_gamma_tail():
              300.0, 1e4, np.inf, np.nan]
     for r_k in (1.0, 2.5154):
         for df in (0.3, 1.0, 2.0, 4.7, 10.0, 57.5):
-            cal = Calibration(r_K=r_k, df=df, omega_len=1.0, h=0.25, kind="simple_null")
             for stat in stats:
-                got = asymptotic_pvalue(stat, cal)
+                got = asymptotic_pvalue(stat, r_k, df)
                 want = float(gamma.sf(r_k * stat, a=df / 2.0, scale=2.0))
                 assert got == want or (np.isnan(got) and np.isnan(want)), (r_k, df, stat)
 
@@ -622,9 +634,8 @@ def test_simple_null_needs_a0():
 
 def test_selr_test_unknown_kind(rng):
     data = small_dataset(rng)
-    bad = Hypothesis("mystery")
-    with pytest.raises(ConfigError):
-        selr_test(data, TRIWEIGHT, 0.4, make_identity(), bad)
+    with pytest.raises(ConfigError, match="unknown hypothesis kind"):
+        selr_test(data, TRIWEIGHT, 0.4, make_identity(), Hypothesis("mystery"))
 
 
 def test_all_windows_skipped_raises(rng):
