@@ -239,9 +239,11 @@ def _resolve_seed(args) -> int:
 
 
 def _check_output_dir(path: str | None, flag: str) -> None:
-    """Refuse the path ``path`` of ``flag`` before any work when its directory
-    does not exist; the file itself is opened only at the end, so a failed run
-    leaves none behind."""
+    """Refuse the path ``path`` of ``flag`` before any work when it names a
+    directory or its directory does not exist; the file itself is opened only
+    at the end, so a failed run leaves none behind."""
+    if path and os.path.isdir(path):
+        raise ConfigError(f"cannot write {flag} {path}: is a directory")
     if path and not os.path.isdir(os.path.dirname(path) or "."):
         raise ConfigError(f"cannot write {flag} {path}: no such directory")
 

@@ -244,8 +244,8 @@ def _hull_contains_zero(moments: np.ndarray) -> bool:
 def solve_lagrange(moments: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Maximize the concave dual by damped Newton; returns the multiplier.
 
-    Raises :class:`Infeasible` when 0 is not in the convex hull of the
-    moment vectors (certified by an LP once the Newton path stalls), and
+    Raises :class:`Infeasible` when 0 is not in the convex hull of the moment
+    vectors (by an LP, run only where the near-boundary rule fails), and
     :class:`MaxIterations` when the hull condition holds only degenerately.
     """
     moments = np.asarray(moments, dtype=float)
@@ -261,7 +261,8 @@ def solve_lagrange(moments: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # the gradient scales linearly with the moments, so the stopping rule
     # must too or the solver would not be invariant under y -> c y
     gtol_eff = _DUAL_GTOL * max(1.0, float(np.abs(moments).max()))
-    for _ in range(_DUAL_MAX_ITER):
+    path, seen = [(alpha, denom)], {alpha.tobytes(): 0}
+    for k in range(_DUAL_MAX_ITER):
         wd = weights / denom
         grad = moments.T @ wd
         # at an interior optimum the tilted masses keep their total:
@@ -289,23 +290,22 @@ def solve_lagrange(moments: np.ndarray, weights: np.ndarray) -> np.ndarray:
             c *= 0.5
         else:
             break  # step underflow: feasible region exhausted
-        # an exact fixed point: every later step would repeat this one, so
-        # the loop would only run out its _DUAL_MAX_ITER steps
-        fixed = fc == f0 and (cand == alpha).all()
         alpha, denom, f0 = cand, dc, fc
-        if fixed:
+        # the state is alpha alone, so once it repeats every later step replays
+        # the cycle: take the iterate the step cap ends on (a fixed point: P = 1)
+        j = seen.setdefault(alpha.tobytes(), k + 1)
+        if j <= k:
+            alpha, denom = path[j + (_DUAL_MAX_ITER - j) % (k + 1 - j)]
             break
+        path.append((alpha, denom))
+    # near-boundary optima (a near-zero kernel weight on the only point of one
+    # sign) stall at a rounding-limited gradient floor. Conserved mass makes the
+    # tilted masses a convex combination with mean grad: 0 is near the hull.
+    wd = weights / denom
+    if np.linalg.norm(moments.T @ wd) <= 1e6 * gtol_eff and abs(wd.sum() - wsum) <= 1e-8:
+        return alpha
     if not _hull_contains_zero(moments):
         raise Infeasible("0 is not in the convex hull of the moment vectors")
-    # near-boundary optima (a near-zero kernel weight on the only point of
-    # one sign) stall at a rounding-limited gradient floor; mass
-    # conservation still separates them from a runaway unbounded dual
-    wd = weights / denom
-    if (
-        np.linalg.norm(moments.T @ wd) <= 1e6 * gtol_eff
-        and abs(wd.sum() - wsum) <= 1e-8
-    ):
-        return alpha
     raise MaxIterations(
         "dual Newton did not converge (hull condition holds only on the boundary)"
     )

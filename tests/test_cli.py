@@ -408,7 +408,13 @@ def test_path_that_cannot_be_opened(csv_path, tmp_path, capsys, argv, code, name
      "--output"),
     (["simulate", "--power", "--n", "20", "--reps", "2", "--seed", "1", "--r-grid", "0",
       "--plot-data", "{missing}/p.dat"], "--plot-data"),
-], ids=["calibrate", "bandwidth", "simulate-plot-data"])
+    # an output path that is itself an existing directory
+    (["calibrate", "--input", "{csv}", "--h", "0.4", "--bootstrap", "50", "--seed", "1",
+      "--output", "{tmp}"], "--output {tmp}: is a directory"),
+    (["simulate", "--power", "--n", "20", "--reps", "2", "--seed", "1", "--r-grid", "0",
+      "--plot-data", "{tmp}"], "--plot-data {tmp}: is a directory"),
+], ids=["calibrate", "bandwidth", "simulate-plot-data", "calibrate-directory",
+        "simulate-plot-data-directory"])
 def test_missing_output_directory_refused_before_any_work(csv_path, tmp_path, monkeypatch,
                                                           capsys, argv, named):
     def fail(*args, **kwargs):
@@ -416,10 +422,10 @@ def test_missing_output_directory_refused_before_any_work(csv_path, tmp_path, mo
 
     for name in ("ingest_csv", "bootstrap_null", "select_bandwidth", "size_power_study"):
         monkeypatch.setattr(cli, name, fail)
-    paths = dict(csv=csv_path, missing=tmp_path / "missing")
+    paths = dict(csv=csv_path, missing=tmp_path / "missing", tmp=tmp_path)
     assert main([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error[config]: ") and named in err
+    assert err.startswith("error[config]: ") and named.format(**paths) in err
 
 
 def test_bandwidth_subcommand(csv_path, tmp_path):

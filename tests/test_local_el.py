@@ -372,11 +372,28 @@ def fixed_point_window():
     return _moments(make_identity(), np.array(R_FIXED), hand_window(0, t, w).z), w
 
 
-def test_solve_lagrange_bit_for_bit_frozen_loop(rng):
-    """Random windows (p = 1 and 2, identity and smoothed G, both signs of
-    the hull test), the windows of :func:`edge_windows` and the fixed-point
-    window get the frozen solver's alpha to the last bit."""
-    outcomes = []
+# A window reduced from a bootstrap handoff (design 0 of the benchmark's
+# bootstrap workload, seed 0) by dropping points while its Newton path kept
+# cycling.  The point at t = -0.998 has weight 8.7e-9, and at the optimum
+# 1 + alpha'G is about 1e-7 there.  From step 18 alpha repeats with period 3,
+# so every later step replays the cycle; the post-loop check accepts the
+# iterate of step 100.
+T_CYCLE = [-0.745, -0.583, -0.063, 0.459, -0.895, -0.835, -0.914, 0.0, -0.523, -0.059,
+           -0.712, -0.567, 0.378, 0.393, -0.455, -0.998, 0.189]
+R_CYCLE = [-1.05, 0.61, -0.4, 1.68, 1.81, -1.07, -0.69, -1.2, -0.99, -0.29, -3.18, -1.14,
+           0.83, 0.29, -1.24, 2.44, 1.07]
+
+
+def cycle_window():
+    """Moment rows and weights of the window of ``T_CYCLE``, ``R_CYCLE``."""
+    t = np.array(T_CYCLE)
+    win = hand_window(0, t, (1 - t**2) ** 3)
+    return _moments(make_identity(), np.array(R_CYCLE), win.z), win.w
+
+
+def random_windows(rng):
+    """Moment rows and weights of random windows: p = 1 and 2, identity and
+    smoothed G, both signs of the hull test."""
     for spec in ("identity", "smoothed:0.8,2.0:0.3"):
         g = parse_g_spec(spec)
         for _ in range(40):
@@ -386,12 +403,21 @@ def test_solve_lagrange_bit_for_bit_frozen_loop(rng):
             z = np.hstack([x, t[:, None] * x])
             resid = rng.normal(size=m) + rng.choice([0.0, 1.5])
             w = (1 - t**2) ** 3 + 1e-12
-            outcomes.append(assert_solver_matches_frozen(_moments(g, resid, z), w / w.sum()))
+            yield _moments(g, resid, z), w / w.sum()
+
+
+def edge_window_moments():
+    """Moment rows and weights of the five windows of :func:`edge_windows`."""
     wins, y = edge_windows()
-    for win in wins[:5]:
-        moments = _moments(make_identity(), y[win.active], win.z)
-        outcomes.append(assert_solver_matches_frozen(moments, win.w))
-    outcomes.append(assert_solver_matches_frozen(*fixed_point_window()))
+    return [(_moments(make_identity(), y[win.active], win.z), win.w) for win in wins[:5]]
+
+
+def test_solve_lagrange_bit_for_bit_frozen_loop(rng):
+    """Random windows, the windows of :func:`edge_windows` and the fixed-point
+    and cycle windows get the frozen solver's alpha to the last bit."""
+    corpus = [*random_windows(rng), *edge_window_moments(), fixed_point_window(),
+              cycle_window()]
+    outcomes = [assert_solver_matches_frozen(moments, w) for moments, w in corpus]
     assert {"solved", "Infeasible", "MaxIterations"} <= set(outcomes)
 
 
@@ -414,6 +440,49 @@ def test_solve_lagrange_stops_at_an_exact_fixed_point(monkeypatch):
     assert len(steps) == 16
     assert np.array_equal(alpha, frozen)
     assert (1.0 + moments @ alpha).min() < _BATCH_MARGIN  # a near-boundary optimum
+
+
+def test_solve_lagrange_ends_an_exact_cycle_at_once(monkeypatch):
+    """The cycle window's alpha repeats with period 3 from step 18, so the
+    solver stops after 21 Newton steps and returns the frozen loop's alpha of
+    step 100."""
+    moments, w = cycle_window()
+    at = {k: frozen_solve_lagrange(moments, w, max_iter=k) for k in (18, 19, 20, 21, 100)}
+    assert np.array_equal(at[18], at[21])
+    assert not np.array_equal(at[18], at[19]) and not np.array_equal(at[18], at[20])
+    steps = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        steps.append(1)
+        return solve(a, b)
+
+    monkeypatch.setattr(local_el.np.linalg, "solve", counting)
+    alpha = solve_lagrange(moments, w)
+    assert len(steps) == 21 < local_el._DUAL_MAX_ITER
+    assert np.array_equal(alpha, at[100])
+
+
+def test_solve_lagrange_runs_the_lp_only_where_the_rule_fails(monkeypatch, rng):
+    """An optimum the near-boundary rule accepts needs no LP; where the
+    solver accepts a window, the LP finds 0 in the hull."""
+    lp = local_el._hull_contains_zero
+    for moments, w in [*random_windows(rng), *edge_window_moments()]:
+        try:
+            solve_lagrange(moments, w)
+        except (Infeasible, MaxIterations):
+            continue
+        assert not np.any(moments) or lp(moments)
+
+    def refuse(moments):
+        raise AssertionError("LP run behind an accepted optimum")
+
+    monkeypatch.setattr(local_el, "_hull_contains_zero", refuse)
+    for moments, w in (fixed_point_window(), cycle_window()):
+        alpha = solve_lagrange(moments, w)
+        # accepted after the loop: the gradient is above the loop's tolerance
+        grad = moments.T @ (w / (1.0 + moments @ alpha))
+        assert np.linalg.norm(grad) > local_el._DUAL_GTOL * max(1.0, np.abs(moments).max())
 
 
 # ---------------------------------------------------------------------------
