@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError, QuadratureError
 
@@ -113,6 +112,8 @@ def tabulated_kernel(t_grid, k_values) -> Kernel:
         return np.interp(t, t_grid, k_values, left=0.0, right=0.0)
 
     kern = Kernel("tabulated", evaluator)
+    from scipy.integrate import quad
+
     mass = quad(lambda x: kern(np.array([x]))[0], -1, 1, limit=_QUAD_LIMIT)[0]
     if abs(mass - 1.0) > 1e-6:
         raise ConfigError(f"tabulated kernel integrates to {mass:.8f}, not 1")
@@ -126,6 +127,8 @@ def _adaptive(f, a, b):
     # full_output keeps quad from warning when it cannot certify the
     # tolerance: the error estimate is tested below, and that test alone
     # picks the fallback
+    from scipy.integrate import quad
+
     val, err, *_ = quad(f, a, b, epsrel=_QUAD_RTOL, epsabs=0.0, limit=_QUAD_LIMIT,
                         full_output=1)
     if not np.isfinite(val):
@@ -156,13 +159,11 @@ def kstar(kernel: Kernel, s: float, mu2: float | None = None) -> float:
     return _adaptive(lambda t: kernel(t) * kernel(s + t) * (1.0 + t * (s + t) / mu2), lo, hi)
 
 
-@lru_cache(maxsize=64)
-def kernel_constants(kernel: Kernel) -> KernelConstants:
-    """Compute all calibration constants of a kernel.
+def _quadrature_constants(kernel: Kernel) -> KernelConstants:
+    """The calibration constants of a kernel by adaptive quadrature.
 
-    ``kstar_l2`` uses adaptive quadrature of Kstar(s)^2 over [-2, 2];
-    ``r_K`` and ``c_K`` follow from the exact identities, which force
-    ``c_K == r_K * kstar0 / 2``.
+    ``kstar_l2`` integrates Kstar(s)^2 over [-2, 2]; ``r_K`` and ``c_K``
+    follow from the exact identities, which force ``c_K == r_K * kstar0 / 2``.
     """
     mu2 = second_moment(kernel)
     if not 0.0 < mu2 < 1.0:
@@ -174,3 +175,30 @@ def kernel_constants(kernel: Kernel) -> KernelConstants:
     r_k = 2.0 * kstar0 / kstar_l2
     c_k = r_k * kstar0 / 2.0
     return KernelConstants(mu2=mu2, kstar0=kstar0, kstar_l2=kstar_l2, r_K=r_k, c_K=c_k)
+
+
+# _quadrature_constants of the named families, float for float, so that start-up
+# needs no scipy.integrate.  Epanechnikov and triweight r_K and c_K are the
+# correctly rounded exact values; uniform r_K and c_K and biweight c_K are one
+# ulp from theirs.
+_NAMED_CONSTANTS = {
+    "uniform": KernelConstants(
+        0.3333333333333333, 1.0, 0.7047619047619047, 2.837837837837838, 1.418918918918919),
+    "epanechnikov": KernelConstants(
+        0.2, 1.0285714285714285, 0.8295704295704295, 2.479768786127168, 1.2753096614368291),
+    "biweight": KernelConstants(
+        0.14285714285714285, 1.168831168831169, 0.9506181375112015, 2.4590971341894816,
+        1.4371346888120349),
+    "triweight": KernelConstants(
+        0.1111111111111111, 1.3053613053613053, 1.0603112878375955, 2.4622227836949016,
+        1.6070451735071618),
+}
+
+
+@lru_cache(maxsize=64)
+def kernel_constants(kernel: Kernel) -> KernelConstants:
+    """All calibration constants of a kernel: a named family's from its table,
+    any other kernel's by quadrature."""
+    if kernel.evaluator is KERNEL_FAMILIES.get(kernel.family):
+        return _NAMED_CONSTANTS[kernel.family]
+    return _quadrature_constants(kernel)

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .errors import (
     ConfigError,
@@ -230,6 +229,23 @@ def _moments(g: EstimatingFunction, resid: np.ndarray, z: np.ndarray) -> np.ndar
     """Rows G(resid_i) kron z_i, the G component varying slowest."""
     gvals = g.batch(resid)  # (m, k0)
     return (gvals[:, :, None] * z[:, None, :]).reshape(len(z), -1)
+
+
+# scipy.optimize takes about a quarter second to import, and only the BFGS
+# profile fit and the hull LP use it.  These two names import it on first
+# call; callers look them up in this module, so they can be wrapped or patched.
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first call."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _hull_contains_zero(moments: np.ndarray) -> bool:

@@ -9,7 +9,6 @@ against the null a1 = 0 with the single-constraint statistic.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -191,6 +190,8 @@ def simulate_statistics(
         raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
     items = [(config, b, stream_offset, want_f) for b in range(config.reps)]
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             out = list(pool.map(_one_replicate, items, chunksize=8))
     else:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.special import gammaincc
 
 from . import streams
@@ -460,6 +459,9 @@ def bias_correct(
     theta_init = np.atleast_1d(np.asarray(theta_init, dtype=float))
     if len(theta_init) != family.theta_dim:
         raise ConfigError("theta_init has wrong dimension")
+
+    # only a parametric null needs scipy.optimize, so it is imported here
+    from scipy.optimize import least_squares
 
     res = least_squares(lambda th: data.y - _family_fitted(data, family, th), theta_init,
                         xtol=1e-12, ftol=1e-12)

@@ -113,11 +113,23 @@ def test_no_orphan_private_definitions():
 
 
 def test_cli_and_montecarlo_leave_scipy_stats_unimported():
-    # scipy.stats costs about half a second and 20 MB at start-up; the
-    # chi-squared laws come from scipy.special
+    # scipy.stats costs about half a second and 20 MB at start-up, and
+    # scipy.optimize and scipy.integrate about a quarter second together: the
+    # chi-squared laws come from scipy.special, the named kernels' constants
+    # from a table, and the optimizers and the process pool are imported by
+    # the calls that use them
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(pathlib.Path(selrtest.__file__).parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = "import sys, selrtest.cli, selrtest.montecarlo; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    code = (
+        "import sys, selrtest, selrtest.cli, selrtest.montecarlo\n"
+        "from selrtest.kernels import KERNEL_FAMILIES, kernel_by_name, kernel_constants\n"
+        "for family in KERNEL_FAMILIES:\n"
+        "    kernel_constants(kernel_by_name(family))\n"
+        "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate',\n"
+        "                           'concurrent.futures.process') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

@@ -1,10 +1,19 @@
 """Kernel families and calibration constants against quadrature oracles."""
 
+from dataclasses import astuple
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from selrtest import ConfigError, kernel_by_name, kernel_constants, tabulated_kernel
-from selrtest.kernels import KERNEL_FAMILIES, kstar, second_moment
+from selrtest.kernels import (
+    KERNEL_FAMILIES,
+    Kernel,
+    _quadrature_constants,
+    kstar,
+    second_moment,
+)
 
 from conftest import midpoint
 
@@ -121,6 +130,30 @@ def test_triweight_constants_frozen():
     assert abs(consts.kstar0 - 1.3053613) < 1e-6
     assert abs(consts.r_K - 2.4622228) < 1e-6
     assert abs(consts.c_K - 1.6070452) < 1e-6
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_named_table_is_the_quadrature(name):
+    kern = kernel_by_name(name)
+    assert astuple(kernel_constants(kern)) == astuple(_quadrature_constants(kern))
+
+
+def test_named_table_rounds_the_exact_values():
+    # r_K and c_K from exact polynomial integration of the defining integrals
+    exact = {
+        "epanechnikov": (Fraction(429, 173), Fraction(7722, 6055)),
+        "triweight": (Fraction(29753479305, 12083991547),
+                      Fraction(252453763800, 157091890111)),
+    }
+    for name, (r_k, c_k) in exact.items():
+        consts = kernel_constants(kernel_by_name(name))
+        assert (consts.r_K, consts.c_K) == (float(r_k), float(c_k))
+
+
+def test_only_the_named_evaluator_takes_the_table():
+    # a family name on another evaluator gets that evaluator's integrals
+    kern = Kernel("epanechnikov", KERNEL_FAMILIES["uniform"])
+    assert kernel_constants(kern) == kernel_constants(kernel_by_name("uniform"))
 
 
 def test_constants_cached():

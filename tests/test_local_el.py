@@ -799,6 +799,22 @@ def test_profile_fit_solves_each_beta_once(monkeypatch, rng):
     assert len(solves) == len(set(evaluated)) == fit.inner_iters
 
 
+def test_hull_lp_is_looked_up_in_the_module(monkeypatch):
+    """solve_lagrange reaches the hull LP through ``local_el.linprog``, the
+    name the benchmark's tracer wraps, and the LP answers Infeasible."""
+    calls, linprog = [], local_el.linprog
+
+    def recording_linprog(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(local_el, "linprog", recording_linprog)
+    moments = np.array([[1.0], [2.0], [0.5], [3.0]])  # 0 is outside the hull
+    with pytest.raises(Infeasible):
+        solve_lagrange(moments, np.full(4, 0.25))
+    assert calls == [1]
+
+
 def test_constrained_fit_nested(rng):
     data = random_dataset(rng, n=80, p=2)
     g = make_identity()
