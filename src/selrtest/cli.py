@@ -27,6 +27,7 @@ from .estfun import parse_g_spec
 from .kernels import kernel_by_name, kernel_constants, tabulated_kernel
 from .montecarlo import SimulationConfig, null_table, size_power_study
 from .selr import (
+    BOOTSTRAP_SCHEMES,
     Hypothesis,
     bootstrap_null,
     const_coef,
@@ -117,8 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fix", help="composite null: idx=value[,idx=value...] (0-based)")
         p.add_argument("--omega", help="lo,hi testing interval")
         p.add_argument("--bootstrap", type=int, default=bootstrap, metavar="B")
-        p.add_argument("--scheme", default="gaussian",
-                       choices=["gaussian", "wild", "resample"])
+        p.add_argument("--scheme", default="gaussian", choices=BOOTSTRAP_SCHEMES)
         p.add_argument("--seed", type=int)
         p.add_argument("--output", help="JSON report path")
 
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--c1", type=float, default=0.0)
     s.add_argument("--reps", type=int, default=500)
     s.add_argument("--seed", type=int)
-    add_kernel(s)
+    s.add_argument("--kernel", default="triweight")
     s.add_argument("--alternative", default="linear", choices=["linear", "sine"])
     s.add_argument("--r-grid", default="0,0.4,0.8,1.2")
     s.add_argument("--threshold-selr", type=float)
@@ -316,7 +316,7 @@ def _cmd_simulate(args) -> int:
         alternative="null" if args.table1 else args.alternative,
     )
     if args.table1:
-        rows = null_table([config], n_jobs=args.threads)
+        rows = [null_table(config, n_jobs=args.threads)]
         header = ["n", "h", "variance", "mu", "sigma", "reps"]
         records = [[row.n, f"{row.h:.5f}", row.variance_label,
                     f"{row.mu:.4f}", f"{row.sigma:.4f}", row.reps] for row in rows]
@@ -324,9 +324,9 @@ def _cmd_simulate(args) -> int:
         r_grid = _floats(args.r_grid, "--r-grid")
         if (args.threshold_selr is None) != (args.threshold_f is None):
             raise ConfigError("--threshold-selr and --threshold-f must be given together")
-        thresholds = None if args.threshold_selr is None else {
-            0: (args.threshold_selr, args.threshold_f)}
-        rows = size_power_study([config], r_grid, thresholds=thresholds,
+        thresholds = (None if args.threshold_selr is None
+                      else (args.threshold_selr, args.threshold_f))
+        rows = size_power_study(config, r_grid, thresholds=thresholds,
                                 level=args.level, n_jobs=args.threads)
         header = ["n", "h", "c1", "r", "power_selr", "power_f"]
         records = [[row.n, f"{row.h:.5f}", row.c1, row.r,

@@ -21,7 +21,6 @@ __all__ = [
     "make_identity",
     "make_symmetric_indicator",
     "make_smoothed_indicator",
-    "default_grid",
     "parse_g_spec",
 ]
 
@@ -138,16 +137,6 @@ def make_smoothed_indicator(grid, width: float) -> EstimatingFunction:
         batch=batch,
         batch_derivative=batch_derivative,
     )
-
-
-def default_grid(residuals) -> tuple[float, ...]:
-    """Default indicator grid: (0, q50, q100) of |pilot residuals|."""
-    a = np.abs(np.asarray(residuals, dtype=float))
-    q50 = float(np.quantile(a, 0.5))
-    q100 = float(np.max(a))
-    if not 0.0 < q50 < q100:
-        raise ConfigError("residuals too degenerate for a default grid")
-    return (0.0, q50, q100)
 
 
 def parse_g_spec(spec: str) -> EstimatingFunction:

@@ -61,6 +61,7 @@ class SimulationConfig:
                 raise ConfigError(f"simulation {name} must be {need}, not {getattr(self, name)}")
         if self.alternative not in ("null", "linear", "sine"):
             raise ConfigError(f"unknown alternative {self.alternative!r}")
+        kernel_by_name(self.kernel)  # refuses an unknown name here, not in a replicate
 
     @property
     def h(self) -> float:
@@ -201,33 +202,17 @@ def simulate_statistics(
     return selr_vals, f_vals
 
 
-def _variance_label(c1: float) -> str:
-    if c1 == 0:
-        return "1"
-    return f"1+{c1:g}u^2"
-
-
-def null_table(configs, n_jobs: int = 1) -> list[NullSummary]:
-    """Simulated mean and SD of the null statistic for each configuration."""
-    rows = []
-    for config in configs:
-        if config.alternative != "null":
-            raise ConfigError("null_table expects null-model configurations")
-        vals, _ = simulate_statistics(config, n_jobs=n_jobs)
-        vals = vals[np.isfinite(vals)]
-        mu = float(np.mean(vals))
-        sigma = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-        rows.append(
-            NullSummary(
-                n=config.n,
-                h=config.h,
-                variance_label=_variance_label(config.c1),
-                mu=mu,
-                sigma=sigma,
-                reps=len(vals),
-            )
-        )
-    return rows
+def null_table(config: SimulationConfig, n_jobs: int = 1) -> NullSummary:
+    """Simulated mean and SD of the null statistic of one configuration."""
+    if config.alternative != "null":
+        raise ConfigError("null_table expects a null-model configuration")
+    vals, _ = simulate_statistics(config, n_jobs=n_jobs)
+    vals = vals[np.isfinite(vals)]
+    return NullSummary(n=config.n, h=config.h,
+                       variance_label="1" if config.c1 == 0 else f"1+{config.c1:g}u^2",
+                       mu=float(np.mean(vals)),
+                       sigma=float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0,
+                       reps=len(vals))
 
 
 def moment_match(sample) -> MomentMatch:
@@ -256,54 +241,44 @@ def ecdf_vs_chisq(sample, match: MomentMatch) -> float:
     return float(max(upper.max(), lower.max()))
 
 
+def _rate(vals: np.ndarray, threshold: float) -> float:
+    """Share of the finite statistics above ``threshold``; NaN if none is finite."""
+    vals = vals[np.isfinite(vals)]
+    return float(np.mean(vals > threshold)) if len(vals) else math.nan
+
+
 def size_power_study(
-    configs,
+    config: SimulationConfig,
     r_grid,
-    thresholds: dict | None = None,
+    thresholds: tuple[float, float] | None = None,
     level: float = 0.05,
     n_jobs: int = 1,
 ) -> list[StudyRow]:
     """Rejection rates of the SELR and F-type tests over an r grid.
 
-    ``thresholds`` maps a config index to (selr_threshold, f_threshold);
-    missing entries are self-calibrated as the empirical (1 - level)
-    quantile of a null run with the same configuration and seed.
+    ``thresholds`` is the pair (selr_threshold, f_threshold); None
+    self-calibrates each as the empirical (1 - level) quantile of a null run
+    of ``config`` at stream offset 0.  The cell at ``r_grid[ri]`` draws from
+    stream offset (ri + 1) << 32, so its row depends on ``config``, its r and
+    its place in ``r_grid`` alone.
     """
     if not 0.0 < level < 1.0:
         raise ConfigError(f"level must lie in (0, 1), got {level}")
-    rows = []
-    thresholds = thresholds or {}
-    if not all(math.isfinite(t) for pair in thresholds.values() for t in pair):
-        raise ConfigError(f"thresholds must be finite, got {thresholds}")
+    if thresholds is not None and not (len(thresholds) == 2
+                                       and all(math.isfinite(t) for t in thresholds)):
+        raise ConfigError(f"thresholds must be a finite (selr, f) pair, got {thresholds}")
     # every cell is built, and so checked, before any is simulated
-    cells = [[replace(config, alternative=config.alternative if r > 0 else "null", r=float(r))
-              for r in r_grid] for config in configs]
-    for ci, config in enumerate(configs):
-        if ci in thresholds:
-            t_selr, t_f = thresholds[ci]
-        else:
-            null_cfg = replace(config, alternative="null", r=0.0)
-            selr_null, f_null = simulate_statistics(
-                null_cfg, want_f=True, stream_offset=0, n_jobs=n_jobs
-            )
-            t_selr = float(np.nanquantile(selr_null, 1.0 - level))
-            t_f = float(np.nanquantile(f_null, 1.0 - level))
-        for ri, cell in enumerate(cells[ci]):
-            offset = (ci * len(r_grid) + ri + 1) << 32
-            selr_vals, f_vals = simulate_statistics(
-                cell, want_f=True, stream_offset=offset, n_jobs=n_jobs
-            )
-            # rejection rates among the replicates whose statistic computed
-            ok_s = np.isfinite(selr_vals)
-            ok_f = np.isfinite(f_vals)
-            rows.append(
-                StudyRow(
-                    n=config.n,
-                    h=config.h,
-                    c1=config.c1,
-                    r=cell.r,
-                    power_selr=float(np.mean(selr_vals[ok_s] > t_selr)) if ok_s.any() else float("nan"),
-                    power_f=float(np.mean(f_vals[ok_f] > t_f)) if ok_f.any() else float("nan"),
-                )
-            )
+    cells = [replace(config, alternative=config.alternative if r > 0 else "null", r=float(r))
+             for r in r_grid]
+    if thresholds is None:
+        null_vals = simulate_statistics(replace(config, alternative="null", r=0.0),
+                                        want_f=True, n_jobs=n_jobs)
+        thresholds = [float(np.nanquantile(vals, 1.0 - level)) for vals in null_vals]
+    t_selr, t_f = thresholds
+    rows = []
+    for ri, cell in enumerate(cells):
+        selr_vals, f_vals = simulate_statistics(cell, want_f=True, stream_offset=(ri + 1) << 32,
+                                                n_jobs=n_jobs)
+        rows.append(StudyRow(n=config.n, h=config.h, c1=config.c1, r=cell.r,
+                             power_selr=_rate(selr_vals, t_selr), power_f=_rate(f_vals, t_f)))
     return rows

@@ -65,6 +65,7 @@ __all__ = [
     "bootstrap_null",
     "select_bandwidth",
     "bias_correct",
+    "BOOTSTRAP_SCHEMES",
 ]
 
 
@@ -578,15 +579,25 @@ def _sigma2_hat(data: Dataset, resid: np.ndarray, windows) -> np.ndarray:
     return np.maximum(sigma2, 1e-12)
 
 
+BOOTSTRAP_SCHEMES = ("gaussian", "wild", "resample")
+
+
 def _replicate_errors(resid, sigma2, scheme, gen):
     n = len(resid)
     if scheme == "gaussian":
         return np.sqrt(sigma2) * streams.standard_normal(gen, n)
     if scheme == "wild":
         return resid * streams.rademacher(gen, n)
-    if scheme == "resample":
-        return resid[gen.integers(0, n, size=n)]
-    raise ConfigError(f"unknown bootstrap scheme {scheme!r}")
+    return resid[gen.integers(0, n, size=n)]  # "resample"
+
+
+def _check_bootstrap(B: int, least: int, scheme: str) -> None:
+    """Refuse fewer than ``least`` replicates or an unknown scheme, before any walk."""
+    if not B >= least:
+        raise ConfigError(f"need B >= {least} bootstrap replicates, got {B}")
+    if scheme not in BOOTSTRAP_SCHEMES:
+        raise ConfigError(f"unknown bootstrap scheme {scheme!r}; "
+                          f"choose from {', '.join(BOOTSTRAP_SCHEMES)}")
 
 
 def _bootstrap(data, kernel, h, spec, B, scheme, seed, statistics, observed, windows):
@@ -639,8 +650,7 @@ def bootstrap_null(
     replicates share u and x, so one walk over the design's windows
     computes all B statistics.
     """
-    if B < 1:
-        raise ConfigError("need at least one bootstrap replicate")
+    _check_bootstrap(B, 1, scheme)
     windows = _windows(data, kernel, h)
     if observed is None:
         observed = selr_test(data, kernel, h, g, spec, include_full_term).statistic
@@ -676,6 +686,7 @@ def select_bandwidth(
     h_grid = [float(h) for h in h_grid]
     if not h_grid:
         raise ConfigError("bandwidth grid is empty")
+    _check_bootstrap(B, 0, scheme)
 
     per_h = {}
     for h in h_grid:

@@ -239,7 +239,7 @@ def test_criterion_6_power():
         n=200, c0=1.0, c1=0.0, alternative="linear", reps=300, seed=SEED
     )
     rows_a = size_power_study(
-        [cfg_a], [0.0, 0.4, 0.8, 1.2], thresholds={0: (5.20, 0.0705)}, n_jobs=N_JOBS
+        cfg_a, [0.0, 0.4, 0.8, 1.2], thresholds=(5.20, 0.0705), n_jobs=N_JOBS
     )
     powers = [row.power_selr for row in rows_a]
     monotone = all(b >= a - 0.05 for a, b in zip(powers, powers[1:]))
@@ -247,7 +247,7 @@ def test_criterion_6_power():
     cfg_b = SimulationConfig(
         n=200, c0=1.0, c1=100.0, alternative="linear", reps=300, seed=SEED
     )
-    rows_b = size_power_study([cfg_b], [0.0, 2.0, 4.0], level=0.05, n_jobs=N_JOBS)
+    rows_b = size_power_study(cfg_b, [0.0, 2.0, 4.0], level=0.05, n_jobs=N_JOBS)
     dominant = any(
         row.power_selr > row.power_f for row in rows_b if row.r > 0
     )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from selrtest import (Dataset, Hypothesis, bootstrap_null, cli, const_coef, kernel_by_name,
-                      parse_g_spec, select_bandwidth)
+                      montecarlo, parse_g_spec, select_bandwidth)
 from selrtest.cli import main
 from selrtest.dataio import ingest_csv, write_csv
 
@@ -195,6 +195,22 @@ def test_bad_number_in_a_flag_is_a_config_error(csv_path, csv_path_p2, tmp_path,
 def test_simulation_config_error_names_field_and_value(capsys, argv, message):
     assert main(["simulate", "--seed", "1"] + argv) == 2
     assert capsys.readouterr().err == f"error[config]: {message}\n"
+
+
+def test_simulate_takes_a_named_kernel_only(monkeypatch, capsys):
+    # simulate draws with a named kernel: --tabulated-kernel is no option of
+    # it, and an unknown name is refused before any replicate runs
+    def fail(*args):
+        raise AssertionError("a replicate ran before the kernel was checked")
+
+    monkeypatch.setattr(montecarlo, "_one_replicate", fail)
+    argv = ["simulate", "--table1", "--n", "50", "--reps", "2", "--seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tabulated-kernel", "/no/such/file"])
+    assert exc.value.code == 2
+    assert "--tabulated-kernel" in capsys.readouterr().err
+    assert main(argv + ["--kernel", "bogus"]) == 2
+    assert capsys.readouterr().err.startswith("error[config]: unknown kernel 'bogus'")
 
 
 def test_hard_indicator_gof_refused_up_front(csv_path_p2, capsys):

@@ -10,7 +10,7 @@ from selrtest import (
     make_symmetric_indicator,
     parse_g_spec,
 )
-from selrtest.estfun import _smoothstep, _smoothstep_deriv, default_grid
+from selrtest.estfun import _smoothstep, _smoothstep_deriv
 
 
 def test_identity_values_and_derivative():
@@ -112,17 +112,6 @@ def test_smoothed_width_bound():
         make_smoothed_indicator([0.0, 0.5, 2.0], width=0.6)
     with pytest.raises(ConfigError):
         make_smoothed_indicator([0.0, 1.0], width=0.0)
-
-
-def test_default_grid(rng):
-    resid = rng.normal(size=400)
-    grid = default_grid(resid)
-    a = np.abs(resid)
-    assert grid[0] == 0.0
-    assert abs(grid[1] - np.quantile(a, 0.5)) < 1e-12
-    assert grid[2] == a.max()
-    with pytest.raises(ConfigError):
-        default_grid(np.zeros(10))
 
 
 def test_parse_g_spec():

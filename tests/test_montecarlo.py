@@ -1,6 +1,7 @@
 """Simulation harness: generators, F-type comparator, tables, matching."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from selrtest import (
     Dataset,
     MomentMatch,
     SimulationConfig,
+    StudyRow,
     ecdf_vs_chisq,
     f_type_stat,
     generate,
@@ -48,6 +50,7 @@ def test_config_validation_and_bandwidth():
         dict(n=50, c1=math.inf),
         dict(n=50, r=math.nan),
         dict(n=50, r=math.inf),
+        dict(n=50, kernel="bogus"),  # refused here, not in the first replicate
     ):
         with pytest.raises(ConfigError):
             SimulationConfig(**bad)
@@ -186,13 +189,11 @@ def test_simulate_statistics_stream_offset():
 
 def test_null_table_fields():
     cfg = SimulationConfig(n=40, c1=1.0, reps=12, seed=3)
-    rows = null_table([cfg])
-    assert len(rows) == 1
-    row = rows[0]
+    row = null_table(cfg)
     assert row.n == 40 and row.variance_label == "1+1u^2" and row.reps <= 12
     assert np.isfinite(row.mu) and row.sigma >= 0
     with pytest.raises(ConfigError):
-        null_table([SimulationConfig(n=40, alternative="linear", r=1.0)])
+        null_table(SimulationConfig(n=40, alternative="linear", r=1.0))
 
 
 def test_moment_match_paper_row():
@@ -257,7 +258,7 @@ def test_ecdf_vs_chisq_consistency(rng):
 
 def test_size_power_study_thresholds_and_power():
     cfg = SimulationConfig(n=40, reps=30, seed=8, alternative="linear")
-    rows = size_power_study([cfg], [0.0, 3.0], thresholds={0: (3.0, 0.2)})
+    rows = size_power_study(cfg, [0.0, 3.0], thresholds=(3.0, 0.2))
     assert [row.r for row in rows] == [0.0, 3.0]
     # a strong alternative drives both tests to near-full power
     assert rows[1].power_selr > rows[0].power_selr
@@ -266,21 +267,46 @@ def test_size_power_study_thresholds_and_power():
 
 
 @pytest.mark.parametrize("r_grid, thresholds", [
-    ([0.0, math.nan], {0: (3.0, 0.2)}),
-    ([0.0], {0: (math.nan, 0.2)}),
-    ([0.0], {0: (3.0, math.inf)}),
+    ([0.0, math.nan], (3.0, 0.2)),
+    ([0.0], (math.nan, 0.2)),
+    ([0.0], (3.0, math.inf)),
+    ([0.0], (3.0,)),
 ])
 def test_size_power_study_refuses_non_finite_values(r_grid, thresholds):
     cfg = SimulationConfig(n=20, reps=2, seed=1, alternative="linear")
     with pytest.raises(ConfigError):
-        size_power_study([cfg], r_grid, thresholds=thresholds)
+        size_power_study(cfg, r_grid, thresholds=thresholds)
 
 
 def test_size_power_study_self_calibration():
     cfg = SimulationConfig(n=40, reps=40, seed=8, alternative="linear")
-    rows = size_power_study([cfg], [0.0], level=0.1)
+    rows = size_power_study(cfg, [0.0], level=0.1)
     # the threshold is the null quantile of an independent same-seed null
     # run, so the measured size is near the nominal level (40 replicates
     # leave sizeable binomial noise; the tight check is the acceptance size
     # criterion at 500 replicates)
     assert 0.0 <= rows[0].power_selr <= 0.3
+
+
+@pytest.mark.parametrize("thresholds", [None, (2.0, 0.1)])
+def test_size_power_study_stream_rule(thresholds):
+    """Cell ri draws from stream offset (ri + 1) << 32 and the self-calibrated
+    thresholds are the (1 - level) quantiles of the offset-0 null run, so a
+    row depends only on the configuration, its r and its place in the grid."""
+    cfg = SimulationConfig(n=40, reps=6, seed=5, alternative="sine")
+    r_grid = [0.0, 1.5, 3.0]
+    rows = size_power_study(cfg, r_grid, thresholds=thresholds, level=0.2)
+    assert len(rows) == len(r_grid)
+    if thresholds is None:
+        null_vals = simulate_statistics(replace(cfg, alternative="null"), want_f=True)
+        thresholds = [float(np.nanquantile(vals, 0.8)) for vals in null_vals]
+
+    def rate(vals, threshold):
+        return float(np.mean(vals[np.isfinite(vals)] > threshold))
+
+    for ri, (r, row) in enumerate(zip(r_grid, rows)):
+        cell = replace(cfg, alternative="sine" if r > 0 else "null", r=r)
+        selr_vals, f_vals = simulate_statistics(cell, want_f=True, stream_offset=(ri + 1) << 32)
+        assert row == StudyRow(n=40, h=cfg.h, c1=0.0, r=r,
+                               power_selr=rate(selr_vals, thresholds[0]),
+                               power_f=rate(f_vals, thresholds[1]))

@@ -732,12 +732,34 @@ def test_bootstrap_schemes_run(rng):
             data, TRIWEIGHT, 0.45, make_identity(), spec, B=8, scheme=scheme, seed=2
         )
         assert len(sample) == 8 and np.all(np.isfinite(sample))
+
+
+@pytest.mark.parametrize("method, B, scheme", [
+    ("bootstrap_null", 2, "jackknife"),
+    ("bootstrap_null", 0, "gaussian"),
+    ("select_bandwidth", 3, "bogus"),
+    ("select_bandwidth", -3, "gaussian"),
+])
+def test_bad_bootstrap_arguments_refused_before_any_walk(monkeypatch, rng, method, B, scheme):
+    # an unknown scheme or too few replicates is refused before the observed
+    # statistic, or any grid bandwidth's, walks the windows
+    data = small_dataset(rng, n=45)
+    spec = Hypothesis.simple([zero_coef()], omega=(0.0, 1.0))
+    walks = []
+    real = selr._statistics
+
+    def spy(*args, **kwargs):
+        walks.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selr, "_statistics", spy)
     with pytest.raises(ConfigError):
-        bootstrap_null(
-            data, TRIWEIGHT, 0.45, make_identity(), spec, B=2, scheme="jackknife"
-        )
-    with pytest.raises(ConfigError):
-        bootstrap_null(data, TRIWEIGHT, 0.45, make_identity(), spec, B=0)
+        if method == "bootstrap_null":
+            bootstrap_null(data, TRIWEIGHT, 0.45, make_identity(), spec, B=B, scheme=scheme)
+        else:
+            select_bandwidth(data, TRIWEIGHT, make_identity(), spec, [0.3, 0.45], B=B,
+                             scheme=scheme)
+    assert walks == []
 
 
 def test_bootstrap_builds_each_window_once(monkeypatch, rng):
