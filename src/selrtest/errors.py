@@ -42,7 +42,8 @@ class SingularDesign(NumericalError):
 
 
 class Infeasible(NumericalError):
-    """Zero is not in the convex hull of the active moment vectors."""
+    """Zero is not in the convex hull of the active moment vectors, as a
+    separating multiplier (alpha'G_i > 0 for every vector G_i) certifies."""
 
 
 class MaxIterations(NumericalError):

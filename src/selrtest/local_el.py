@@ -232,8 +232,8 @@ def _moments(g: EstimatingFunction, resid: np.ndarray, z: np.ndarray) -> np.ndar
 
 
 # scipy.optimize takes about a quarter second to import, and only the BFGS
-# profile fit and the hull LP use it.  These two names import it on first
-# call; callers look them up in this module, so they can be wrapped or patched.
+# profile fit uses it.  This name imports it on first call; callers look it up
+# in this module, so it can be wrapped or patched.
 def minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on first call."""
     from scipy.optimize import minimize as scipy_minimize
@@ -241,6 +241,9 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
+# Not called by the package: the benchmark's tracer looks this name up with
+# getattr for its ``local_el.hull_lp`` span, which now reads 0.  It goes when
+# the tracer drops that span (ROADMAP item 7).
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first call."""
     from scipy.optimize import linprog as scipy_linprog
@@ -248,21 +251,12 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _hull_contains_zero(moments: np.ndarray) -> bool:
-    """LP certificate for 0 in the convex hull of the rows of ``moments``."""
-    m, d = moments.shape
-    a_eq = np.vstack([moments.T, np.ones(m)])
-    b_eq = np.concatenate([np.zeros(d), [1.0]])
-    res = linprog(np.zeros(m), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    return res.status == 0
-
-
 def solve_lagrange(moments: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Maximize the concave dual by damped Newton; returns the multiplier.
 
-    Raises :class:`Infeasible` when 0 is not in the convex hull of the moment
-    vectors (by an LP, run only where the near-boundary rule fails), and
-    :class:`MaxIterations` when the hull condition holds only degenerately.
+    Raises :class:`Infeasible` when the last accepted iterate alpha separates
+    0 from the moment rows (alpha'G_i > 0 for every i: by Gordan's theorem 0
+    is outside their convex hull), and otherwise :class:`MaxIterations`.
     """
     moments = np.asarray(moments, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -320,7 +314,8 @@ def solve_lagrange(moments: np.ndarray, weights: np.ndarray) -> np.ndarray:
     wd = weights / denom
     if np.linalg.norm(moments.T @ wd) <= 1e6 * gtol_eff and abs(wd.sum() - wsum) <= 1e-8:
         return alpha
-    if not _hull_contains_zero(moments):
+    # where 0 is outside the hull, Newton runs off along a separating alpha
+    if (moments @ alpha).min() > 0:
         raise Infeasible("0 is not in the convex hull of the moment vectors")
     raise MaxIterations(
         "dual Newton did not converge (hull condition holds only on the boundary)"

@@ -61,6 +61,8 @@ class SimulationConfig:
                 raise ConfigError(f"simulation {name} must be {need}, not {getattr(self, name)}")
         if self.alternative not in ("null", "linear", "sine"):
             raise ConfigError(f"unknown alternative {self.alternative!r}")
+        if self.alternative == "null" and self.r > 0:
+            raise ConfigError(f"alternative 'null' takes r = 0, not {self.r}")
         kernel_by_name(self.kernel)  # refuses an unknown name here, not in a replicate
 
     @property
@@ -115,16 +117,14 @@ def generate(config: SimulationConfig, rng: np.random.Generator) -> Dataset:
     return Dataset(u, np.ones((n, 1)), y)
 
 
-def f_type_stat(data: Dataset, kernel: Kernel, h: float,
-                null_fitted: np.ndarray | None = None) -> float:
-    """(RSS0 - RSS1) / RSS1 with RSS1 from the local linear fit."""
-    return _f_type(data, _local_linear_fitted(data, _windows(data, kernel, h)), null_fitted)
+def f_type_stat(data: Dataset, kernel: Kernel, h: float) -> float:
+    """(RSS0 - RSS1) / RSS1 with RSS0 = y'y and RSS1 from the local linear fit."""
+    return _f_type(data, _local_linear_fitted(data, _windows(data, kernel, h)))
 
 
-def _f_type(data: Dataset, fitted: np.ndarray, null_fitted=None) -> float:
+def _f_type(data: Dataset, fitted: np.ndarray) -> float:
     """:func:`f_type_stat` with ``fitted`` the local linear fit of ``data``."""
-    resid0 = data.y if null_fitted is None else data.y - null_fitted
-    rss0 = float(resid0 @ resid0)
+    rss0 = float(data.y @ data.y)
     resid1 = data.y - fitted
     rss1 = float(resid1 @ resid1)
     if rss0 == 0.0 and rss1 == 0.0:

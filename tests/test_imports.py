@@ -112,16 +112,24 @@ def test_no_orphan_private_definitions():
     assert orphans({p.name: p.read_text() for p in PACKAGE}) == []
 
 
+def run_fresh(code: str) -> str:
+    """The standard output of ``code`` run by a new interpreter that imports
+    this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(selrtest.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    return out.stdout
+
+
 def test_cli_and_montecarlo_leave_scipy_stats_unimported():
     # scipy.stats costs about half a second and 20 MB at start-up, and
     # scipy.optimize and scipy.integrate about a quarter second together: the
     # chi-squared laws come from scipy.special, the named kernels' constants
     # from a table, and the optimizers and the process pool are imported by
     # the calls that use them
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(pathlib.Path(selrtest.__file__).parents[1])]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = (
         "import sys, selrtest, selrtest.cli, selrtest.montecarlo\n"
         "from selrtest.kernels import KERNEL_FAMILIES, kernel_by_name, kernel_constants\n"
@@ -130,6 +138,46 @@ def test_cli_and_montecarlo_leave_scipy_stats_unimported():
         "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate',\n"
         "                           'concurrent.futures.process') if m in sys.modules))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == []
+    assert run_fresh(code).split() == []
+
+
+def test_dual_solver_failures_leave_scipy_optimize_unimported():
+    # the dual solver certifies Infeasible from its own iterate, with no LP:
+    # a window with all moments positive, then a simple null and its
+    # bootstrap on thin windows, whose failed solves reach the same branch
+    code = (
+        "import sys, warnings\n"
+        "import numpy as np\n"
+        "from selrtest import Dataset, Infeasible, MaxIterations, local_el, selr\n"
+        "from selrtest.estfun import make_identity\n"
+        "from selrtest.kernels import kernel_by_name\n"
+        "warnings.simplefilter('ignore')\n"
+        "raised, solve = [], local_el.solve_lagrange\n"
+        "def counting(moments, weights):\n"
+        "    try:\n"
+        "        return solve(moments, weights)\n"
+        "    except (Infeasible, MaxIterations) as exc:\n"
+        "        raised.append(type(exc).__name__)\n"
+        "        raise\n"
+        "local_el.solve_lagrange = counting\n"
+        "try:\n"
+        "    local_el.solve_lagrange(np.array([[1.0], [2.0], [0.5], [3.0]]), np.full(4, 0.25))\n"
+        "except Infeasible:\n"
+        "    pass\n"
+        "print(raised == ['Infeasible'])\n"
+        "rng = np.random.default_rng([0, 99, 0])\n"
+        "u = rng.random(60)\n"
+        "x = np.column_stack([np.ones(60), rng.standard_normal(60)])\n"
+        "data = Dataset(u, x, 0.3 + rng.standard_t(2, 60) * (1.0 + 2.0 * u))\n"
+        "zero2 = selr.Hypothesis.simple([selr.zero_coef()] * 2)\n"
+        "kernel, g = kernel_by_name('triweight'), make_identity()\n"
+        "selr.selr_test(data, kernel, 0.06, g, zero2)\n"
+        "print(len(raised) - 1)\n"
+        "selr.bootstrap_null(data, kernel, 0.06, g, zero2, B=3, seed=0)\n"
+        "print(len(raised) - 1)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    first, in_test, in_both, optimize = run_fresh(code).split()
+    assert first == "True"
+    assert 0 < int(in_test) < int(in_both)
+    assert optimize == "False"

@@ -50,6 +50,7 @@ def test_config_validation_and_bandwidth():
         dict(n=50, c1=math.inf),
         dict(n=50, r=math.nan),
         dict(n=50, r=math.inf),
+        dict(n=50, r=3.0),  # a null run at r > 0 would report its size as power
         dict(n=50, kernel="bogus"),  # refused here, not in the first replicate
     ):
         with pytest.raises(ConfigError):
@@ -276,6 +277,18 @@ def test_size_power_study_refuses_non_finite_values(r_grid, thresholds):
     cfg = SimulationConfig(n=20, reps=2, seed=1, alternative="linear")
     with pytest.raises(ConfigError):
         size_power_study(cfg, r_grid, thresholds=thresholds)
+
+
+def test_size_power_study_refuses_a_null_configuration(monkeypatch):
+    """A null configuration's cells at r > 0 would be null runs, their
+    rejection rates sizes reported as power: the study refuses it before
+    any cell runs."""
+    runs = []
+    monkeypatch.setattr(montecarlo, "simulate_statistics", lambda *a, **k: runs.append(a))
+    with pytest.raises(ConfigError, match="alternative 'null' takes r = 0"):
+        size_power_study(SimulationConfig(n=40, reps=30, seed=8), [0.0, 3.0],
+                         thresholds=(3.0, 0.2))
+    assert runs == []
 
 
 def test_size_power_study_self_calibration():

@@ -4,7 +4,7 @@ Usage: python tools/same_outputs.py PARENT_SRC [CHANGE_SRC]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories (CHANGE_SRC defaults to
 this checkout's).  Each side runs in its own child process with that
-directory first on ``sys.path`` and BLAS on one thread, and computes 127
+directory first on ``sys.path`` and BLAS on one thread, and computes 139
 outputs, 103 of them on the benchmark's seed-0 inputs
 (``perfbench/workloads.py``'s ``draw_dataset``):
 
@@ -39,12 +39,16 @@ outputs, 103 of them on the benchmark's seed-0 inputs
   ``null_table`` path) and an n = 800 pass of both statistics with
   c0 = 1.5 (5 replicates), whose windows take more than 8 MiB together;
 
-and 24 on a stress set of thin windows and heavy tails, where the batched
+and 36 on a stress set of thin windows and heavy tails, where the batched
 dual shortens more of its steps (14 % against 8 % in the bootstrap
 workload's designs) and hands far more windows to the scalar solver
 (45 % against 0.2 %): 6 designs of n = 60 with x = (1, N(0, 1)) and
 y = 0.3 + t_2 (1 + 2u), each at h = 0.06 and 0.1, give the simple null
-(a1 = a2 = 0) and its bootstrap sample (B = 6).
+(a1 = a2 = 0), its bootstrap sample (B = 6) and ``solve_lagrange``'s
+outcome on the null term's moment rows of every window: the bits of
+alpha, or the type name of the error it raises, so that the scalar
+solver's choice between ``Infeasible`` and ``MaxIterations`` is compared
+too.
 
 A test result is compared by its whole ``to_dict()`` report: statistic,
 scaled statistic, df, p-value, retained fraction, constants, hypothesis,
@@ -86,6 +90,14 @@ def _fits(fit_at, points) -> list:
         out.append((fit.logel, fit.beta.vector.tolist(), fit.alpha.tolist(), fit.status,
                     fit.inner_iters, fit.outer_iters))
     return out
+
+
+def _outcome(solve, moments, weights):
+    """The bits of the multiplier ``solve`` returns, or its error's type name."""
+    try:
+        return solve(moments, weights).tobytes()
+    except Exception as exc:  # a skipped window: compared by its error
+        return type(exc).__name__
 
 
 def compute() -> dict:
@@ -224,6 +236,10 @@ def compute() -> dict:
             out[f"stress/{s}/{h}"] = selr.selr_test(data, kernel, h, g, zero2).to_dict()
             sample, p = selr.bootstrap_null(data, kernel, h, g, zero2, B=6, seed=SEED)
             out[f"stress_bootstrap/{s}/{h}"] = (sample.tolist(), p)
+            out[f"stress_solve/{s}/{h}"] = [
+                _outcome(local_el.solve_lagrange, local_el._moments(g, data.y[win.active], win.z),
+                         win.w)
+                for win in local_el._window_block(data, kernel, h, data.u) if win is not None]
     return out
 
 
