@@ -23,12 +23,13 @@ import numpy as np
 
 from .dataio import ingest_csv
 from .errors import ConfigError, DataError, NumericalError, SelrError
-from .estfun import parse_g_spec
+from .estfun import parse_floats, parse_g_spec
 from .kernels import kernel_by_name, kernel_constants, tabulated_kernel
 from .montecarlo import SimulationConfig, null_table, size_power_study
 from .selr import (
     BOOTSTRAP_SCHEMES,
     Hypothesis,
+    _check_bootstrap,
     bootstrap_null,
     const_coef,
     select_bandwidth,
@@ -37,6 +38,9 @@ from .selr import (
 )
 
 __all__ = ["main", "build_parser"]
+
+# the words a config file may give a boolean option, in any case
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _read_config_file(path: str) -> dict:
@@ -84,7 +88,9 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
                 if action.type is not None:
                     value = action.type(value)
                 elif isinstance(action.default, bool):
-                    value = value.lower() in ("1", "true", "yes")
+                    if value.lower() not in _BOOLEANS:
+                        raise ValueError(f"{value!r} is not one of {', '.join(_BOOLEANS)}")
+                    value = _BOOLEANS[value.lower()]
                 if action.choices is not None and value not in action.choices:
                     choices = ", ".join(map(str, action.choices))
                     raise ValueError(f"{value!r} is not one of {choices}")
@@ -167,39 +173,11 @@ def _kernel_from(args):
     return kernel_by_name(args.kernel)
 
 
-def _omega_from(args):
-    if args.omega is None:
-        return None
-    try:
-        lo, hi = (float(v) for v in args.omega.split(","))
-    except ValueError:
-        raise ConfigError(f"bad --omega {args.omega!r}; expected lo,hi") from None
-    return (lo, hi)
-
-
-def _floats(text: str, flag: str) -> list:
-    """The comma-separated numbers of the value ``text`` of a list-valued flag."""
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"bad {flag} {text!r}; expected comma-separated numbers") from None
-
-
-def _replicates(args) -> int:
-    """The bootstrap replicate count B of ``args``, 0 for none."""
-    if args.bootstrap < 0:
-        raise ConfigError(f"--bootstrap must be >= 0, got {args.bootstrap}")
-    return args.bootstrap
-
-
 def _null_coefs(spec: str, p: int):
     if spec == "zero":
         return [zero_coef()] * p
     if spec.startswith("const:"):
-        vals = _floats(spec[len("const:"):], "--null const")
-        if len(vals) != p:
-            raise ConfigError(f"--null const needs {p} values")
-        return [const_coef(v) for v in vals]
+        return [const_coef(v) for v in parse_floats(spec[len("const:"):], "--null const", p)]
     raise ConfigError(f"unknown --null spec {spec!r}")
 
 
@@ -212,7 +190,7 @@ def _hypothesis_from(args, data):
         raise ConfigError(f"{' and '.join(chosen)} choose different nulls; give one")
     if args.no_estimated_coefficients and not args.gof:
         raise ConfigError("--no-estimated-coefficients applies to --gof only")
-    omega = _omega_from(args)
+    omega = None if args.omega is None else tuple(parse_floats(args.omega, "--omega", 2))
     if args.gof:
         return Hypothesis.goodness_of_fit(
             omega=omega, no_estimated_coefficients=args.no_estimated_coefficients)
@@ -279,22 +257,29 @@ def _cmd_kernel_constants(args) -> int:
     return 0
 
 
+def _inputs(args, least_b: int):
+    """The dataset, kernel, G and null of a data subcommand; its output path,
+    bootstrap count (at least ``least_b``) and scheme and its G are checked
+    before the CSV is read."""
+    _check_output_dir(args.output, "--output")
+    _check_bootstrap(args.bootstrap, least_b, args.scheme)
+    g = parse_g_spec(args.g)
+    data = ingest_csv(args.input)
+    return data, _kernel_from(args), g, _hypothesis_from(args, data)
+
+
 def _cmd_test(args) -> int:
     """``test`` and ``calibrate``: the statistic with its bootstrap p-value,
-    drawn when B > 0 and always by ``calibrate`` (which refuses B = 0 and
-    reports the null sample too)."""
-    _check_output_dir(args.output, "--output")
-    B = _replicates(args)
-    data = ingest_csv(args.input)
-    kern = _kernel_from(args)
-    g = parse_g_spec(args.g)
-    spec = _hypothesis_from(args, data)
+    drawn when B > 0, which ``calibrate`` requires (it reports the null
+    sample too)."""
+    calibrate = args.command == "calibrate"
+    data, kern, g, spec = _inputs(args, 1 if calibrate else 0)
+    B = args.bootstrap
     if args.include_full_term and spec.kind != "simple_null":
         raise ConfigError("--include-full-term applies to a simple null, not to --gof or --fix")
     include_full = True if args.include_full_term else None
     result = selr_test(data, kern, args.h, g, spec, include_full_term=include_full)
-    calibrate = args.command == "calibrate"
-    if B > 0 or calibrate:
+    if B > 0:
         sample, result.p_bootstrap = bootstrap_null(
             data, kern, args.h, g, spec, B=B, scheme=args.scheme, seed=_resolve_seed(args),
             include_full_term=include_full, observed=result.statistic,
@@ -321,7 +306,7 @@ def _cmd_simulate(args) -> int:
         records = [[row.n, f"{row.h:.5f}", row.variance_label,
                     f"{row.mu:.4f}", f"{row.sigma:.4f}", row.reps] for row in rows]
     else:
-        r_grid = _floats(args.r_grid, "--r-grid")
+        r_grid = parse_floats(args.r_grid, "--r-grid")
         if (args.threshold_selr is None) != (args.threshold_f is None):
             raise ConfigError("--threshold-selr and --threshold-f must be given together")
         thresholds = (None if args.threshold_selr is None
@@ -344,13 +329,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bandwidth(args) -> int:
-    _check_output_dir(args.output, "--output")
-    B = _replicates(args)
-    grid = _floats(args.grid, "--grid")
-    data = ingest_csv(args.input)
-    kern = _kernel_from(args)
-    g = parse_g_spec(args.g)
-    spec = _hypothesis_from(args, data)
+    data, kern, g, spec = _inputs(args, 0)
+    grid = parse_floats(args.grid, "--grid")
+    B = args.bootstrap
     seed = _resolve_seed(args) if B > 0 else 0
     sel = select_bandwidth(data, kern, g, spec, grid, B=B, scheme=args.scheme, seed=seed)
     report = {

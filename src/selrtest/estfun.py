@@ -21,6 +21,7 @@ __all__ = [
     "make_identity",
     "make_symmetric_indicator",
     "make_smoothed_indicator",
+    "parse_floats",
     "parse_g_spec",
 ]
 
@@ -139,6 +140,19 @@ def make_smoothed_indicator(grid, width: float) -> EstimatingFunction:
     )
 
 
+def parse_floats(text: str, name: str, count: int | None = None) -> list[float]:
+    """The comma-separated numbers of ``text``, the value of ``name``: text
+    that is not such a list, or not of ``count`` numbers, is a ConfigError."""
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        vals = None
+    if vals is None or count not in (None, len(vals)):
+        want = "comma-separated numbers" if count is None else f"{count} number" + "s" * (count > 1)
+        raise ConfigError(f"bad {name} {text!r}; expected {want}")
+    return vals
+
+
 def parse_g_spec(spec: str) -> EstimatingFunction:
     """Parse ``identity | symmetric:<s1,...> | smoothed:<s1,...>:<width>``."""
     parts = spec.split(":")
@@ -150,11 +164,10 @@ def parse_g_spec(spec: str) -> EstimatingFunction:
     if kind == "symmetric":
         if len(parts) != 2:
             raise ConfigError("expected symmetric:<s1,s2,...>")
-        pts = [float(v) for v in parts[1].split(",")]
-        return make_symmetric_indicator([0.0] + pts)
+        return make_symmetric_indicator([0.0] + parse_floats(parts[1], "symmetric grid"))
     if kind == "smoothed":
         if len(parts) != 3:
             raise ConfigError("expected smoothed:<s1,...>:<width>")
-        pts = [float(v) for v in parts[1].split(",")]
-        return make_smoothed_indicator([0.0] + pts, float(parts[2]))
+        return make_smoothed_indicator([0.0] + parse_floats(parts[1], "smoothed grid"),
+                                       *parse_floats(parts[2], "smoothing width", 1))
     raise ConfigError(f"unknown estimating-function spec {spec!r}")

@@ -264,8 +264,11 @@ def size_power_study(
     """
     if not 0.0 < level < 1.0:
         raise ConfigError(f"level must lie in (0, 1), got {level}")
-    if thresholds is not None and not (len(thresholds) == 2
-                                       and all(math.isfinite(t) for t in thresholds)):
+    try:
+        pair = thresholds is None or len(thresholds) == 2 and all(map(math.isfinite, thresholds))
+    except TypeError:  # not a sequence, or an entry that is not a number
+        pair = False
+    if not pair:
         raise ConfigError(f"thresholds must be a finite (selr, f) pair, got {thresholds}")
     # every cell is built, and so checked, before any is simulated
     cells = [replace(config, alternative=config.alternative if r > 0 else "null", r=float(r))

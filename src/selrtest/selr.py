@@ -568,14 +568,14 @@ def _sigma2_hat(data: Dataset, resid: np.ndarray, windows) -> np.ndarray:
     with ``windows`` the window source of ``data``."""
     sigma2 = np.empty(data.n)
     sq = resid**2
-    w = np.zeros(data.n)
     for block, wins in windows(np.arange(data.n)):
-        for i, win in zip(block.tolist(), _nonempty(wins, data.u[block])):
-            # a dot over all n, zeros included: any other order (the active set
-            # alone, a matvec per block) moves some replicates by 1% via one ulp
-            w[win.active] = win.w
-            sigma2[i] = float(w @ sq)
-            w[win.active] = 0.0
+        dense = np.zeros((len(block), data.n))
+        for k, win in enumerate(_nonempty(wins, data.u[block])):
+            dense[k, win.active] = win.w
+        # a stack of (1, n) @ (n, 1) products: each a dot over all n, zeros
+        # included; any other order (the active set alone, a plain matvec)
+        # moves some replicates by 1% via one ulp
+        sigma2[block] = np.matmul(dense[:, None, :], sq[:, None])[:, 0, 0]
     return np.maximum(sigma2, 1e-12)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from selrtest import (Dataset, Hypothesis, bootstrap_null, cli, const_coef, kernel_by_name,
-                      montecarlo, parse_g_spec, select_bandwidth)
+                      montecarlo, parse_g_spec, select_bandwidth, selr)
 from selrtest.cli import main
 from selrtest.dataio import ingest_csv, write_csv
 
@@ -166,14 +166,23 @@ def test_exit_codes(tmp_path, csv_path):
     ["simulate", "--table1", "--n", "20", "--reps", "0", "--seed", "1"],
     ["simulate", "--table1", "--n", "5", "--reps", "2", "--seed", "1"],
     ["calibrate", "--input", "{csv}", "--h", "0.4", "--bootstrap", "0", "--seed", "1"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--g", "symmetric:a"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--g", "symmetric:"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--g", "smoothed:0.8,x:0.3"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--g", "smoothed:0.8,2.0:w"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--g", "smoothed:0.8,2.0:0.3,0.4"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--omega", "0.1,0.5,0.9"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--null", "const:1,2"],
+    ["test", "--input", "{csv}", "--h", "0.4", "--null", "linear:1"],
 ])
 def test_bad_number_in_a_flag_is_a_config_error(csv_path, csv_path_p2, tmp_path, capsys, argv):
-    # a non-number in a list-valued flag, a negative replicate count (or
-    # none for calibrate), a level outside (0, 1), one threshold without the
-    # other, fewer than one thread, a bandwidth that is not finite and > 0,
-    # a NaN indicator grid point or smoothing width, and a null value, pin,
-    # omega end, r or threshold that is not finite is refused (exit 2) with
-    # no traceback and no report
+    # a non-number in a list-valued flag or a G spec, a negative replicate
+    # count (or none for calibrate), a level outside (0, 1), one threshold
+    # without the other, fewer than one thread, a bandwidth that is not
+    # finite and > 0, a NaN indicator grid point or smoothing width, a null
+    # value, pin, omega end, r or threshold that is not finite, the wrong
+    # count of omega ends or null values and an unknown null spec is refused
+    # (exit 2) with no traceback and no report
     report = tmp_path / "r.json"
     code = main([a.format(csv=csv_path, csv2=csv_path_p2) for a in argv]
                 + ["--output", str(report)])
@@ -444,6 +453,35 @@ def test_missing_output_directory_refused_before_any_work(csv_path, tmp_path, mo
     assert err.startswith("error[config]: ") and named.format(**paths) in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["calibrate", "--input", "{csv}", "--h", "0.4", "--bootstrap", "0"], "need B >= 1"),
+    (["test", "--input", "{csv}", "--h", "0.4", "--bootstrap", "-1"], "need B >= 0"),
+    (["bandwidth", "--input", "{csv}", "--grid", "0.3,0.45", "--bootstrap", "-1"],
+     "need B >= 0"),
+    (["calibrate", "--input", "{csv}", "--h", "0.4", "--g", "symmetric:a"],
+     "bad symmetric grid 'a'"),
+], ids=["calibrate-0", "test-negative", "bandwidth-negative", "calibrate-g"])
+def test_bad_replicate_count_or_g_refused_before_any_work(csv_path, monkeypatch, capsys, argv,
+                                                          message):
+    # the library's own check refuses B, and the G parser a malformed
+    # number, before the CSV is read, any statistic walks the windows or a
+    # seed is drawn and printed
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "ingest_csv", spy("ingest_csv", cli.ingest_csv))
+    monkeypatch.setattr(selr, "_statistics", spy("_statistics", selr._statistics))
+    assert main([a.format(csv=csv_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[config]: {message}") and "seed:" not in err
+    assert calls == []
+
+
 def test_bandwidth_subcommand(csv_path, tmp_path):
     report = tmp_path / "bw.json"
     code = main(
@@ -480,6 +518,7 @@ def test_config_file_defaults_flags_win(csv_path, tmp_path):
     ("h = abc", "h"),  # fails the option's type
     ("bootstrap = 2.5", "bootstrap"),
     ("scheme = bogus", "scheme"),  # outside the option's choices
+    ("gof = ture", "gof"),  # a boolean option takes 1/true/yes/0/false/no only
 ])
 def test_config_file_bad_value_is_a_config_error(csv_path, tmp_path, capsys, line, key):
     cfg = tmp_path / "bad.cfg"
@@ -491,6 +530,17 @@ def test_config_file_bad_value_is_a_config_error(csv_path, tmp_path, capsys, lin
     assert err.startswith(f"error[config]: {cfg}: bad value for {key}: ")
     assert "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("word, on", [
+    ("1", True), ("true", True), ("YES", True), ("0", False), ("False", False), ("no", False),
+])
+def test_config_file_boolean_words_in_any_case(tmp_path, word, on):
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text(f"gof = {word}\n")
+    parser = cli.build_parser()
+    cli._apply_config(parser, str(cfg))
+    assert parser.parse_args(["test", "--input", "d.csv", "--h", "0.4"]).gof is on
 
 
 @pytest.mark.parametrize("line, argv, message", [

@@ -38,6 +38,9 @@ def test_missing_columns(tmp_path):
     path.write_text("x1,y\n1.0,1.0\n")
     with pytest.raises(MissingColumn):
         ingest_csv(str(path))
+    path.write_text("u,x1\n0.5,1.0\n")
+    with pytest.raises(MissingColumn, match="'y'"):
+        ingest_csv(str(path))
 
 
 def test_column_named_twice(tmp_path):
@@ -55,6 +58,13 @@ def test_bad_rows_reported_with_line_numbers(tmp_path):
     with pytest.raises(ParseError) as err:
         ingest_csv(str(path))
     assert "3" in str(err.value) and "4" in str(err.value)
+
+
+def test_rows_with_the_wrong_field_count_reported(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("u,x1,y\n0.5,1.0,1.0\n0.6,1.0\n0.7,1.0,2.0,9.0\n0.8,1.0,3.0\n")
+    with pytest.raises(ParseError, match=r"lines \[3, 4\]"):
+        ingest_csv(str(path))
 
 
 def test_empty_inputs(tmp_path):

@@ -1,5 +1,7 @@
 """Estimating-function families: symmetry, derivatives, parsing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from selrtest import (
     make_symmetric_indicator,
     parse_g_spec,
 )
-from selrtest.estfun import _smoothstep, _smoothstep_deriv
+from selrtest.estfun import _smoothstep, _smoothstep_deriv, parse_floats
 
 
 def test_identity_values_and_derivative():
@@ -125,3 +127,27 @@ def test_parse_g_spec():
     for bad in ("identity:1", "symmetric", "smoothed:1", "banana"):
         with pytest.raises(ConfigError):
             parse_g_spec(bad)
+
+
+@pytest.mark.parametrize("spec, named", [
+    ("symmetric:a", "bad symmetric grid 'a'"),
+    ("symmetric:", "bad symmetric grid ''"),
+    ("smoothed:0.8,x:0.3", "bad smoothed grid '0.8,x'"),
+    ("smoothed:0.8,2.0:w", "bad smoothing width 'w'; expected 1 number"),
+    ("smoothed:0.8,2.0:0.3,0.4", "bad smoothing width '0.3,0.4'; expected 1 number"),
+], ids=["symmetric-letter", "symmetric-empty", "smoothed-grid", "smoothed-width",
+        "smoothed-two-widths"])
+def test_parse_g_spec_names_a_malformed_number(spec, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        parse_g_spec(spec)
+
+
+def test_parse_floats():
+    assert parse_floats("0, 1.5,-2e-1", "--grid") == [0.0, 1.5, -0.2]
+    assert parse_floats("0.2,0.8", "--omega", 2) == [0.2, 0.8]
+    for text, count, message in (
+            ("0.3,abc", None, "bad --grid '0.3,abc'; expected comma-separated numbers"),
+            ("", None, "bad --grid ''; expected comma-separated numbers"),
+            ("0.2,0.5,0.8", 2, "bad --grid '0.2,0.5,0.8'; expected 2 numbers")):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_floats(text, "--grid", count)

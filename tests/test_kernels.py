@@ -1,5 +1,6 @@
 """Kernel families and calibration constants against quadrature oracles."""
 
+import warnings
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -177,6 +178,25 @@ def test_tabulated_kernel_roundtrip():
     assert abs(consts.c_K - ref.c_K) < 1e-3
 
 
+def test_tabulated_kernel_mass_is_the_tables_trapezoid_sum():
+    # the interpolant's mass is exact: a trapezoid-normalised 201-point
+    # triweight table passes with no quadrature warning, and one whose mass
+    # is off by 2e-6 is refused
+    t = np.linspace(-1, 1, 201)
+    k = (1 - t**2) ** 3
+    k = k / np.sum(np.diff(t) * (k[1:] + k[:-1]) / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tabulated_kernel(t, k)
+    with pytest.raises(ConfigError, match="integrates to 1.00000200, not 1"):
+        tabulated_kernel(t, k * (1 + 2e-6))
+    # a grid wider than [-1, 1] counts the interpolant inside it only
+    wide = np.linspace(-2, 2, 9)
+    tabulated_kernel(wide, np.where(np.abs(wide) <= 1, 0.5, 0.0))
+    with pytest.raises(ConfigError, match="integrates to 0.75000000"):
+        tabulated_kernel(wide, np.where(np.abs(wide) <= 0.5, 0.5, 0.0))
+
+
 def test_tabulated_kernel_validation():
     t = np.linspace(-1, 1, 11)
     with pytest.raises(ConfigError):
@@ -187,7 +207,7 @@ def test_tabulated_kernel_validation():
         tabulated_kernel(t, np.full_like(t, 2.0))  # mass 4, not 1
     skew = np.linspace(0, 1, 11)
     with pytest.raises(ConfigError):
-        tabulated_kernel(t, skew / np.trapezoid(skew, t))  # asymmetric
+        tabulated_kernel(t, skew / np.sum(np.diff(t) * (skew[1:] + skew[:-1]) / 2))  # asymmetric
     for bad in (np.where(t == 0, np.nan, t), np.where(t == 1, np.inf, t)):
         with pytest.raises(ConfigError, match="finite"):
             tabulated_kernel(bad, 0.75 * (1 - t**2))  # a NaN or inf in t

@@ -272,6 +272,8 @@ def test_size_power_study_thresholds_and_power():
     ([0.0], (math.nan, 0.2)),
     ([0.0], (3.0, math.inf)),
     ([0.0], (3.0,)),
+    ([0.0], (5.2, None)),  # an entry that is not a number
+    ([0.0], 5.2),  # not a pair at all
 ])
 def test_size_power_study_refuses_non_finite_values(r_grid, thresholds):
     cfg = SimulationConfig(n=20, reps=2, seed=1, alternative="linear")

@@ -602,6 +602,12 @@ def test_bias_correct_exact_and_constant(rng):
     assert abs(theta_c[0] - data.y.mean()) < 1e-8
 
 
+def test_bias_correct_refuses_theta_init_of_the_wrong_dimension(rng):
+    family = ParametricFamily(lambda v, th: th[0] + th[1] * v, 2)
+    with pytest.raises(ConfigError, match="theta_init has wrong dimension"):
+        bias_correct(small_dataset(rng, n=30), family, [0.0])
+
+
 def test_selr_test_dispatch_parametric(rng):
     data = small_dataset(rng, n=50)
     family = ParametricFamily(lambda v, th: th[0] + 0.0 * v, 1)
@@ -979,6 +985,16 @@ def test_select_bandwidth_builds_replicate_windows_once(monkeypatch, rng):
     assert len(built) == 2 * data.n
     assert {h: {c for (hh, _), c in built.items() if hh == h} for h in (0.3, 0.45)} == {
         0.3: {3}, 0.45: {2}}
+
+
+def test_select_bandwidth_refuses_zero_df(rng):
+    # goodness of fit with k0 = 1 tests (k0 - 1) p = 0 dimensions, so there
+    # is no df to standardize each bandwidth's statistic by
+    data = small_dataset(rng, n=45)
+    with pytest.warns(DegenerateTestWarning), \
+            pytest.raises(ConfigError, match="needs positive df"):
+        select_bandwidth(data, TRIWEIGHT, make_identity(), Hypothesis.goodness_of_fit(),
+                         [0.3, 0.45])
 
 
 def test_select_bandwidth_single_grid(rng):
