@@ -29,8 +29,8 @@ from .montecarlo import SimulationConfig, null_table, size_power_study
 from .selr import (
     BOOTSTRAP_SCHEMES,
     Hypothesis,
+    _calibrated_test,
     _check_bootstrap,
-    bootstrap_null,
     const_coef,
     select_bandwidth,
     selr_test,
@@ -278,13 +278,11 @@ def _cmd_test(args) -> int:
     if args.include_full_term and spec.kind != "simple_null":
         raise ConfigError("--include-full-term applies to a simple null, not to --gof or --fix")
     include_full = True if args.include_full_term else None
-    result = selr_test(data, kern, args.h, g, spec, include_full_term=include_full)
     if B > 0:
-        sample, result.p_bootstrap = bootstrap_null(
-            data, kern, args.h, g, spec, B=B, scheme=args.scheme, seed=_resolve_seed(args),
-            include_full_term=include_full, observed=result.statistic,
-        )
-        result.B = B
+        result, sample = _calibrated_test(data, kern, args.h, g, spec, B, args.scheme,
+                                          _resolve_seed(args), include_full_term=include_full)
+    else:
+        result = selr_test(data, kern, args.h, g, spec, include_full_term=include_full)
     report = result.to_dict()
     if calibrate:
         report["null_sample"] = [float(v) for v in sample]

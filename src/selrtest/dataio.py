@@ -17,11 +17,12 @@ def ingest_csv(path: str) -> Dataset:
 
     The header must name columns ``u``, ``y`` and ``x1`` .. ``xp`` in any
     order, each once; rows containing unparseable or non-finite fields are
-    rejected and reported with their line numbers.  A path that is missing
-    or cannot be opened is a :class:`DataError` too.
+    rejected and reported with their line numbers.  The file is read as
+    UTF-8, with or without a byte-order mark.  A path that is missing or
+    cannot be opened is a :class:`DataError` too.
     """
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise EmptyFile(f"no such file: {path}") from None
     except OSError as exc:

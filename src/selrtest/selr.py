@@ -494,31 +494,40 @@ def selr_test(
                                  windows=_windows(data, kernel, h)), data, kernel, h)
 
 
+def _checked(data, g, spec, include_full_term=None):
+    """A statistic's refusals before any window (a G without derivative where
+    the profile fit needs one, an Ω holding no observation), then whether it
+    has the unconstrained-fit term, its tested dimension, Ω and its points."""
+    full_term = g.k0 > 1 if include_full_term is None else include_full_term
+    if spec.kind in ("goodness_of_fit", "composite_null") or full_term:
+        _require_derivative(g)
+    if spec.kind == "goodness_of_fit":
+        dim = (g.k0 if spec.no_estimated_coefficients else g.k0 - 1) * data.p
+    else:
+        dim = len(spec.fixed_idx) if spec.kind == "composite_null" else data.p
+    return (full_term, dim, *_eval_points(data, spec.omega))
+
+
 def _statistics(data, Y, kernel, h, g, spec, include_full_term=None, *, windows) -> _Terms:
     """The terms of :func:`selr_test` on the datasets (u, x, Y[r]) of the
     rows of the responses ``Y`` (R, n), with ``windows`` the window source
     of ``data``.  One walk over the windows serves every replicate: each
     kind yields the (block, contributions, status) of its blocks."""
-    full_term = g.k0 > 1 if include_full_term is None else include_full_term
-    if spec.kind in ("goodness_of_fit", "composite_null") or full_term:
-        _require_derivative(g)  # before any window is built
-    omega, eval_idx = _eval_points(data, spec.omega)
+    full_term, dim, omega, eval_idx = _checked(data, g, spec, include_full_term)
     walk = _walk(data, eval_idx, windows)
     rows, errors = np.arange(len(Y)), {}
     if spec.kind == "goodness_of_fit":
-        dim = (g.k0 if spec.no_estimated_coefficients else g.k0 - 1) * data.p
         blocks = ((block, _entropies(wins) - logel, status)
                   for block, wins, logel, _, status in _full_fits(data, Y, g, walk))
     elif spec.kind == "simple_null":
         # shift the responses so the null becomes `all coefficients zero`; the
         # shift changes y only, so the windows stay those of data
-        dim, blocks = data.p, _simple(data, Y - _simple_null_fitted(data, spec), g, full_term,
-                                      walk)
+        blocks = _simple(data, Y - _simple_null_fitted(data, spec), g, full_term, walk)
     elif spec.kind == "composite_null":
-        dim, blocks = len(spec.fixed_idx), _composite(data, Y, h, g, spec, eval_idx, walk)
+        blocks = _composite(data, Y, h, g, spec, eval_idx, walk)
     else:  # parametric_null
         rows, stars, errors = _parametric(data, Y, spec)
-        dim, blocks = data.p, _simple(data, stars, g, full_term, walk) if len(rows) else ()
+        blocks = _simple(data, stars, g, full_term, walk) if len(rows) else ()
     contribs, statuses = _fit_arrays((len(Y), len(eval_idx)))
     for block, contrib, status in blocks:
         at = rows[:, None], np.searchsorted(eval_idx, block)
@@ -600,21 +609,25 @@ def _check_bootstrap(B: int, least: int, scheme: str) -> None:
                           f"choose from {', '.join(BOOTSTRAP_SCHEMES)}")
 
 
-def _bootstrap(data, kernel, h, spec, B, scheme, seed, statistics, observed, windows):
-    """Null sample of B replicates and its p-value.
-
-    Replicate b draws its errors from the stream keyed by (seed, b), so the
-    sample does not depend on how replicates are scheduled.  All B response
-    vectors are drawn first; ``statistics`` maps them, (B, n), to the B
-    statistics, NaN where a replicate failed.  ``windows`` gives the windows
-    of ``data`` at bandwidth h, for the null fit and the variance smoother.
-    """
+def _draw(data, kernel, h, spec, B, scheme, seed, windows) -> np.ndarray:
+    """The observed responses y above B null responses, (B + 1, n).  Replicate
+    b draws its errors from the stream keyed by (seed, b), so no sample depends
+    on how replicates are scheduled.  ``windows`` gives the windows of ``data``
+    at bandwidth h, for the null fit and the variance smoother."""
     m = _null_fitted_values(data, kernel, h, spec, windows)
     resid = data.y - m
     sigma2 = _sigma2_hat(data, resid, windows) if scheme == "gaussian" else None
-    Y = np.array([m + _replicate_errors(resid, sigma2, scheme, streams.substream(seed, b))
-                  for b in range(B)])
-    sample = statistics(Y)
+    return np.array([data.y] + [m + _replicate_errors(resid, sigma2, scheme,
+                                                      streams.substream(seed, b))
+                                for b in range(B)])
+
+
+def _bootstrap(stats):
+    """Null sample (the replicates that did not fail) and p-value of the
+    statistics ``stats`` (B + 1,) of :func:`_draw`'s responses: row 0 is the
+    observed statistic, the others the B replicates', NaN where one failed."""
+    observed, sample = stats[0], stats[1:]
+    B = len(sample)
     sample = sample[~np.isnan(sample)]
     failures = B - len(sample)
     if failures > 0.05 * B:
@@ -628,6 +641,21 @@ def _bootstrap(data, kernel, h, spec, B, scheme, seed, statistics, observed, win
     return sample, (1 + int(np.sum(sample >= observed))) / (len(sample) + 1)
 
 
+def _calibrated_test(data, kernel, h, g, spec, B, scheme, seed, include_full_term=None):
+    """The result of :func:`selr_test` with its bootstrap p-value and B set,
+    and its null sample: one walk over the windows of ``data`` computes the
+    observed statistic (row 0) and the B replicates' together."""
+    _check_bootstrap(B, 1, scheme)
+    _checked(data, g, spec, include_full_term)  # before the null fit's walks
+    windows = _windows(data, kernel, h)
+    Y = _draw(data, kernel, h, spec, B, scheme, seed, windows)
+    terms = _statistics(data, Y, kernel, h, g, spec, include_full_term, windows=windows)
+    result = _assemble(terms, data, kernel, h)
+    sample, result.p_bootstrap = _bootstrap(terms.totals()[0])
+    result.B = B
+    return result, sample
+
+
 def bootstrap_null(
     data: Dataset,
     kernel: Kernel,
@@ -638,7 +666,6 @@ def bootstrap_null(
     scheme: str = "gaussian",
     seed: int = 0,
     include_full_term: bool | None = None,
-    observed: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Simulate the null distribution of the statistic and return a p-value.
 
@@ -647,18 +674,11 @@ def bootstrap_null(
     / (#successes + 1).  Replicates raising :class:`NumericalError` are
     dropped: more than 5% of them warns with
     :class:`ReplicateFailureWarning`, and all of them raises.  The
-    replicates share u and x, so one walk over the design's windows
-    computes all B statistics.
+    replicates share u and x with the observed data, so one walk over the
+    design's windows computes the observed statistic and all B replicates'.
     """
-    _check_bootstrap(B, 1, scheme)
-    windows = _windows(data, kernel, h)
-    if observed is None:
-        observed = selr_test(data, kernel, h, g, spec, include_full_term).statistic
-    return _bootstrap(
-        data, kernel, h, spec, B, scheme, seed,
-        lambda Y: _statistics(data, Y, kernel, h, g, spec, include_full_term,
-                              windows=windows).totals()[0],
-        observed, windows)
+    result, sample = _calibrated_test(data, kernel, h, g, spec, B, scheme, seed, include_full_term)
+    return sample, result.p_bootstrap
 
 
 @dataclass(frozen=True)
@@ -682,32 +702,28 @@ def select_bandwidth(
     """Multi-scale test: maximize the standardized statistic over a
     bandwidth grid; optional joint bootstrap calibration of the maximum,
     with replicates drawn and failures handled as in :func:`bootstrap_null`
-    and one walk over the windows per grid bandwidth."""
+    and one walk over the windows per grid bandwidth for the observed
+    statistic and the replicates together."""
     h_grid = [float(h) for h in h_grid]
     if not h_grid:
         raise ConfigError("bandwidth grid is empty")
-    _check_bootstrap(B, 0, scheme)
-
-    per_h = {}
     for h in h_grid:
-        res = selr_test(data, kernel, h, g, spec)
-        if res.df <= 0:
-            raise ConfigError("bandwidth selection needs positive df")
-        per_h[h] = _standardized(res.r_K, res.statistic, res.df)
+        if not 0 < h < math.inf:
+            raise ConfigError(f"bandwidth must be finite and > 0, not {h}")
+    _check_bootstrap(B, 0, scheme)
+    if _checked(data, g, spec)[1] == 0:
+        raise ConfigError("bandwidth selection needs positive df")
+    Y = data.y[None] if B == 0 else _draw(data, kernel, min(h_grid), spec, B, scheme, seed,
+                                          _windows(data, kernel, min(h_grid)))
+    per_h, standardized = {}, []
+    for h in h_grid:
+        terms = _statistics(data, Y, kernel, h, g, spec, windows=_windows(data, kernel, h))
+        _assemble(terms, data, kernel, h)  # the observed statistic's refusals
+        stat, retained = terms.totals()
+        df, consts = terms.df(kernel, h, retained)
+        standardized.append(_standardized(consts.r_K, stat, df))
+        per_h[h] = standardized[-1][0]
     h_hat = max(per_h, key=per_h.get)
-    observed = per_h[h_hat]
-
-    p_boot = None
-    if B > 0:
-        def standardized(h, Y):  # NaN where a replicate fails
-            terms = _statistics(data, Y, kernel, h, g, spec, windows=_windows(data, kernel, h))
-            stat, retained = terms.totals()
-            df, consts = terms.df(kernel, h, retained)
-            return _standardized(consts.r_K, stat, df)
-
-        def maxima(Y):  # NaN where a replicate fails at any bandwidth
-            return np.max([standardized(h, Y) for h in h_grid], axis=0)
-
-        _, p_boot = _bootstrap(data, kernel, min(h_grid), spec, B, scheme, seed, maxima,
-                               observed, _windows(data, kernel, min(h_grid)))
-    return BandwidthSelection(h=h_hat, statistic=observed, per_h=per_h, p_bootstrap=p_boot)
+    # the maximum over the grid, NaN where a replicate fails at any bandwidth
+    p_boot = _bootstrap(np.max(standardized, axis=0))[1] if B > 0 else None
+    return BandwidthSelection(h=h_hat, statistic=per_h[h_hat], per_h=per_h, p_bootstrap=p_boot)

@@ -1,12 +1,13 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from selrtest import (Dataset, Hypothesis, bootstrap_null, cli, const_coef, kernel_by_name,
-                      montecarlo, parse_g_spec, select_bandwidth, selr)
+                      local_el, montecarlo, parse_g_spec, select_bandwidth, selr)
 from selrtest.cli import main
 from selrtest.dataio import ingest_csv, write_csv
 
@@ -351,13 +352,13 @@ def test_calibrate_any_null_equals_bootstrap_null(csv_path_p2, tmp_path, flags, 
 
 def test_calibrate_passes_include_full_term(csv_path, tmp_path, monkeypatch):
     seen = []
-    real = cli.bootstrap_null
+    real = cli._calibrated_test
 
     def spy(*args, **kwargs):
         seen.append(kwargs["include_full_term"])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "bootstrap_null", spy)
+    monkeypatch.setattr(cli, "_calibrated_test", spy)
     assert main(["calibrate", "--input", csv_path, "--h", "0.45", "--bootstrap", "3",
                  "--seed", "1", "--include-full-term", "--output", str(tmp_path / "r.json")]) == 0
     assert seen == [True]
@@ -410,15 +411,19 @@ def test_flags_the_chosen_null_ignores_are_refused(csv_path_p2, tmp_path, capsys
     (["--config", "{missing}/d.cfg", "test", "--input", "{csv}", "--h", "0.4"], 2, "--config"),
     (["kernel-constants", "--tabulated-kernel", "{missing}/k.txt"], 3, "--tabulated-kernel"),
     (["kernel-constants", "--tabulated-kernel", "{words}"], 3, "--tabulated-kernel"),
+    (["kernel-constants", "--tabulated-kernel", "{column}"], 3, "needs two columns (t, K(t))"),
     (["test", "--input", "{tmp}", "--h", "0.4"], 3, "{tmp}"),
 ], ids=["output", "simulate-output", "plot-data", "config", "kernel-missing", "kernel-text",
-        "input-directory"])
+        "kernel-one-column", "input-directory"])
 def test_path_that_cannot_be_opened(csv_path, tmp_path, capsys, argv, code, named):
     # an input that cannot be read is a data error, a config file or an
     # output that cannot be opened a configuration error: no traceback
     words = tmp_path / "words.txt"
     words.write_text("t k\none two\n")
-    paths = dict(csv=csv_path, missing=tmp_path / "missing", words=words, tmp=tmp_path)
+    column = tmp_path / "column.txt"
+    column.write_text("-1\n0\n1\n")
+    paths = dict(csv=csv_path, missing=tmp_path / "missing", words=words, column=column,
+                 tmp=tmp_path)
     assert main([a.format(**paths) for a in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error[config]: " if code == 2 else "error[data]: ")
@@ -445,7 +450,7 @@ def test_missing_output_directory_refused_before_any_work(csv_path, tmp_path, mo
     def fail(*args, **kwargs):
         raise AssertionError("work done before the output path was checked")
 
-    for name in ("ingest_csv", "bootstrap_null", "select_bandwidth", "size_power_study"):
+    for name in ("ingest_csv", "_calibrated_test", "select_bandwidth", "size_power_study"):
         monkeypatch.setattr(cli, name, fail)
     paths = dict(csv=csv_path, missing=tmp_path / "missing", tmp=tmp_path)
     assert main([a.format(**paths) for a in argv]) == 2
@@ -480,6 +485,51 @@ def test_bad_replicate_count_or_g_refused_before_any_work(csv_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"error[config]: {message}") and "seed:" not in err
     assert calls == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["calibrate", "--h", "0.4", "--gof", "--g", "symmetric:0.8,2.0"],
+     "profile optimization needs a differentiable estimating function"),
+    (["calibrate", "--h", "0.4", "--omega", "5,6"],
+     "no observation inside the testing interval"),
+    (["bandwidth", "--grid", "0.3,0.45,nan"], "bandwidth must be finite and > 0, not nan"),
+    (["bandwidth", "--grid", "0.3,0.45", "--gof"], "bandwidth selection needs positive df"),
+], ids=["calibrate-no-derivative", "calibrate-empty-omega", "bandwidth-nan",
+        "bandwidth-zero-df"])
+def test_bootstrap_refusals_come_before_any_window(csv_path, monkeypatch, capsys, argv, message):
+    # a G without derivative, an empty testing interval, a bad grid
+    # bandwidth or a hypothesis of no dimension is refused before the null
+    # fit, the draw or any statistic builds a window
+    calls = []
+
+    def spy(name, module):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy("_window_block", local_el)
+    spy("_statistics", selr)
+    assert main(argv + ["--input", csv_path, "--bootstrap", "5", "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error[config]: {message}")
+    assert calls == []
+
+
+def test_csv_with_a_byte_order_mark(csv_path, tmp_path):
+    # a file saved as "CSV UTF-8" starts with the UTF-8 byte-order mark
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(csv_path).read_bytes())
+    docs = []
+    for path in (csv_path, str(bom)):
+        report = tmp_path / "r.json"
+        assert main(["test", "--input", path, "--h", "0.4", "--output", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        del doc["metadata"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 def test_bandwidth_subcommand(csv_path, tmp_path):

@@ -199,6 +199,8 @@ def test_tabulated_kernel_mass_is_the_tables_trapezoid_sum():
 
 def test_tabulated_kernel_validation():
     t = np.linspace(-1, 1, 11)
+    with pytest.raises(ConfigError, match="two equal 1-d columns"):
+        tabulated_kernel(t, 0.75 * (1 - t[:-1] ** 2))  # one K(t) short
     with pytest.raises(ConfigError):
         tabulated_kernel(t, -np.ones_like(t))  # negative
     with pytest.raises(ConfigError):

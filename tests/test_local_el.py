@@ -83,6 +83,8 @@ def test_dataset_validation():
         Dataset([0.1, 0.2], [1.0, np.nan], [0.0, 1.0])  # non-finite
     with pytest.raises(ConfigError):
         Dataset([0.1, 0.2], np.ones((2, 0)), [0.0, 1.0])  # p = 0
+    with pytest.raises(ConfigError, match="u, y must be 1-d and x 2-d"):
+        Dataset([[0.1], [0.2]], [1.0, 1.0], [0.0, 1.0])  # a 2-d u
 
 
 def test_local_parameter_roundtrip():
@@ -93,6 +95,8 @@ def test_local_parameter_roundtrip():
     np.testing.assert_allclose(back.hb, beta.hb)
     with pytest.raises(ConfigError):
         LocalParameter([1.0], [2.0, 3.0])
+    with pytest.raises(ConfigError, match="local parameter entries must be finite"):
+        LocalParameter([1.0, np.nan], [2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -859,6 +863,11 @@ def test_constrained_fit_validation(rng):
         fit_local_constrained(
             data, TRIWEIGHT, 0.4, 0.5, make_identity(),
             fixed_value=[0.0, 1.0], fixed_slope=[0.0, 0.0], fixed_idx=[1, 1],
+        )
+    with pytest.raises(ConfigError, match="fixed_value / fixed_slope must match fixed_idx"):
+        fit_local_constrained(
+            data, TRIWEIGHT, 0.4, 0.5, make_identity(),
+            fixed_value=[0.0, 1.0], fixed_slope=[0.0], fixed_idx=[1, 2],
         )
 
 

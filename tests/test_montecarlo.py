@@ -24,7 +24,7 @@ from selrtest import (
     size_power_study,
 )
 from selrtest import montecarlo, streams
-from selrtest.errors import SingularDesign
+from selrtest.errors import DegenerateRSS1, SingularDesign
 from selrtest.local_el import _design
 from selrtest.montecarlo import _coefficient, _zero_null_spec
 
@@ -100,6 +100,14 @@ def test_f_type_stat_normal_equations_oracle(rng):
 def test_f_type_stat_zero_data():
     data = Dataset([0.1, 0.4, 0.5, 0.9], np.ones((4, 1)), np.zeros(4))
     assert f_type_stat(data, TRIWEIGHT, 0.6) == 0.0
+
+
+def test_f_type_stat_refuses_an_interpolating_fit():
+    # the local linear fit reproduces a linear a1(u) exactly, so RSS1 is 0
+    u = np.linspace(0.05, 0.95, 30)
+    data = Dataset(u, np.ones((30, 1)), 2.0 + 3.0 * u)
+    with pytest.raises(DegenerateRSS1, match="alternative fit interpolates the data"):
+        f_type_stat(data, TRIWEIGHT, 0.4)
 
 
 def test_replicate_builds_each_window_once_for_both_statistics(monkeypatch):

@@ -77,8 +77,7 @@ def compute() -> dict:
             _null_fitted_values(data, TRIWEIGHT, H, parametric, windows)),
     }
     for scheme in ("gaussian", "wild"):
-        sample, p = bootstrap_null(data, TRIWEIGHT, H, g, simple, B=5, scheme=scheme,
-                                   seed=11, observed=out["simple"][0])
+        sample, p = bootstrap_null(data, TRIWEIGHT, H, g, simple, B=5, scheme=scheme, seed=11)
         out[f"bootstrap_{scheme}"] = [*sample, p]
     return out
 

@@ -507,17 +507,17 @@ def test_composite_pin_from_a_scalar_coefficient_function(rng):
 
 
 def test_bootstrap_refuses_an_out_of_range_pin(rng):
-    # with the observed statistic given, the null fit is the first to read
-    # the pins, and it checks them as the statistic does
+    # the draw's null fit is the first to read the pins, and it checks them
+    # as the statistic does
     data = small_dataset(rng, n=40, p=2)
     spec = Hypothesis.composite([zero_coef()], [5])
     with pytest.raises(ConfigError):
-        bootstrap_null(data, TRIWEIGHT, 0.4, make_identity(), spec, B=2, observed=1.0)
+        bootstrap_null(data, TRIWEIGHT, 0.4, make_identity(), spec, B=2)
 
 
 def test_bootstrap_refuses_a_short_a0_before_any_window(monkeypatch, rng):
-    # with the observed statistic given, the null fit is the first to read
-    # a0, and it checks it as the statistic does: before any window or draw
+    # the draw's null fit is the first to read a0, and it checks it as the
+    # statistic does: before any window or draw
     def fail(*args):
         raise AssertionError("work done before a0 was checked")
 
@@ -526,7 +526,7 @@ def test_bootstrap_refuses_a_short_a0_before_any_window(monkeypatch, rng):
     data = small_dataset(rng, n=40, p=2)
     spec = Hypothesis.simple([zero_coef()])
     with pytest.raises(ConfigError, match="a0 must supply 2 coefficient functions"):
-        bootstrap_null(data, TRIWEIGHT, 0.4, make_identity(), spec, B=2, observed=1.0)
+        bootstrap_null(data, TRIWEIGHT, 0.4, make_identity(), spec, B=2)
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +631,9 @@ def test_parametric_null_needs_family_and_start():
 
 
 def test_simple_null_needs_a0():
-    """Refused where it is built, so no caller (bootstrap_null with an
-    observed statistic draws its null fit before any statistic) meets a
-    simple null without coefficient functions."""
+    """Refused where it is built, so no caller (bootstrap_null draws its
+    null fit before any statistic) meets a simple null without coefficient
+    functions."""
     with pytest.raises(ConfigError, match="simple_null needs coefficient functions a0"):
         Hypothesis("simple_null")
 
@@ -718,15 +718,15 @@ def test_bootstrap_deterministic_and_p_range(rng):
 
 
 def test_bootstrap_extreme_observed(rng):
+    # row 0 of the statistics is the observed one, the rest the replicates'
     data = small_dataset(rng, n=45)
     spec = Hypothesis.simple([zero_coef()], omega=(0.0, 1.0))
-    _, p = bootstrap_null(
-        data, TRIWEIGHT, 0.45, make_identity(), spec, B=9, seed=1, observed=1e9
-    )
+    sample, _ = bootstrap_null(data, TRIWEIGHT, 0.45, make_identity(), spec, B=9, seed=1)
+    assert len(sample) == 9 and 0.0 < sample.min() and sample.max() < 1e9
+    kept, p = selr._bootstrap(np.r_[1e9, sample])
     assert p == 0.1  # (1 + 0) / (9 + 1)
-    _, p = bootstrap_null(
-        data, TRIWEIGHT, 0.45, make_identity(), spec, B=9, seed=1, observed=0.0
-    )
+    np.testing.assert_array_equal(kept, sample)
+    _, p = selr._bootstrap(np.r_[0.0, sample])
     assert p == 1.0
 
 
@@ -769,10 +769,10 @@ def test_bad_bootstrap_arguments_refused_before_any_walk(monkeypatch, rng, metho
 
 
 def test_bootstrap_builds_each_window_once(monkeypatch, rng):
-    """Replicates share u and x, so one bootstrap_null call walks the design's
-    windows once for the observed statistic, once for the variance smoother
-    and once for all B replicates: each centre is built three times,
-    whatever B."""
+    """Replicates share u and x with the observed data, so one bootstrap_null
+    call walks the design's windows once for the variance smoother and once
+    for the observed statistic and all B replicates together: each centre is
+    built twice, whatever B."""
     data = small_dataset(rng, n=60)
     built = count_windows(monkeypatch,
                           lambda dset, h, u0: (dset.u.tobytes(), dset.x.tobytes(), u0))
@@ -783,7 +783,7 @@ def test_bootstrap_builds_each_window_once(monkeypatch, rng):
                                    scheme="gaussian", include_full_term=True)
         assert len(sample) == B
         assert len(built) == data.n
-        assert set(built.values()) == {3}
+        assert set(built.values()) == {2}
 
 
 def test_bootstrap_rebuilds_windows_past_the_cap(monkeypatch, rng):
@@ -800,7 +800,7 @@ def test_bootstrap_rebuilds_windows_past_the_cap(monkeypatch, rng):
     sample, _ = bootstrap_null(*args, B=5, include_full_term=True)
     np.testing.assert_array_equal(sample, blocked)
     assert len(built) == data.n
-    assert set(built.values()) == {3}
+    assert set(built.values()) == {2}
 
 
 def test_bootstrap_counts_all_skipped_replicates_as_failed(monkeypatch, rng):
@@ -877,8 +877,7 @@ def test_bootstrap_sample_is_each_replicates_statistic(monkeypatch, rng, kind):
     B, h = 6, 0.4
     far_above_null(monkeypatch, B, 2)
     monkeypatch.setattr(local_el, "_group_size", lambda rows: 4)
-    sample, _ = bootstrap_null(data, TRIWEIGHT, h, g, spec, B=B, include_full_term=full,
-                               observed=0.0)
+    sample, _ = bootstrap_null(data, TRIWEIGHT, h, g, spec, B=B, include_full_term=full)
     want, failed = [], []
     for b, rep in enumerate(bootstrap_replicates(data, h, spec, B)):
         try:
@@ -970,9 +969,10 @@ def test_select_bandwidth_sample_is_each_replicates_maximum(monkeypatch, rng):
 
 
 def test_select_bandwidth_builds_replicate_windows_once(monkeypatch, rng):
-    """The observed statistics build each (h, centre) window once, and the
-    replicates one more walk per grid bandwidth; the variance smoother walks
-    the smallest bandwidth once more."""
+    """Without a bootstrap each (h, centre) window is built once.  With one,
+    the observed statistic and the replicates share one walk per grid
+    bandwidth, and the variance smoother walks the smallest bandwidth once
+    more."""
     data = small_dataset(rng, n=50)
     built = count_windows(monkeypatch, lambda dset, h, u0: (h, u0))
     spec = Hypothesis.simple([zero_coef()])
@@ -984,17 +984,79 @@ def test_select_bandwidth_builds_replicate_windows_once(monkeypatch, rng):
     assert sel.p_bootstrap is not None
     assert len(built) == 2 * data.n
     assert {h: {c for (hh, _), c in built.items() if hh == h} for h in (0.3, 0.45)} == {
-        0.3: {3}, 0.45: {2}}
+        0.3: {2}, 0.45: {1}}
 
 
-def test_select_bandwidth_refuses_zero_df(rng):
+def spy_work(monkeypatch):
+    """The names of the work done, in order: each window block built, each
+    ``selr._statistics`` walk and each replicate stream drawn."""
+    done = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            done.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(local_el, "_window_block")
+    spy(selr, "_statistics")
+    spy(streams, "substream")
+    return done
+
+
+def test_select_bandwidth_refuses_zero_df(monkeypatch, rng):
     # goodness of fit with k0 = 1 tests (k0 - 1) p = 0 dimensions, so there
-    # is no df to standardize each bandwidth's statistic by
+    # is no df to standardize each bandwidth's statistic by: refused before
+    # the draw and the first walk
     data = small_dataset(rng, n=45)
-    with pytest.warns(DegenerateTestWarning), \
-            pytest.raises(ConfigError, match="needs positive df"):
-        select_bandwidth(data, TRIWEIGHT, make_identity(), Hypothesis.goodness_of_fit(),
-                         [0.3, 0.45])
+    done = spy_work(monkeypatch)
+    for B in (0, 5):
+        with pytest.raises(ConfigError, match="needs positive df"):
+            select_bandwidth(data, TRIWEIGHT, make_identity(), Hypothesis.goodness_of_fit(),
+                             [0.3, 0.45], B=B)
+    assert done == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.3])
+def test_select_bandwidth_refuses_a_bad_grid_before_any_walk(monkeypatch, rng, bad):
+    # every grid bandwidth is checked with the grid, not when its walk starts
+    data = small_dataset(rng, n=45)
+    done = spy_work(monkeypatch)
+    with pytest.raises(ConfigError, match=f"bandwidth must be finite and > 0, not {bad}"):
+        select_bandwidth(data, TRIWEIGHT, make_identity(), Hypothesis.simple([zero_coef()]),
+                         [0.3, 0.45, bad], B=3)
+    assert done == []
+
+
+@pytest.mark.parametrize("method", ["bootstrap_null", "select_bandwidth"])
+@pytest.mark.parametrize("g, spec, error", [
+    (make_symmetric_indicator([0.0, 0.8, 2.0]), Hypothesis.goodness_of_fit(),
+     DerivativeUnavailable),
+    (make_identity(), Hypothesis.simple([zero_coef()], omega=(5.0, 6.0)), ConfigError),
+], ids=["no-derivative", "empty-omega"])
+def test_bootstrap_refuses_before_the_null_fit(monkeypatch, rng, method, g, spec, error):
+    # the refusals a statistic makes before any window is built come before
+    # the draw's null fit and variance smoother too
+    data = small_dataset(rng, n=45, p=2 if spec.kind == "goodness_of_fit" else 1)
+    done = spy_work(monkeypatch)
+    with pytest.raises(error):
+        if method == "bootstrap_null":
+            bootstrap_null(data, TRIWEIGHT, 0.45, g, spec, B=3)
+        else:
+            select_bandwidth(data, TRIWEIGHT, g, spec, [0.3, 0.45], B=3)
+    assert done == []
+
+
+def test_selr_test_refuses_an_empty_testing_interval(monkeypatch, rng):
+    data = small_dataset(rng, n=45)
+    built = count_windows(monkeypatch)
+    with pytest.raises(ConfigError, match="no observation inside the testing interval"):
+        selr_test(data, TRIWEIGHT, 0.45, make_identity(),
+                  Hypothesis.simple([zero_coef()], omega=(5.0, 6.0)))
+    assert not built
 
 
 def test_select_bandwidth_single_grid(rng):
@@ -1024,8 +1086,9 @@ def test_select_bandwidth_argmax_matches_direct(rng):
 @pytest.mark.parametrize("method", ["bootstrap_null", "select_bandwidth"])
 def test_replicate_failures(monkeypatch, rng, method, n_fail):
     """Both bootstrap loops drop failed replicates, warn above 5% failures
-    and raise when all B fail; the replicate statistics are faked, all B of
-    a walk at once, to fail on the first ``n_fail`` replicates."""
+    and raise when all B fail; the statistics are faked, the observed one
+    (row 0) and all B replicates' of a walk at once, to fail on the first
+    ``n_fail`` replicates."""
     data = small_dataset(rng, n=30)
     spec = Hypothesis.simple([zero_coef()])
     B = 20
@@ -1034,11 +1097,9 @@ def test_replicate_failures(monkeypatch, rng, method, n_fail):
     def fake_statistics(dset, Y, kernel, h, g, spec, include_full_term=None, **kwargs):
         # one evaluation point whose contribution is y'y
         contribs = np.array([[y @ y] for y in Y])
-        errors = {}
-        if len(Y) == B:  # a replicate walk, not the observed statistic
-            walks.append(len(Y))
-            errors = {r: Infeasible("forced replicate failure") for r in range(n_fail)}
-            contribs[:n_fail] = np.nan
+        walks.append(len(Y))
+        errors = {r: Infeasible("forced replicate failure") for r in range(1, n_fail + 1)}
+        contribs[1:n_fail + 1] = np.nan
         statuses = np.full(contribs.shape, "converged", dtype=object)
         return selr._Terms(spec.kind, 1, (0.0, 1.0), np.arange(1), contribs, statuses, errors)
 
@@ -1063,5 +1124,5 @@ def test_replicate_failures(monkeypatch, rng, method, n_fail):
         with warnings.catch_warnings():
             warnings.simplefilter("error", ReplicateFailureWarning)
             assert 0 < run() <= 1
-    # one walk per grid bandwidth takes all B replicates at once
-    assert walks == [B] * (1 if method == "bootstrap_null" else 2)
+    # one walk per grid bandwidth takes the observed row and all B replicates
+    assert walks == [B + 1] * (1 if method == "bootstrap_null" else 2)
