@@ -18,8 +18,9 @@ def ingest_csv(path: str) -> Dataset:
     The header must name columns ``u``, ``y`` and ``x1`` .. ``xp`` in any
     order, each once; rows containing unparseable or non-finite fields are
     rejected and reported with their line numbers.  The file is read as
-    UTF-8, with or without a byte-order mark.  A path that is missing or
-    cannot be opened is a :class:`DataError` too.
+    UTF-8, with or without a byte-order mark; a file that is not UTF-8 text,
+    and a path that is missing or cannot be opened, are a :class:`DataError`
+    too.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
@@ -28,7 +29,7 @@ def ingest_csv(path: str) -> Dataset:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
     with fh:
-        reader = csv.reader(fh)
+        reader = _records(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -74,6 +75,15 @@ def ingest_csv(path: str) -> Dataset:
             raise EmptyFile(f"{path} holds no data rows")
     arr = np.asarray(rows, dtype=float)
     return Dataset(arr[:, 0], arr[:, 1:-1], arr[:, -1])
+
+
+def _records(fh, path: str):
+    """The CSV records of the open text file ``fh``, read from ``path``;
+    a byte sequence that is not UTF-8 raises :class:`DataError`."""
+    try:
+        yield from csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def write_csv(data: Dataset, path: str) -> None:

@@ -50,8 +50,9 @@ class Kernel:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        inside = np.abs(t) <= 1.0
-        out = np.zeros_like(t, dtype=float)
+        out = np.abs(t, out=np.empty_like(t))  # |t|, then the values: one array of t's size
+        inside = out <= 1.0
+        out[...] = 0.0
         if np.any(inside):
             out[inside] = self.evaluator(t[inside])
         return out if out.ndim else float(out)

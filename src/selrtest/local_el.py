@@ -47,7 +47,8 @@ __all__ = [
 _DUAL_GTOL = 1e-12
 _DUAL_MAX_ITER = 100
 _OUTER_GTOL = 1e-7
-_BLOCK_VALUES = 2**13  # kernel values one window block holds (centres x n)
+_BATCH_ROWS = 2**15  # moment rows per G component one batch holds: a window block, a group
+_DENSE_VALUES = 2**16  # kernel values a window block's dense (centres x n) array holds
 _BATCH_MAX_ITER = 20  # Newton steps before the batch hands a window off
 _BATCH_MARGIN = 1e-6  # smallest 1 + alpha'G at an optimum the batch certifies
 _PROFILE_MAX_ITER = 50  # Newton steps before the profile batch hands a window off
@@ -169,13 +170,18 @@ def _window_block(data: Dataset, kernel: Kernel, h: float, centres) -> list:
     one its centre alone gives.  Its arrays are slices of the block's arrays."""
     if not 0 < h < math.inf:
         raise ConfigError(f"bandwidth must be finite and > 0, not {h}")
-    raw = kernel((data.u - centres[:, None]) / h)
+    t = data.u - centres[:, None]
+    t /= h
+    raw = kernel(t)
+    del t
     totals = raw.sum(axis=1)
     rows, active = np.divmod(np.flatnonzero(raw > 0), data.n)
-    w = raw[rows, active] / totals[rows]
+    w = raw[rows, active]
+    del raw
+    w /= totals[rows]
     z = _design(data, active, centres[rows], h)
     bounds = np.searchsorted(rows, np.arange(len(centres) + 1)).tolist()
-    wins = []
+    wins = _Block(active, w, z)
     for u0, total, start, stop in zip(centres.tolist(), totals.tolist(), bounds, bounds[1:]):
         if total > 0 and stop - start < 2 * data.p + 1:
             warnings.warn(f"window at u0={u0:g} holds {stop - start} < {2 * data.p + 1} points",
@@ -185,6 +191,16 @@ def _window_block(data: Dataset, kernel: Kernel, h: float, centres) -> list:
     return wins
 
 
+class _Block(list):
+    """The windows of one block, None where empty, with the block arrays
+    ``active``, ``w`` and ``z`` that the windows' arrays slice one after
+    another: the windows' arrays stacked, with no copy."""
+
+    def __init__(self, active, w, z):
+        super().__init__()
+        self.active, self.w, self.z = active, w, z
+
+
 def _window(data: Dataset, kernel: Kernel, h: float, u0: float) -> _LocalWindow:
     """The window at u0; raises :class:`EmptyWindow` where it holds no observation."""
     return _nonempty(_window_block(data, kernel, h, np.array([u0], dtype=float)), [u0])[0]
@@ -192,13 +208,29 @@ def _window(data: Dataset, kernel: Kernel, h: float, u0: float) -> _LocalWindow:
 
 def _windows(data: Dataset, kernel: Kernel, h: float):
     """Window source of one design: ``windows(idx)`` yields (block, the windows
-    at u_j for j in block, None where empty) over blocks of ``idx``."""
-    size = max(1, _BLOCK_VALUES // data.n)
+    at u_j for j in block, None where empty) over blocks of consecutive
+    indices of ``idx``, in the order given.  A block takes indices while the
+    support counts #{i : |u_i - u_j| <= h} of its centres (every kernel lives
+    on [-1, 1]) sum to at most ``_BATCH_ROWS`` and its dense kernel array
+    holds at most ``_DENSE_VALUES`` values, and at least one index.  The
+    counts only size the blocks: a window is the same in any block."""
+    sorted_u = np.sort(data.u)
+    dense = max(1, _DENSE_VALUES // data.n)
 
     def windows(idx):
-        for at in range(0, len(idx), size):
-            block = idx[at:at + size]
+        u0 = data.u[idx]
+        counts = (np.searchsorted(sorted_u, u0 + h, "right")
+                  - np.searchsorted(sorted_u, u0 - h, "left"))
+        ends = np.cumsum(counts)
+        # the block from ``at`` stops before the first index whose running
+        # count passes the count before ``at`` plus the budget
+        stops = np.searchsorted(ends, ends - counts + _BATCH_ROWS, "right")
+        at = 0
+        while at < len(idx):
+            stop = max(at + 1, min(at + dense, int(stops[at])))
+            block = idx[at:stop]
             yield block, _window_block(data, kernel, h, data.u[block])
+            at = stop
     return windows
 
 
@@ -220,9 +252,12 @@ def local_weights(data: Dataset, kernel: Kernel, h: float, u0: float) -> LocalWe
 
 def _design(data: Dataset, idx: np.ndarray, u0: float, h: float) -> np.ndarray:
     """Local regressors z_i = (x_i, t_i x_i) with t_i = (u_i - u0)/h."""
-    t = (data.u[idx] - u0) / h
-    x = data.x[idx]
-    return np.hstack([x, t[:, None] * x])
+    t = data.u[idx] - u0
+    t /= h
+    z = np.empty((len(t), 2 * data.p))
+    z[:, :data.p] = data.x[idx]
+    np.multiply(t[:, None], z[:, :data.p], out=z[:, data.p:])
+    return z
 
 
 def _moments(g: EstimatingFunction, resid: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -360,8 +395,8 @@ def _log_ratio(win: _LocalWindow, g: EstimatingFunction, y: np.ndarray, beta_vec
 def _group_size(rows: int) -> int:
     """Replicates one stacked batch of a window block takes, the block having
     ``rows`` moment rows per replicate: as many as keep the batch within
-    4 * ``_BLOCK_VALUES`` rows, and at least one."""
-    return max(1, 4 * _BLOCK_VALUES // rows)
+    ``_BATCH_ROWS`` rows, and at least one."""
+    return max(1, _BATCH_ROWS // rows)
 
 
 def _stacks(wins, Y, live):
@@ -372,7 +407,8 @@ def _stacks(wins, Y, live):
     a time; for each group this yields the items' replicate and window
     indices in replicate-major order, then their local designs, weights,
     responses and row counts, stacked item after item.  The windows' arrays
-    are stacked once per block, one copy per replicate of a group, and a
+    are stacked once per block (a :class:`_Block` holds them stacked), and
+    copied once per replicate of a group that holds more than one; a
     group's responses come from one ``Y[:, active]``.
     """
     kept = [e for e, win in enumerate(wins) if win is not None]
@@ -380,10 +416,14 @@ def _stacks(wins, Y, live):
         return
     stacked = [wins[e] for e in kept]
     counts = np.array([len(win.active) for win in stacked])
-    active = np.concatenate([win.active for win in stacked])
+    if isinstance(wins, _Block):
+        active, z, w = wins.active, wins.z, wins.w
+    else:
+        active, z, w = (np.concatenate([getattr(win, name) for win in stacked])
+                        for name in ("active", "z", "w"))
     size = min(_group_size(len(active)), len(Y))
-    z = np.concatenate([win.z for win in stacked] * size)
-    w = np.concatenate([win.w for win in stacked] * size)
+    if size > 1:
+        z, w = np.concatenate([z] * size), np.concatenate([w] * size)
     kept = np.array(kept)
     for at in range(0, len(Y), size):
         mask = live[at:at + size, kept]
@@ -432,8 +472,12 @@ def _stacked_moments(g, y, z, beta, counts) -> np.ndarray:
     row ``beta[e]`` when ``beta`` is 2-d.
     """
     fitted = z @ beta if beta.ndim == 1 else _rowdot(z, np.repeat(beta, counts, axis=0))
-    moments = _moments(g, y - fitted, z)
-    return np.ascontiguousarray(moments.T)
+    gvals = g.batch(y - fitted)  # (M, k0)
+    del fitted
+    # the rows of _moments, written straight into their transposed layout
+    gt = np.empty((gvals.shape[1], z.shape[1], len(z)))
+    np.multiply(gvals.T[:, None, :], z.T[None, :, :], out=gt)
+    return gt.reshape(-1, len(z))
 
 
 def _rowdot(a, b) -> np.ndarray:
@@ -479,7 +523,8 @@ def _batch_dual(gt, w, counts, alpha=None):
     # the line search rejects it
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(_BATCH_MAX_ITER + 1):
-            wd = w / (1.0 + x)
+            den = 1.0 + x
+            wd = w / den
             grad = _segment_sums(gt, wd, starts)
             # the scalar solver's stopping rule: small gradient, conserved mass
             done = (np.sqrt(np.einsum("ke,ke->e", grad, grad)) <= gtol) & (
@@ -496,6 +541,7 @@ def _batch_dual(gt, w, counts, alpha=None):
                 gt = gt.take(rows, axis=1)
                 w = w.take(rows)
                 x = x.take(rows)
+                den = den.take(rows)
                 wd = wd.take(rows)
                 counts, live, f, a, wsum, gtol, grad = (
                     counts[keep], live[keep], f[keep], a[keep], wsum[keep], gtol[keep],
@@ -503,7 +549,8 @@ def _batch_dual(gt, w, counts, alpha=None):
                 if len(live) == 0:
                     break
                 starts = np.cumsum(counts) - counts
-            wd /= 1.0 + x  # now w_i / (1 + x_i)^2, the Hessian's row weights
+            wd /= den  # now w_i / (1 + x_i)^2, the Hessian's row weights
+            del den
             step = _newton_steps(gt, wd, grad, starts)
             del wd
             failed = ~np.isfinite(step).all(axis=0)
@@ -511,6 +558,7 @@ def _batch_dual(gt, w, counts, alpha=None):
             # 1 + alpha'G is linear along the step, so a step length only rescales gs
             gs = np.einsum("km,km->m", gt, np.repeat(step, counts, axis=1))
             c, x, f = _step_lengths(x, gs, w, f, counts, starts)
+            del gs
             failed |= c == 0.0
             a += c[:, None] * step.T
     return values, alphas, certified
@@ -545,18 +593,27 @@ def _step_lengths(x, gs, w, f, counts, starts):
         s_s = np.cumsum(n_s) - n_s
         # inf on a feasible row (a division by 0); a NaN or 0 bound leaves no
         # feasible c, and k = 47 is the first k with 2^-k <= 1e-14, the underflow
-        b = np.minimum.reduceat((xs - edge) / np.where(xc[rows] > edge, 0.0, -gss), s_s)
+        b = xs - edge
+        den = -gss
+        den[(xc > edge)[rows]] = 0.0
+        b /= den
+        del den
+        b = np.minimum.reduceat(b, s_s)
         k = np.where(b > 0, np.floor(-np.log2(b)), 47).clip(0, 47).astype(int)
         while True:
             cs = np.ldexp(1.0, -k)
             cs[cs <= 1e-14] = 0.0
-            xcs = np.repeat(cs, n_s) * gss + xs
+            xcs = np.repeat(cs, n_s)
+            xcs *= gss
+            xcs += xs
             halve = ~(np.minimum.reduceat(xcs, s_s) > edge) & (cs > 0)
             if not halve.any():
                 break
+            del xcs
             k[halve] += 1
         c[short] = cs
         xc[rows] = xcs
+        del rows, xs, gss, xcs
     terms = np.log1p(xc)
     terms *= w
     fc = np.add.reduceat(terms, starts)
@@ -577,8 +634,9 @@ def _step_lengths(x, gs, w, f, counts, starts):
 
 
 def _segment_sums(rows, v, starts) -> np.ndarray:
-    """Sum of rows[k] * v over each segment beginning at ``starts``, (d, E)."""
-    return np.add.reduceat(rows * v, starts, axis=1)
+    """Sum of rows[k] * v over each segment beginning at ``starts``, (d, E),
+    a row at a time: one product of the length of v is alive at once."""
+    return np.array([np.add.reduceat(row * v, starts) for row in rows])
 
 
 def _newton_steps(gt, v, grad, starts) -> np.ndarray:
@@ -978,21 +1036,31 @@ def _profile_steps(yv, z, w, beta, alpha, counts, free_idx):
     starts = np.cumsum(counts) - counts
     resid = yv - _rowdot(z, np.repeat(beta, counts, axis=0))
     gm = resid[:, None] * z
-    zf = z[:, free_idx]
+    del resid
     alpha_rows = np.repeat(alpha, counts, axis=0)
-    p = w / (1.0 + _rowdot(gm, alpha_rows))
+    ga, za = _rowdot(gm, alpha_rows), _rowdot(z, alpha_rows)  # alpha'G_i, alpha'z_i
+    del alpha_rows
+    ga += 1.0
+    p = w / ga
+    del ga
     v = p * p / w
-    va = v * _rowdot(z, alpha_rows)
+    va = v * za
+    del za
+    zf = [z[:, k] for k in free_idx]  # the free columns of z, as views
 
     def gram(a, b, weight):  # sum_i weight_i a_i b_i' of each window, (E, ka, kb)
-        return np.stack([np.add.reduceat(a * (weight * col)[:, None], starts)
-                         for col in b.T], axis=-1)
+        out = np.empty((len(starts), len(a), len(b)))
+        for j, col in enumerate(b):
+            out[:, :, j] = _segment_sums(a, weight * col, starts).T
+        return out
 
-    jac = -gram(z, zf, p)
+    jac = -gram(z.T, zf, p)
+    del p
     grad = np.einsum("edq,ed->eq", jac, alpha)
-    cross = jac + gram(gm, zf, va)
+    cross = jac + gram(gm.T, zf, va)
     with np.errstate(invalid="ignore"):
-        hess = np.einsum("edq,edr->eqr", cross, _solve_or_nan(gram(gm, gm, v), cross))
+        hess = np.einsum("edq,edr->eqr", cross, _solve_or_nan(gram(gm.T, gm.T, v), cross))
+        del gm
         hess -= gram(zf, zf, va * va / v)
         convex = np.isfinite(hess).all(axis=(1, 2))
         # Sylvester's criterion: every leading principal minor is positive

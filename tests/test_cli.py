@@ -532,6 +532,13 @@ def test_csv_with_a_byte_order_mark(csv_path, tmp_path):
     assert docs[0] == docs[1]
 
 
+def test_csv_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("u,x1,y\u00e9\n0.1,1,2\n".encode("latin-1"))
+    assert main(["test", "--input", str(latin1), "--h", "0.4"]) == 3
+    assert capsys.readouterr().err.startswith(f"error[data]: {latin1} is not UTF-8 text")
+
+
 def test_bandwidth_subcommand(csv_path, tmp_path):
     report = tmp_path / "bw.json"
     code = main(

@@ -79,6 +79,17 @@ def test_empty_inputs(tmp_path):
         ingest_csv(str(tmp_path / "missing.csv"))
 
 
+@pytest.mark.parametrize("content", [
+    b"u,x1,y\xe9\n0.1,1,2\n",  # a Latin-1 header
+    b"u,x1,y\n" + b"0.1,1,2\n" * 3000 + b"0.2,1,caf\xe9\n",  # a Latin-1 byte past the first read
+])
+def test_not_utf8_is_a_data_error(tmp_path, content):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=f"{path} is not UTF-8 text"):
+        ingest_csv(str(path))
+
+
 def test_blank_lines_skipped(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("u,x1,y\n0.5,1.0,1.0\n\n0.7,2.0,3.0\n")

@@ -23,7 +23,7 @@ from selrtest import (
     simulate_statistics,
     size_power_study,
 )
-from selrtest import montecarlo, streams
+from selrtest import local_el, montecarlo, streams
 from selrtest.errors import DegenerateRSS1, SingularDesign
 from selrtest.local_el import _design
 from selrtest.montecarlo import _coefficient, _zero_null_spec
@@ -159,10 +159,12 @@ def test_replicate_f_type_survives_a_failed_selr_statistic(monkeypatch):
 
 
 def test_replicate_smoother_failure_leaves_selr_statistic(monkeypatch):
-    """A smoother that fails in one block (of five at n = 200) makes the
-    F-type statistic NaN and leaves the SELR statistic as it was."""
+    """A smoother that fails in one block (the second of 200 at n = 200, with
+    a batch budget of one window per block) makes the F-type statistic NaN
+    and leaves the SELR statistic as it was."""
     cfg = SimulationConfig(n=200, c1=2.0, reps=1, seed=5)
     selr_val, f_val = montecarlo._one_replicate((cfg, 0, 0, True))
+    monkeypatch.setattr(local_el, "_BATCH_ROWS", 1)
     fitted_block = montecarlo._fitted_block
     blocks = []
 
@@ -174,7 +176,7 @@ def test_replicate_smoother_failure_leaves_selr_statistic(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_fitted_block", failing)
     got, got_f = montecarlo._one_replicate((cfg, 0, 0, True))
-    assert len(blocks) == 5
+    assert len(blocks) == 200
     assert np.isfinite(f_val) and np.isnan(got_f)
     assert got == selr_val
 

@@ -124,7 +124,8 @@ def _thin_count(record):
 def window_cases(draw):
     """A seeded design with p in 1..3, a kernel, a bandwidth from a few
     empty or thin windows to all-wide ones, centres on and off the data, and
-    a block budget of one centre, three centres or the whole design."""
+    a batch budget in moment rows of one centre, a few centres or the whole
+    design."""
     n = draw(st.integers(3, 80))
     p = draw(st.integers(1, 3))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -134,7 +135,7 @@ def window_cases(draw):
     kernel = draw(st.sampled_from(KERNELS))
     h = 10.0 ** draw(st.floats(-2.7, 0.0))
     off = gen.uniform(-0.3, 1.3, size=draw(st.integers(0, 10)))
-    budget = draw(st.sampled_from([1, 3 * n, 2**13]))
+    budget = draw(st.sampled_from([1, 3 * n, 2**15]))
     return Dataset(u, x, y), kernel, h, np.concatenate([u, off]), budget
 
 
@@ -145,8 +146,7 @@ def test_block_windows_equal_one_window_builds(case):
     with warnings.catch_warnings(record=True) as want_warned:
         warnings.simplefilter("always")
         want = [_oracle_or_none(data, kernel, h, u0) for u0 in centres.tolist()]
-    with warnings.catch_warnings(record=True) as got_warned, \
-            mock.patch.object(local_el, "_BLOCK_VALUES", budget):
+    with warnings.catch_warnings(record=True) as got_warned:
         warnings.simplefilter("always")
         size = max(1, budget // data.n)
         got = [win for at in range(0, len(centres), size)
@@ -154,12 +154,17 @@ def test_block_windows_equal_one_window_builds(case):
     assert _thin_count(got_warned) == _thin_count(want_warned)
     assert all(_same_window(win, w, u0, h) for win, w, u0 in zip(got, want, centres))
     # the walk visits the observations in increasing u, None where empty
-    with warnings.catch_warnings(), mock.patch.object(local_el, "_BLOCK_VALUES", budget):
+    with warnings.catch_warnings(), mock.patch.object(local_el, "_BATCH_ROWS", budget):
         warnings.simplefilter("ignore", ThinWindowWarning)
         blocks = list(selr._walk(data, np.arange(data.n), _windows(data, kernel, h)))
-    # a block holds one window per index, at most the block size of them,
-    # and the blocks follow one another in increasing u
-    assert all(len(block) == len(wins) <= size for block, wins in blocks)
+    # a block holds one window per index; unless it holds one window, its
+    # centres' support counts sum to at most the budget and its dense kernel
+    # array stays within its bound; the blocks follow one another in increasing u
+    support = [int(np.sum(np.abs(data.u - data.u[block][:, None]) <= h)) for block, _ in blocks]
+    assert all(len(block) == len(wins) for block, wins in blocks)
+    assert all(len(block) == 1 or (rows <= budget and len(block) * data.n
+                                   <= local_el._DENSE_VALUES)
+               for (block, _), rows in zip(blocks, support))
     walk = [(j, win) for block, wins in blocks for j, win in zip(block, wins)]
     assert [j for j, _ in walk] == np.argsort(data.u).tolist()
     assert all(_same_window(win, want[j], data.u[j], h) for j, win in walk)
@@ -194,7 +199,7 @@ def test_stacked_lls_and_smoothers_equal_one_window_solves(case):
         np.testing.assert_array_equal(_stacked_lls([win for win, _ in fits], data.y[None])[0],
                                       np.array([beta for _, beta in fits]))
     # the smoother and the variance estimate, through blocks of the budget
-    with warnings.catch_warnings(), mock.patch.object(local_el, "_BLOCK_VALUES", budget):
+    with warnings.catch_warnings(), mock.patch.object(local_el, "_BATCH_ROWS", budget):
         warnings.simplefilter("ignore", ThinWindowWarning)
         windows = _windows(data, kernel, h)
         if any(w is None for w in want):

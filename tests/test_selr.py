@@ -35,6 +35,7 @@ from selrtest import (
     zero_coef,
 )
 from selrtest import local_el, selr, streams
+from selrtest.montecarlo import SimulationConfig, simulate_statistics
 from selrtest.errors import (
     DegenerateTestWarning,
     DerivativeUnavailable,
@@ -226,7 +227,7 @@ def test_full_fit_arrays_skip_alike_in_every_replicate(rng):
 @pytest.mark.parametrize("kind", ["simple", "simple_full", "gof", "composite"])
 def test_window_results_do_not_depend_on_chunk_mates(monkeypatch, rng, kind):
     """Each batch stage gives a window the same contribution and status
-    whether its window block holds up to _BLOCK_VALUES kernel values or that
+    whether its window block holds up to _BATCH_ROWS moment rows or that
     window alone."""
     spec = {"simple": Hypothesis.simple([zero_coef()] * 2),
             "simple_full": Hypothesis.simple([zero_coef()] * 2),
@@ -241,7 +242,7 @@ def test_window_results_do_not_depend_on_chunk_mates(monkeypatch, rng, kind):
         return [(pt["contribution"], pt["status"]) for pt in res.per_point]
 
     blocked = [per_point(data, h) for data, h in cases]
-    monkeypatch.setattr(local_el, "_BLOCK_VALUES", 1)  # one window per block
+    monkeypatch.setattr(local_el, "_BATCH_ROWS", 1)  # one window per block
     alone = [per_point(data, h) for data, h in cases]
     assert alone == blocked
     if kind != "simple":
@@ -680,8 +681,8 @@ def test_hard_indicator_simple_null_without_full_term(rng):
 
 def test_simple_solves_null_terms_a_block_at_a_time(monkeypatch, rng):
     """At n = 800 one selr_simple call hands the batched dual solver one
-    window block at a time, at most max(1, _BLOCK_VALUES // n) windows, and
-    still builds each window once."""
+    window block at a time, at most _BATCH_ROWS moment rows (or one window),
+    and still builds each window once."""
     data = small_dataset(rng, n=800)
     build = local_el._window_block
     built = count_windows(monkeypatch)
@@ -695,7 +696,8 @@ def test_simple_solves_null_terms_a_block_at_a_time(monkeypatch, rng):
     monkeypatch.setattr(selr, "_log_ratios", recording_solve)
     selr_simple(data, TRIWEIGHT, 0.3, make_identity(), Hypothesis.simple([zero_coef()]))
     assert len(batches) > 1
-    assert max(len(wins) for wins in batches) <= max(1, local_el._BLOCK_VALUES // data.n)
+    assert all(len(wins) == 1 or sum(len(win.active) for win in wins) <= local_el._BATCH_ROWS
+               for wins in batches)
     windows = build(data, TRIWEIGHT, 0.3, data.u)
     assert sum(len(win.active) for wins in batches for win in wins) == sum(
         len(win.active) for win in windows)
@@ -795,12 +797,74 @@ def test_bootstrap_rebuilds_windows_past_the_cap(monkeypatch, rng):
     args = (data, TRIWEIGHT, 0.4, make_identity(), spec)
     blocked, _ = bootstrap_null(*args, B=5, include_full_term=True)
     built = count_windows(monkeypatch)
-    monkeypatch.setattr(local_el, "_BLOCK_VALUES", 1)
+    monkeypatch.setattr(local_el, "_BATCH_ROWS", 1)
     monkeypatch.setattr(local_el, "_group_size", lambda rows: 1)
     sample, _ = bootstrap_null(*args, B=5, include_full_term=True)
     np.testing.assert_array_equal(sample, blocked)
     assert len(built) == data.n
     assert set(built.values()) == {2}
+
+
+def test_samples_do_not_depend_on_the_batch_budget(monkeypatch, rng):
+    """The Monte Carlo SELR and F-type samples and the bootstrap samples of
+    the full-term simple null and the composite null are the same with one
+    window per block and one replicate per batch (a budget of 1 row), at the
+    default budget, and with the whole design in one block and every
+    replicate in one batch (2^20 rows)."""
+    config = SimulationConfig(n=150, c1=2.0, reps=3, seed=11)
+    data = small_dataset(rng, n=70, p=2)
+    nulls = [(Hypothesis.simple([zero_coef()] * 2), True),
+             (Hypothesis.composite([const_coef(0.0)], [1]), False)]
+
+    def samples():
+        sim = simulate_statistics(config, want_f=True)
+        boot = [bootstrap_null(data, TRIWEIGHT, 0.35, make_identity(), spec, B=6, seed=3,
+                               include_full_term=full)[0] for spec, full in nulls]
+        return [*sim, *boot]
+
+    default = samples()
+    assert all(np.isfinite(sample).all() for sample in default)
+    for budget in (1, 2**20):
+        monkeypatch.setattr(local_el, "_BATCH_ROWS", budget)
+        for got, want in zip(samples(), default):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, h, decides", [(200, 0.3, None), (800, 0.3, "rows"),
+                                           (2000, 0.005, "dense")])
+def test_window_blocks_keep_to_the_row_budget_and_the_dense_bound(monkeypatch, rng, n, h,
+                                                                  decides):
+    """A block of the window source holds more than one window only while its
+    windows' moment rows stay within _BATCH_ROWS and its dense kernel array
+    within _DENSE_VALUES; whichever limit comes first cuts it.  At n = 200
+    and h = 0.3 (the Monte Carlo design) one block holds the whole walk."""
+    data = small_dataset(rng, n=n)
+    blocks = []
+    build = local_el._window_block
+
+    def recording_block(dset, kernel, hh, centres):
+        wins = build(dset, kernel, hh, centres)
+        blocks.append(wins)
+        return wins
+
+    monkeypatch.setattr(local_el, "_window_block", recording_block)
+    walk = selr._walk(data, np.arange(n), selr._windows(data, TRIWEIGHT, h))
+    assert [u0 for _, wins in walk for u0 in (win.u0 for win in wins)] == np.sort(data.u).tolist()
+    rows = [sum(len(win.active) for win in wins) for wins in blocks]
+    dense = max(1, local_el._DENSE_VALUES // n)
+    assert all(len(wins) == 1 or (r <= local_el._BATCH_ROWS and len(wins) <= dense)
+               for wins, r in zip(blocks, rows))
+    # a block stops where the next window's rows would pass the budget or
+    # its dense array is full
+    by_rows = [r + len(nxt[0].active) > local_el._BATCH_ROWS
+               for r, nxt in zip(rows, blocks[1:])]
+    assert all(cut or len(wins) == dense for cut, wins in zip(by_rows, blocks))
+    if decides is None:
+        assert len(blocks) == 1
+    elif decides == "rows":
+        assert sum(by_rows) > 1
+    else:
+        assert not any(by_rows) and len(blocks) > 1
 
 
 def test_bootstrap_counts_all_skipped_replicates_as_failed(monkeypatch, rng):

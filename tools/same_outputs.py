@@ -4,8 +4,8 @@ Usage: python tools/same_outputs.py PARENT_SRC [CHANGE_SRC]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories (CHANGE_SRC defaults to
 this checkout's).  Each side runs in its own child process with that
-directory first on ``sys.path`` and BLAS on one thread, and computes 139
-outputs, 103 of them on the benchmark's seed-0 inputs
+directory first on ``sys.path`` and BLAS on one thread, and computes 140
+outputs, 104 of them on the benchmark's seed-0 inputs
 (``perfbench/workloads.py``'s ``draw_dataset``):
 
 - on each of the 8 cli_tests designs: the simple null at n = 200 and
@@ -36,8 +36,11 @@ outputs, 103 of them on the benchmark's seed-0 inputs
 - the 8 bootstrap workload calls (B = 199) with their p-values;
 - the 8 Monte Carlo passes (40 replicates, SELR and F-type statistics);
 - a Monte Carlo pass of the SELR statistic alone (40 replicates, the
-  ``null_table`` path) and an n = 800 pass of both statistics with
-  c0 = 1.5 (5 replicates), whose windows take more than 8 MiB together;
+  ``null_table`` path), an n = 800 pass of both statistics with c0 = 1.5
+  (5 replicates), whose windows take more than 8 MiB together, and an
+  n = 3,200 pass of both statistics at h = 0.02 (c0 = 0.12, 3
+  replicates), where the dense kernel array's bound, not the moment-row
+  budget, cuts the window blocks;
 
 and 36 on a stress set of thin windows and heavy tails, where the batched
 dual shortens more of its steps (14 % against 8 % in the bootstrap
@@ -220,6 +223,7 @@ def compute() -> dict:
     passes = {
         "selr_only": (config, False),
         "n800": (replace(config, n=FULL.n_large, c0=1.5, reps=5), True),
+        "n3200_small_h": (replace(config, n=3200, c0=0.12, reps=3), True),
     }
     for name, (cfg, want_f) in passes.items():
         selr_vals, f_vals = montecarlo.simulate_statistics(
