@@ -26,11 +26,7 @@ class EmptyFile(DataError):
 
 
 class NumericalError(SelrError):
-    """Numerical failure in a solver or quadrature (exit code 4)."""
-
-
-class QuadratureError(NumericalError):
-    pass
+    """Numerical failure in a solver (exit code 4)."""
 
 
 class EmptyWindow(NumericalError):

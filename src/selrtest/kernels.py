@@ -11,7 +11,8 @@ and the derived constants
     r_K = 2 Kstar(0) / int Kstar(s)^2 ds,
     c_K = Kstar(0)^2 / int Kstar(s)^2 ds,
 
-with the square integral taken over the support [-2, 2] of Kstar.
+with the square integral taken over the support [-2, 2] of Kstar.  Every
+kernel built here is piecewise polynomial, so these integrals have exact rules.
 """
 
 from __future__ import annotations
@@ -22,31 +23,22 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, QuadratureError
+from .errors import ConfigError
 
-__all__ = [
-    "Kernel",
-    "KernelConstants",
-    "kernel_by_name",
-    "tabulated_kernel",
-    "second_moment",
-    "kstar",
-    "kernel_constants",
-    "KERNEL_FAMILIES",
-]
-
-_QUAD_RTOL = 1e-8
-_QUAD_LIMIT = 200
-# fixed fallback when adaptive quadrature does not converge
-_FALLBACK_PANELS = 2048
+__all__ = ["Kernel", "KernelConstants", "kernel_by_name", "tabulated_kernel",
+           "second_moment", "kstar", "kernel_constants", "KERNEL_FAMILIES"]
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """Symmetric probability-density weight function on [-1, 1]."""
+    """Symmetric probability-density weight function on [-1, 1], a polynomial of
+    degree at most ``degree`` on each of ``pieces`` equal pieces of it (the
+    rule of :func:`kernel_constants` is exact for such an evaluator only)."""
 
     family: str
     evaluator: Callable[[np.ndarray], np.ndarray]
+    pieces: int = 1
+    degree: int = 6
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -80,11 +72,12 @@ KERNEL_FAMILIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "biweight": lambda t: (15.0 / 16.0) * (1.0 - t**2) ** 2,
     "triweight": lambda t: (35.0 / 32.0) * (1.0 - t**2) ** 3,
 }
+_DEGREES = {"uniform": 0, "epanechnikov": 2, "biweight": 4, "triweight": 6}
 
 
 def kernel_by_name(name: str) -> Kernel:
     try:
-        return Kernel(name, KERNEL_FAMILIES[name])
+        return Kernel(name, KERNEL_FAMILIES[name], degree=_DEGREES[name])
     except KeyError:
         raise ConfigError(
             f"unknown kernel {name!r}; choose from {sorted(KERNEL_FAMILIES)}"
@@ -92,98 +85,107 @@ def kernel_by_name(name: str) -> Kernel:
 
 
 def tabulated_kernel(t_grid, k_values) -> Kernel:
-    """Build a kernel from samples (t, K(t)) on a uniform grid.
+    """Build a kernel from samples (t, K(t)) on a uniform grid of [-1, 1].
 
-    Values are linearly interpolated; the result must satisfy the usual
-    kernel invariants (nonnegative, symmetric, unit mass) or a
-    :class:`ConfigError` is raised.
-    """
+    The grid runs from -1 to 1 in equal steps (each point within 1e-9 of a step
+    of its place); K, linear between the points, must be nonnegative, symmetric
+    and of unit mass, or a :class:`ConfigError` is raised."""
     t_grid = np.asarray(t_grid, dtype=float)
     k_values = np.asarray(k_values, dtype=float)
     if t_grid.ndim != 1 or t_grid.shape != k_values.shape or t_grid.size < 3:
         raise ConfigError("tabulated kernel needs two equal 1-d columns, >= 3 rows")
     if not (np.isfinite(t_grid).all() and np.isfinite(k_values).all()):
         raise ConfigError("tabulated kernel entries must be finite")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ConfigError("tabulated kernel grid must be strictly increasing")
+    knots = np.linspace(-1.0, 1.0, t_grid.size)
+    step = knots[1] - knots[0]
+    if np.max(np.abs(t_grid - knots)) > 1e-9 * step:
+        raise ConfigError("tabulated kernel grid must run from -1 to 1 in equal steps")
     if np.any(k_values < 0):
         raise ConfigError("tabulated kernel has negative values")
-
-    def evaluator(t):
-        return np.interp(t, t_grid, k_values, left=0.0, right=0.0)
-
-    kern = Kernel("tabulated", evaluator)
-    # the interpolant is linear between the grid points clipped to [-1, 1], so
-    # their trapezoid sum is its exact integral there
-    x = np.clip(t_grid, -1.0, 1.0)
-    y = kern(x)
-    mass = float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
+    # the interpolant is linear between the knots, so the trapezoid sum is its
+    # exact integral, and it is even if and only if its knot values are
+    mass = step * float(np.sum(k_values[1:] + k_values[:-1])) / 2.0
     if abs(mass - 1.0) > 1e-6:
         raise ConfigError(f"tabulated kernel integrates to {mass:.8f}, not 1")
-    probe = np.linspace(0, 1, 101)
-    if np.max(np.abs(kern(probe) - kern(-probe))) > 1e-8:
+    if np.max(np.abs(k_values - k_values[::-1])) > 1e-8:
         raise ConfigError("tabulated kernel is not symmetric")
-    return kern
+
+    def evaluator(t):
+        return np.interp(t, knots, k_values)
+
+    return Kernel("tabulated", evaluator, pieces=t_grid.size - 1, degree=1)
 
 
-def _adaptive(f, a, b):
-    # full_output keeps quad from warning when it cannot certify the
-    # tolerance: the error estimate is tested below, and that test alone
-    # picks the fallback
-    from scipy.integrate import quad
+def _rule(kernel, points):
+    """Left ends and width of the kernel's equal pieces of [-1, 1], and the
+    Gauss-Legendre nodes and weights on [0, 1], exact below degree 2 * points."""
+    from numpy.polynomial.legendre import leggauss  # not needed at start-up
 
-    val, err, *_ = quad(f, a, b, epsrel=_QUAD_RTOL, epsabs=0.0, limit=_QUAD_LIMIT,
-                        full_output=1)
-    if not np.isfinite(val):
-        raise QuadratureError(f"quadrature diverged on [{a}, {b}]")
-    if err > 10 * _QUAD_RTOL * max(1.0, abs(val)):
-        # composite-midpoint fallback with a fixed panel count
-        x = a + (b - a) * (np.arange(_FALLBACK_PANELS) + 0.5) / _FALLBACK_PANELS
-        val = (b - a) / _FALLBACK_PANELS * float(np.sum([f(xi) for xi in x]))
-    return val
+    x, w = leggauss(points)
+    width = 2.0 / kernel.pieces
+    return -1.0 + width * np.arange(kernel.pieces), width, (x + 1.0) / 2.0, w / 2.0
 
 
 def second_moment(kernel: Kernel) -> float:
     """Second moment mu2 = int t^2 K(t) dt."""
-    return _adaptive(lambda t: t * t * kernel(t), -1.0, 1.0)
+    left, width, x, w = _rule(kernel, kernel.degree + 2)
+    t = left[:, None] + width * x
+    return width * float(np.sum(w * t * t * kernel(t)))
+
+
+def _kstar_shifts(kernel, phi, mu2):
+    """Kstar((k + phi) width) for k = -pieces, ..., pieces - 1 and phi in [0, 1].
+
+    With s = (k + phi) width, t + s lies in piece j + k while t runs over the
+    first 1 - phi of piece j, and in piece j + k + 1 over the rest.  At a node
+    of either part, K(t) and K(t + s) over all j are vectors read at one offset
+    into each piece: the integrand summed over j is their correlation at lag k
+    or k + 1, plus that of t K(t) and (t + s) K(t + s) over mu2."""
+    left, width, x, w = _rule(kernel, kernel.degree + 2)
+    out = np.zeros(2 * kernel.pieces)
+    # (part length, offsets of t and t + s into their pieces, lag - k)
+    for length, a, b, lag in ((1.0 - phi, 0.0, phi, 0), (phi, 1.0 - phi, 0.0, 1)):
+        for xi, wi in zip(x, w):
+            t, ts = left + width * (a + length * xi), left + width * (b + length * xi)
+            kt, kts = kernel(t), kernel(ts)
+            corr = np.correlate(kts, kt, "full") + np.correlate(ts * kts, t * kt, "full") / mu2
+            out[1 - lag:out.size - lag] += wi * length * width * corr
+    return out
 
 
 def kstar(kernel: Kernel, s: float, mu2: float | None = None) -> float:
-    """Convolution functional Kstar(s); zero for |s| > 2, even in s."""
-    s = float(s)
-    if abs(s) > 2.0:
+    """Convolution functional Kstar(s); zero for |s| >= 2, even in s."""
+    s = abs(float(s)) * kernel.pieces / 2.0  # in piece widths
+    if s >= kernel.pieces:
         return 0.0
     if mu2 is None:
         mu2 = second_moment(kernel)
-    lo, hi = max(-1.0, -1.0 - s), min(1.0, 1.0 - s)
-    if lo >= hi:
-        return 0.0
-
-    return _adaptive(lambda t: kernel(t) * kernel(s + t) * (1.0 + t * (s + t) / mu2), lo, hi)
+    return float(_kstar_shifts(kernel, s - int(s), mu2)[kernel.pieces + int(s)])
 
 
-def _quadrature_constants(kernel: Kernel) -> KernelConstants:
-    """The calibration constants of a kernel by adaptive quadrature.
+def _piecewise_constants(kernel: Kernel) -> KernelConstants:
+    """The calibration constants by Gauss-Legendre rules on the kernel's pieces.
 
-    ``kstar_l2`` integrates Kstar(s)^2 over [-2, 2]; ``r_K`` and ``c_K``
-    follow from the exact identities, which force ``c_K == r_K * kstar0 / 2``.
+    Between the knots and the knots - s the integrands of mu2 and Kstar(s) have
+    degree at most 2 degree + 2, and Kstar(s)^2 on each s-piece 4 degree + 6,
+    so degree + 2 and 2 degree + 4 nodes a piece are exact up to rounding.
+    ``c_K == r_K * kstar0 / 2`` by the exact identities.
     """
     mu2 = second_moment(kernel)
     if not 0.0 < mu2 < 1.0:
-        raise QuadratureError(f"second moment {mu2} outside (0, 1)")
+        raise ConfigError(f"kernel second moment {mu2} outside (0, 1)")
     kstar0 = kstar(kernel, 0.0, mu2)
-    # symmetry: integrate the half line and double
-    half = _adaptive(lambda s: kstar(kernel, s, mu2) ** 2, 0.0, 2.0)
-    kstar_l2 = 2.0 * half
+    _, width, x, w = _rule(kernel, 2 * kernel.degree + 4)
+    kstar_l2 = width * sum(wi * float(np.sum(_kstar_shifts(kernel, xi, mu2) ** 2))
+                           for xi, wi in zip(x, w))
     r_k = 2.0 * kstar0 / kstar_l2
-    c_k = r_k * kstar0 / 2.0
-    return KernelConstants(mu2=mu2, kstar0=kstar0, kstar_l2=kstar_l2, r_K=r_k, c_K=c_k)
+    return KernelConstants(mu2, kstar0, kstar_l2, r_k, r_k * kstar0 / 2.0)
 
 
-# _quadrature_constants of the named families, float for float, so that start-up
-# needs no scipy.integrate.  Epanechnikov and triweight r_K and c_K are the
-# correctly rounded exact values; uniform r_K and c_K and biweight c_K are one
-# ulp from theirs.
+# The named families' constants, each within one ulp of the exact rational (the
+# rule is within about 20), so that start-up needs no rule and no named-kernel
+# statistic moves with it.  Epanechnikov and triweight r_K and c_K are correctly
+# rounded; uniform r_K and c_K and biweight c_K are one ulp from theirs.
 _NAMED_CONSTANTS = {
     "uniform": KernelConstants(
         0.3333333333333333, 1.0, 0.7047619047619047, 2.837837837837838, 1.418918918918919),
@@ -201,7 +203,7 @@ _NAMED_CONSTANTS = {
 @lru_cache(maxsize=64)
 def kernel_constants(kernel: Kernel) -> KernelConstants:
     """All calibration constants of a kernel: a named family's from its table,
-    any other kernel's by quadrature."""
+    any other kernel's by the Gauss-Legendre rule on its pieces."""
     if kernel.evaluator is KERNEL_FAMILIES.get(kernel.family):
         return _NAMED_CONSTANTS[kernel.family]
-    return _quadrature_constants(kernel)
+    return _piecewise_constants(kernel)

@@ -39,7 +39,7 @@ from selrtest import (
     streams,
     zero_coef,
 )
-from selrtest.kernels import _quadrature_constants
+from selrtest.kernels import _piecewise_constants
 from selrtest.local_el import _design, _window
 
 TRIWEIGHT = kernel_by_name("triweight")
@@ -99,7 +99,7 @@ PRINTED_EPAN_R_K, PRINTED_EPAN_C_K = 2.5154, 1.2936
 def test_criterion_1_kernel_constants():
     # time the defining integrals, not the named families' table or a hit in
     # the lru_cache
-    compute = _quadrature_constants
+    compute = _piecewise_constants
     t0 = time.time()
     uni = compute(kernel_by_name("uniform"))
     epa = compute(kernel_by_name("epanechnikov"))

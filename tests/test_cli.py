@@ -40,7 +40,7 @@ def test_kernel_constants_output(capsys):
     assert "c_K: 1.607045174" in out
 
 
-@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.filterwarnings("error")
 def test_kernel_constants_tabulated(tmp_path, capsys):
     t = np.linspace(-1, 1, 2001)
     k = 0.75 * (1 - t**2)
@@ -48,7 +48,9 @@ def test_kernel_constants_tabulated(tmp_path, capsys):
     np.savetxt(table, np.column_stack([t, k]))
     assert main(["kernel-constants", "--tabulated-kernel", str(table)]) == 0
     assert "kernel: tabulated" in capsys.readouterr().out
-    k[len(k) // 2] = np.nan  # bad input, not a quadrature failure
+    np.savetxt(table, np.column_stack([t**3, k]))  # a grid of unequal steps
+    assert main(["kernel-constants", "--tabulated-kernel", str(table)]) == 2
+    k[len(k) // 2] = np.nan  # bad input, not a numerical failure
     np.savetxt(table, np.column_stack([t, k]))
     assert main(["kernel-constants", "--tabulated-kernel", str(table)]) == 2
 

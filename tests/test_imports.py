@@ -141,6 +141,20 @@ def test_cli_and_montecarlo_leave_scipy_stats_unimported():
     assert run_fresh(code).split() == []
 
 
+def test_tabulated_kernel_constants_leave_scipy_integrate_unimported():
+    # a tabulated kernel's constants come from Gauss-Legendre rules on its
+    # pieces, with no adaptive quadrature
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from selrtest.kernels import kernel_constants, tabulated_kernel\n"
+        "t = np.linspace(-1, 1, 2001)\n"
+        "kernel_constants(tabulated_kernel(t, 0.75 * (1 - t**2)))\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    assert run_fresh(code).split() == ["False"]
+
+
 def test_dual_solver_failures_leave_scipy_optimize_unimported():
     # the dual solver certifies Infeasible from its own iterate, with no LP:
     # a window with all moments positive, then a simple null and its

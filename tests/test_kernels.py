@@ -1,5 +1,6 @@
 """Kernel families and calibration constants against quadrature oracles."""
 
+import math
 import warnings
 from dataclasses import astuple
 from fractions import Fraction
@@ -11,7 +12,7 @@ from selrtest import ConfigError, kernel_by_name, kernel_constants, tabulated_ke
 from selrtest.kernels import (
     KERNEL_FAMILIES,
     Kernel,
-    _quadrature_constants,
+    _piecewise_constants,
     kstar,
     second_moment,
 )
@@ -22,6 +23,20 @@ FAMILIES = sorted(KERNEL_FAMILIES)
 
 # exact second moments: uniform 1/3, epanechnikov 1/5, biweight 1/7, triweight 1/9
 MU2 = {"uniform": 1 / 3, "epanechnikov": 1 / 5, "biweight": 1 / 7, "triweight": 1 / 9}
+# (mu2, Kstar(0), int Kstar^2) by exact polynomial integration of the defining integrals
+EXACT = {
+    "uniform": (Fraction(1, 3), Fraction(1), Fraction(74, 105)),
+    "epanechnikov": (Fraction(1, 5), Fraction(36, 35), Fraction(4152, 5005)),
+    "biweight": (Fraction(1, 7), Fraction(90, 77), Fraction(49484430, 52055003)),
+    "triweight": (Fraction(1, 9), Fraction(560, 429),
+                  Fraction(2706814106528, 2552848524369)),
+}
+
+
+def exact_constants(name):
+    """The correctly rounded (mu2, kstar0, kstar_l2, r_K, c_K) of a named family."""
+    mu2, kstar0, l2 = EXACT[name]
+    return tuple(float(v) for v in (mu2, kstar0, l2, 2 * kstar0 / l2, kstar0**2 / l2))
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -135,26 +150,28 @@ def test_triweight_constants_frozen():
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_named_table_is_the_quadrature(name):
+    # the table is within one ulp of the exact rationals, and the
+    # Gauss-Legendre rule on the kernel's one piece within 1e-14 relative
     kern = kernel_by_name(name)
-    assert astuple(kernel_constants(kern)) == astuple(_quadrature_constants(kern))
+    exact = exact_constants(name)
+    assert all(abs(got - want) <= math.ulp(want)
+               for got, want in zip(astuple(kernel_constants(kern)), exact))
+    np.testing.assert_allclose(astuple(_piecewise_constants(kern)), exact, rtol=1e-14, atol=0)
 
 
 def test_named_table_rounds_the_exact_values():
-    # r_K and c_K from exact polynomial integration of the defining integrals
-    exact = {
-        "epanechnikov": (Fraction(429, 173), Fraction(7722, 6055)),
-        "triweight": (Fraction(29753479305, 12083991547),
-                      Fraction(252453763800, 157091890111)),
-    }
-    for name, (r_k, c_k) in exact.items():
+    assert 2 * EXACT["epanechnikov"][1] / EXACT["epanechnikov"][2] == Fraction(429, 173)
+    for name in ("epanechnikov", "triweight"):
         consts = kernel_constants(kernel_by_name(name))
-        assert (consts.r_K, consts.c_K) == (float(r_k), float(c_k))
+        assert (consts.r_K, consts.c_K) == exact_constants(name)[3:]
 
 
 def test_only_the_named_evaluator_takes_the_table():
-    # a family name on another evaluator gets that evaluator's integrals
+    # a family name on another evaluator gets that evaluator's integrals, by
+    # the rule, which is exact for a polynomial of degree <= 6 on [-1, 1]
     kern = Kernel("epanechnikov", KERNEL_FAMILIES["uniform"])
-    assert kernel_constants(kern) == kernel_constants(kernel_by_name("uniform"))
+    np.testing.assert_allclose(astuple(kernel_constants(kern)), exact_constants("uniform"),
+                               rtol=1e-14, atol=0)
 
 
 def test_constants_cached():
@@ -167,7 +184,7 @@ def test_unknown_family_rejected():
         kernel_by_name("gaussian")
 
 
-@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.filterwarnings("error")
 def test_tabulated_kernel_roundtrip():
     t = np.linspace(-1, 1, 4001)
     k = (35.0 / 32.0) * (1 - t**2) ** 3
@@ -190,11 +207,10 @@ def test_tabulated_kernel_mass_is_the_tables_trapezoid_sum():
         tabulated_kernel(t, k)
     with pytest.raises(ConfigError, match="integrates to 1.00000200, not 1"):
         tabulated_kernel(t, k * (1 + 2e-6))
-    # a grid wider than [-1, 1] counts the interpolant inside it only
+    # a grid wider than [-1, 1] is refused, even where it is zero outside
     wide = np.linspace(-2, 2, 9)
-    tabulated_kernel(wide, np.where(np.abs(wide) <= 1, 0.5, 0.0))
-    with pytest.raises(ConfigError, match="integrates to 0.75000000"):
-        tabulated_kernel(wide, np.where(np.abs(wide) <= 0.5, 0.5, 0.0))
+    with pytest.raises(ConfigError, match="from -1 to 1 in equal steps"):
+        tabulated_kernel(wide, np.where(np.abs(wide) <= 1, 0.5, 0.0))
 
 
 def test_tabulated_kernel_validation():
@@ -215,3 +231,62 @@ def test_tabulated_kernel_validation():
             tabulated_kernel(bad, 0.75 * (1 - t**2))  # a NaN or inf in t
     with pytest.raises(ConfigError, match="finite"):
         tabulated_kernel(t, np.where(t == 0, np.nan, 0.75 * (1 - t**2)))  # a NaN in K(t)
+
+
+def test_tabulated_grid_runs_from_minus_one_to_one_in_equal_steps():
+    t = np.linspace(-1, 1, 11)
+    k = 0.75 * (1 - t**2)
+    k = k / np.sum(np.diff(t) * (k[1:] + k[:-1]) / 2)
+    tabulated_kernel(t + 1e-11 * np.sin(7 * t), k)  # within 1e-9 of a step
+    for grid in (np.sign(t) * np.abs(t) ** 1.5,  # not uniform
+                 np.linspace(-0.9, 0.9, 11),  # without +-1
+                 np.linspace(-1, 1.1, 11)):  # without 1
+        with pytest.raises(ConfigError, match="from -1 to 1 in equal steps"):
+            tabulated_kernel(grid, k)
+
+
+def test_tabulated_symmetry_is_checked_at_every_knot():
+    # 1e-4 at t = 0.005 alone moves the mass by 5e-7 and lies between two
+    # probes of a 101-point check; the knots t and -t disagree
+    t = np.linspace(-1, 1, 401)
+    k = (35.0 / 32.0) * (1 - t**2) ** 3
+    k = k / np.sum(np.diff(t) * (k[1:] + k[:-1]) / 2)
+    tabulated_kernel(t, k)
+    k[201] += 1e-4
+    with pytest.raises(ConfigError, match="not symmetric"):
+        tabulated_kernel(t, k)
+
+
+def _merged_breakpoint_constants(kern, knots):
+    """(mu2, kstar0, kstar_l2, r_K, c_K) of a piecewise-linear kernel with an
+    independent rule: each Kstar(s) by Gauss-Legendre on the pieces between
+    the merged breakpoints {knots} and {knots - s}, Kstar^2 between the knot
+    differences, where Kstar is a polynomial of degree <= 5."""
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+
+    def gauss(f, cuts):
+        a, b = cuts[:-1, None], cuts[1:, None]
+        x = (a + b) / 2 + (b - a) / 2 * nodes
+        return float(np.sum((b - a) / 2 * weights * f(x)))
+
+    mu2 = gauss(lambda t: t * t * kern(t), knots)
+
+    def kstar_oracle(s):
+        lo, hi = max(-1.0, -1.0 - s), min(1.0, 1.0 - s)
+        cuts = np.unique(np.clip(np.concatenate([knots, knots - s]), lo, hi))
+        return gauss(lambda t: kern(t) * kern(s + t) * (1.0 + t * (s + t) / mu2), cuts)
+
+    # Kstar is even: twice the integral over [0, 2]
+    diffs = np.unique(np.round(knots - knots[0], 12))
+    kstar_l2 = 2.0 * gauss(lambda s: np.vectorize(kstar_oracle)(s) ** 2, diffs)
+    kstar0 = kstar_oracle(0.0)
+    return mu2, kstar0, kstar_l2, 2 * kstar0 / kstar_l2, kstar0**2 / kstar_l2
+
+
+@pytest.mark.parametrize("rows", [5, 11, 21])
+def test_tabulated_constants_match_the_merged_breakpoint_rule(rows):
+    t = np.linspace(-1, 1, rows)
+    k = (1 - t**2) ** 3
+    kern = tabulated_kernel(t, k / np.sum(np.diff(t) * (k[1:] + k[:-1]) / 2))
+    np.testing.assert_allclose(astuple(kernel_constants(kern)),
+                               _merged_breakpoint_constants(kern, t), rtol=1e-13, atol=0)

@@ -358,3 +358,51 @@ def test_composite_between_zero_and_simple(data, h, value):
     assume(kept == [pt["contribution"] is not None for pt in simple.per_point])
     assert comp.statistic >= -1e-8
     assert comp.statistic <= simple.statistic + 1e-6
+
+
+def _t3_design(seed):
+    """n = 120, p = 2: a varying coefficient on a normal covariate, t_3 errors."""
+    gen = np.random.default_rng(seed)
+    u = gen.random(120)
+    x = np.column_stack([np.ones(120), gen.normal(size=120)])
+    return Dataset(u, x, np.sin(2 * np.pi * u) + (1 + u) * x[:, 1] + gen.standard_t(3, 120))
+
+
+def _assert_scale_invariant(statistic):
+    """``statistic(data, h)`` keeps its value within 1e-12 relative, and its
+    skipped windows, when y becomes 2^k y (k = 5, 20), on three seeded t_3
+    designs at h = 0.12 and 0.3."""
+    def skips(res):
+        return [pt["contribution"] is None for pt in res.per_point]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for seed in range(3):
+            data = _t3_design(seed)
+            for h in (0.12, 0.3):
+                base = statistic(data, h)
+                for k in (5, 20):
+                    scaled = statistic(Dataset(data.u, data.x, 2.0**k * data.y), h)
+                    assert skips(scaled) == skips(base)
+                    np.testing.assert_allclose(scaled.statistic, base.statistic,
+                                               rtol=1e-12, atol=0)
+
+
+ZERO2 = Hypothesis.simple([zero_coef()] * 2)
+
+
+@pytest.mark.parametrize("statistic", [
+    lambda data, h: selr_simple(data, TRIWEIGHT, h, IDENTITY, ZERO2),
+    lambda data, h: selr_simple(data, TRIWEIGHT, h, IDENTITY, ZERO2, include_full_term=True),
+    lambda data, h: selr_gof(data, TRIWEIGHT, h, IDENTITY, Hypothesis.goodness_of_fit()),
+], ids=["simple", "simple_full_term", "identity_gof"])
+def test_statistics_are_invariant_to_the_scale_of_y(statistic):
+    _assert_scale_invariant(statistic)
+
+
+@pytest.mark.xfail(strict=True, reason="the composite fit's BFGS handoff has thresholds "
+                   "in units of beta (_OUTER_GTOL, the 1e8 penalty, the 1e-12 ascent "
+                   "check), so its statistic depends on the scale of y")
+def test_composite_statistic_is_invariant_to_the_scale_of_y():
+    _assert_scale_invariant(lambda data, h: selr_composite(
+        data, TRIWEIGHT, h, IDENTITY, Hypothesis.composite([zero_coef()], [1])))
