@@ -160,21 +160,26 @@ class _LocalWindow:
         return float(np.sum(self.w * np.log(self.w)))
 
 
-def _window_block(data: Dataset, kernel: Kernel, h: float, centres) -> list:
-    """The windows centred at the points of the array ``centres``, None where
-    one holds no observation.  The window at u0 has weights w_i = K_h(u_i - u0)
-    / sum_m K_h(u_m - u0) on the observations of positive weight, in index
-    order, and design rows z_i = (x_i, t_i x_i) with t_i = (u_i - u0)/h.
-    One kernel evaluation on a dense (centres, n) array serves the block; each
-    normaliser is its row sum over all n points, so a window is bit for bit the
-    one its centre alone gives.  Its arrays are slices of the block's arrays."""
+def _kernel_rows(data: Dataset, kernel: Kernel, h: float, centres):
+    """The kernel rows K((u_i - u0)/h) of the points of the array ``centres``
+    in one dense (centres, n) array, and their sums over all n points."""
     if not 0 < h < math.inf:
         raise ConfigError(f"bandwidth must be finite and > 0, not {h}")
     t = data.u - centres[:, None]
     t /= h
     raw = kernel(t)
-    del t
-    totals = raw.sum(axis=1)
+    return raw, raw.sum(axis=1)
+
+
+def _window_block(data: Dataset, kernel: Kernel, h: float, centres) -> list:
+    """The windows centred at the points of the array ``centres``, None where
+    one holds no observation.  The window at u0 has weights w_i = K_h(u_i - u0)
+    / sum_m K_h(u_m - u0) on the observations of positive weight, in index
+    order, and design rows z_i = (x_i, t_i x_i) with t_i = (u_i - u0)/h.
+    One :func:`_kernel_rows` array serves the block; each normaliser is its
+    row sum over all n points, so a window is bit for bit the one its centre
+    alone gives.  Its arrays are slices of the block's arrays."""
+    raw, totals = _kernel_rows(data, kernel, h, centres)
     rows, active = np.divmod(np.flatnonzero(raw > 0), data.n)
     w = raw[rows, active]
     del raw
@@ -400,27 +405,20 @@ def _group_size(rows: int) -> int:
 
 
 def _stacks(wins, Y, live):
-    """Stacked batches of the (replicate, window) items of one window block.
-
-    ``live`` (R, E) marks the items to take: window e of ``wins``, not None,
-    under the responses ``Y[r]``.  The replicates go :func:`_group_size` at
-    a time; for each group this yields the items' replicate and window
-    indices in replicate-major order, then their local designs, weights,
-    responses and row counts, stacked item after item.  The windows' arrays
-    are stacked once per block (a :class:`_Block` holds them stacked), and
-    copied once per replicate of a group that holds more than one; a
-    group's responses come from one ``Y[:, active]``.
+    """Stacked batches of the (replicate, window) items of the :class:`_Block`
+    ``wins``.  ``live`` (R, E) marks the items to take: window e of ``wins``,
+    not None, under the responses ``Y[r]``.  The replicates go
+    :func:`_group_size` at a time; for each group this yields the items'
+    replicate and window indices in replicate-major order, then their local
+    designs, weights, responses and row counts, stacked item after item: the
+    block's arrays, copied once per replicate of a group that holds more
+    than one, and a group's responses from one ``Y[:, active]``.
     """
     kept = [e for e, win in enumerate(wins) if win is not None]
     if not kept:
         return
-    stacked = [wins[e] for e in kept]
-    counts = np.array([len(win.active) for win in stacked])
-    if isinstance(wins, _Block):
-        active, z, w = wins.active, wins.z, wins.w
-    else:
-        active, z, w = (np.concatenate([getattr(win, name) for win in stacked])
-                        for name in ("active", "z", "w"))
+    counts = np.array([len(wins[e].active) for e in kept])
+    active, z, w = wins.active, wins.z, wins.w
     size = min(_group_size(len(active)), len(Y))
     if size > 1:
         z, w = np.concatenate([z] * size), np.concatenate([w] * size)
@@ -438,20 +436,19 @@ def _stacks(wins, Y, live):
                    counts[es])
 
 
-def _log_ratios(wins, g, Y, beta):
-    """The value of :func:`_log_ratio` in each window of ``wins`` under each
-    row of the responses ``Y`` (R, n): values (R, E), NaN where that raises
-    :class:`Infeasible` or :class:`MaxIterations` or where the window is
-    None.  ``beta`` is the beta of every window, or holds one per replicate
-    and window (R, E, 2p).
+def _log_ratios(wins, g, Y, beta, live=True):
+    """The value of :func:`_log_ratio` in each window of the block ``wins``
+    under each row of the responses ``Y`` (R, n): values (R, E), NaN where
+    that raises :class:`Infeasible` or :class:`MaxIterations`, where the
+    window is None and off the mask ``live``, broadcast to (R, E).  ``beta``
+    is the beta of every window, or one per item (R, E, 2p).
 
     The items go through :func:`_batch_dual` a group of replicates at a
     time (see :func:`_stacks`); the ones it does not certify are handed to
     :func:`_log_ratio`, so the scalar solver decides their fate.
     """
     values = np.full((len(Y), len(wins)), np.nan)
-    live = np.broadcast_to([win is not None for win in wins], values.shape)
-    for rs, es, z, w, y, counts in _stacks(wins, Y, live):
+    for rs, es, z, w, y, counts in _stacks(wins, Y, np.broadcast_to(live, values.shape)):
         b = beta if beta.ndim == 1 else beta[rs, es]
         value, _, certified = _batch_dual(_stacked_moments(g, y, z, b, counts), w, counts)
         values[rs, es] = np.where(certified, value, np.nan)
@@ -718,6 +715,28 @@ def _fitted_block(data: Dataset, block, wins) -> np.ndarray:
     return np.matmul(data.x[block, None, :], beta[:, :data.p, None])[:, 0, 0]
 
 
+def _sigma2_hat(data: Dataset, kernel: Kernel, h: float, resid: np.ndarray) -> np.ndarray:
+    """Kernel estimate sum_i w_i resid_i^2 of the conditional variance of the
+    residuals ``resid`` at every observation, with the window weights w_i at
+    u_j (see :func:`_window_block`) read off the kernel rows of
+    ``_DENSE_VALUES // n`` centres at a time, and no window built."""
+    sigma2 = np.empty(data.n)
+    sq = resid**2
+    size = max(1, _DENSE_VALUES // data.n)
+    for at in range(0, data.n, size):
+        centres = data.u[at:at + size]
+        raw, totals = _kernel_rows(data, kernel, h, centres)
+        empty = centres[~(totals > 0)]
+        if len(empty):
+            raise EmptyWindow(f"no observation in the window at u0={empty[0]:g}")
+        w = np.where(raw > 0, raw / totals[:, None], 0.0)
+        # a stack of (1, n) @ (n, 1) products: each a dot over all n, zeros
+        # included; any other order (the active set alone, a plain matvec)
+        # moves some replicates by 1% via one ulp
+        sigma2[at:at + size] = np.matmul(w[:, None, :], sq[:, None])[:, 0, 0]
+    return np.maximum(sigma2, 1e-12)
+
+
 def _fit_arrays(shape):
     """Log-EL and status arrays of ``shape`` to fill; NaN and None mark a
     skipped item."""
@@ -729,25 +748,37 @@ def _entropies(wins) -> np.ndarray:
     return np.array([math.nan if win is None else win.entropy for win in wins])
 
 
-def _lls_fits(wins, Y, g, dim):
-    """The identity-G full fit of :func:`_fit` in each window of ``wins``
+def _unconstrained_fits(wins, Y, g, starts):
+    """The full fit of :func:`_fit` in each window of the block ``wins``
     under each row of the responses ``Y``: its log-EL (R, E), beta (R, E,
-    ``dim``) and status (R, E), NaN, a NaN row and None where the window is
-    None or that raises.
-
-    The LLS fits come from one :func:`_stacked_lls`, and the dual values
-    there from one :func:`_log_ratios`, which hands the items it cannot
-    certify to the scalar solver as :func:`_fit` would.
-    """
-    beta = np.full((len(Y), len(wins), dim), np.nan)
-    live = [e for e, win in enumerate(wins) if win is not None]
-    if live:
-        beta[:, live] = _stacked_lls([wins[e] for e in live], Y)
-    solved = ~np.isnan(beta[0, :, 0])  # the design alone decides: alike in every replicate
-    values = _log_ratios([win if ok else None for win, ok in zip(wins, solved)], g, Y, beta)
-    logel = _entropies(wins) - values
-    beta[np.isnan(logel)] = np.nan
-    return logel, beta, np.where(np.isnan(logel), None, "converged")
+    2p) and status (R, E), NaN, a NaN row and None where the window is None
+    or that raises.  Replicate r starts from ``starts[r]`` (None: the LLS
+    start), falls back to the LLS start where that raises, and leaves its
+    last fit's beta there.  For the identity G no start matters: the fits
+    are one :func:`_stacked_lls`, and their dual values one
+    :func:`_log_ratios` over the windows it solves."""
+    logel, status = _fit_arrays((len(Y), len(wins)))
+    beta = np.full(logel.shape + (wins.z.shape[1],), np.nan)
+    if g.kind == "identity":
+        kept = [e for e, win in enumerate(wins) if win is not None]
+        if kept:
+            beta[:, kept] = _stacked_lls([wins[e] for e in kept], Y)
+        logel = _entropies(wins) - _log_ratios(wins, g, Y, beta, ~np.isnan(beta[..., 0]))
+        beta[np.isnan(logel)] = np.nan
+        return logel, beta, np.where(np.isnan(logel), None, "converged")
+    for r, y in enumerate(Y):
+        for e, win in enumerate(wins):
+            if win is None:
+                continue
+            for init in [starts[r], None] if starts[r] is not None else [None]:
+                try:
+                    fit = _fit(win, y, g, init)
+                except (Infeasible, MaxIterations, SingularDesign):
+                    continue
+                starts[r] = fit.beta.vector
+                logel[r, e], beta[r, e], status[r, e] = fit.logel, starts[r], fit.status
+                break
+    return logel, beta, status
 
 
 class _ProfileObjective:
@@ -883,13 +914,13 @@ def fit_local_constrained(
     (default: the LLS fit) with the pins set; for the identity G it is the
     batch of one of :func:`_batch_profile`, and BFGS where that hands off.
     """
-    win = _window(data, kernel, h, u0)
+    [win] = block = _nonempty(_window_block(data, kernel, h, np.array([u0], dtype=float)), [u0])
     fixed, free_idx = _pins(data.p, win.h, fixed_idx, [np.ravel(fixed_value)],
                             [np.ravel(fixed_slope)])
     start = fixed[0].copy()
     start[free_idx] = (_lls(win, data.y) if init is None else init.vector)[free_idx]
     if g.kind == "identity":
-        [(_, _, z, w, y, counts)] = _stacks([win], data.y[None], np.ones((1, 1), dtype=bool))
+        [(_, _, z, w, y, counts)] = _stacks(block, data.y[None], np.ones((1, 1), dtype=bool))
         [value], [beta], [alpha], [steps], [duals] = _batch_profile(
             z, w, y, counts, g, start[None], free_idx)
         if not math.isnan(value):

@@ -23,12 +23,9 @@ from . import streams
 from .errors import (
     ConfigError,
     DegenerateTestWarning,
-    Infeasible,
-    MaxIterations,
     NoRetainedWindows,
     NumericalError,
     ReplicateFailureWarning,
-    SingularDesign,
 )
 from .estfun import EstimatingFunction
 from .kernels import Kernel, kernel_constants
@@ -36,14 +33,14 @@ from .local_el import (
     Dataset,
     _constrained_fits,
     _entropies,
-    _fit,
     _fit_arrays,
-    _lls_fits,
     _local_linear_fitted,
     _log_ratios,
     _nonempty,
     _pins,
     _require_derivative,
+    _sigma2_hat,
+    _unconstrained_fits,
     _windows,
 )
 
@@ -230,34 +227,11 @@ def sel_entropy(data: Dataset, kernel: Kernel, h: float, omega=None) -> float:
 def _full_fits(data, Y, g, walk):
     """Unconstrained local fit in each window of each block of ``walk`` under
     each row of the responses ``Y`` on the design of ``data``, yielding
-    (block, windows, log-EL, beta, status) with log-EL and status (R, E) and
-    beta (R, E, 2p): NaN, None and a NaN row where the fit fails.  Each
-    replicate's fits are warm-started from its previous window's, across
-    blocks, falling back to the local least-squares start when the carried
-    parameter is infeasible.
-    For the identity G the fit is the closed-form LLS fit (see
-    :func:`local_el._fit`), computed by :func:`local_el._lls_fits`: no start
-    matters, and a window with a singular local design is always skipped."""
-    prev = [None] * len(Y)
+    (block, windows, log-EL, beta, status) of :func:`local_el._unconstrained_fits`,
+    each replicate warm-started from its previous window's fit, across blocks."""
+    starts = [None] * len(Y)
     for block, wins in walk:
-        if g.kind == "identity":
-            yield block, wins, *_lls_fits(wins, Y, g, 2 * data.p)
-            continue
-        logel, status = _fit_arrays((len(Y), len(wins)))
-        beta = np.full(logel.shape + (2 * data.p,), np.nan)
-        for r, y in enumerate(Y):
-            for e, win in enumerate(wins):
-                if win is None:
-                    continue
-                for init in [prev[r], None] if prev[r] is not None else [None]:
-                    try:
-                        fit = _fit(win, y, g, init)
-                    except (Infeasible, MaxIterations, SingularDesign):
-                        continue
-                    prev[r] = fit.beta.vector
-                    logel[r, e], beta[r, e], status[r, e] = fit.logel, prev[r], fit.status
-                    break
-        yield block, wins, logel, beta, status
+        yield block, wins, *_unconstrained_fits(wins, Y, g, starts)
 
 
 def sel_full(data: Dataset, kernel: Kernel, h: float, g: EstimatingFunction, omega=None) -> float:
@@ -572,22 +546,6 @@ def _null_fitted_values(data: Dataset, kernel: Kernel, h: float, spec: Hypothesi
     return _local_linear_fitted(data, windows)
 
 
-def _sigma2_hat(data: Dataset, resid: np.ndarray, windows) -> np.ndarray:
-    """Kernel estimate of the conditional variance of the null residuals,
-    with ``windows`` the window source of ``data``."""
-    sigma2 = np.empty(data.n)
-    sq = resid**2
-    for block, wins in windows(np.arange(data.n)):
-        dense = np.zeros((len(block), data.n))
-        for k, win in enumerate(_nonempty(wins, data.u[block])):
-            dense[k, win.active] = win.w
-        # a stack of (1, n) @ (n, 1) products: each a dot over all n, zeros
-        # included; any other order (the active set alone, a plain matvec)
-        # moves some replicates by 1% via one ulp
-        sigma2[block] = np.matmul(dense[:, None, :], sq[:, None])[:, 0, 0]
-    return np.maximum(sigma2, 1e-12)
-
-
 BOOTSTRAP_SCHEMES = ("gaussian", "wild", "resample")
 
 
@@ -613,10 +571,10 @@ def _draw(data, kernel, h, spec, B, scheme, seed, windows) -> np.ndarray:
     """The observed responses y above B null responses, (B + 1, n).  Replicate
     b draws its errors from the stream keyed by (seed, b), so no sample depends
     on how replicates are scheduled.  ``windows`` gives the windows of ``data``
-    at bandwidth h, for the null fit and the variance smoother."""
+    at bandwidth h, for the null fit."""
     m = _null_fitted_values(data, kernel, h, spec, windows)
     resid = data.y - m
-    sigma2 = _sigma2_hat(data, resid, windows) if scheme == "gaussian" else None
+    sigma2 = _sigma2_hat(data, kernel, h, resid) if scheme == "gaussian" else None
     return np.array([data.y] + [m + _replicate_errors(resid, sigma2, scheme,
                                                       streams.substream(seed, b))
                                 for b in range(B)])

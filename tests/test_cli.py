@@ -242,6 +242,31 @@ def test_all_windows_skipped_exits_numerical(tmp_path, rng, capsys):
     assert "skipped" in capsys.readouterr().err
 
 
+def test_variance_pass_refuses_an_empty_kernel_row(tmp_path, rng, capsys):
+    # K(0) = 0, and the one point at u = 0.95 has no neighbour within h: its
+    # window is empty.  The statistic skips it; the bootstrap's variance
+    # pass, which reads kernel rows and builds no window, refuses it (exit 4)
+    table = tmp_path / "k.txt"
+    np.savetxt(table, np.column_stack([[-1, -0.5, 0, 0.5, 1], [0, 1, 0, 1, 0]]))
+    path = tmp_path / "isolated.csv"
+    u = np.append(np.linspace(0.01, 0.6, 59), 0.95)
+    write_csv(Dataset(u, np.ones((60, 1)), rng.normal(size=60)), str(path))
+    common = ["--input", str(path), "--h", "0.3", "--tabulated-kernel", str(table)]
+    report = tmp_path / "r.json"
+    assert main(["test", *common, "--output", str(report)]) == 0
+    assert json.loads(report.read_text())["n_skipped"] == 1
+    assert main(["calibrate", *common, "--bootstrap", "3", "--seed", "1"]) == 4
+    assert capsys.readouterr().err.startswith(
+        "error[numerical]: no observation in the window at u0=0.95")
+
+
+def test_calibrate_variance_covers_points_outside_omega(csv_path, tmp_path):
+    report = tmp_path / "cal.json"
+    assert main(["calibrate", "--input", csv_path, "--h", "0.3", "--omega", "0.2,0.8",
+                 "--bootstrap", "3", "--seed", "1", "--output", str(report)]) == 0
+    assert len(json.loads(report.read_text())["null_sample"]) == 3
+
+
 def test_report_counts_clamped_and_retained(tmp_path, rng):
     # y > 0 for u < 0.3, so the null a1 = 0 is outside the hull of the
     # windows there and they are skipped

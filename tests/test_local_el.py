@@ -33,6 +33,7 @@ from selrtest.errors import (
 from selrtest.local_el import (
     LocalParameter,
     _BATCH_MARGIN,
+    _Block,
     _constrained_fits,
     _design,
     _fit,
@@ -204,10 +205,20 @@ def scalar_log_ratio(win, g, y, beta):
         return None
 
 
+def block(wins):
+    """A :class:`_Block` of the windows ``wins``, None where empty: the
+    windows' arrays stacked, as a window block holds them."""
+    kept = [win for win in wins if win is not None]
+    stacked = _Block(*(np.concatenate([getattr(win, name) for win in kept])
+                       for name in ("active", "w", "z")))
+    stacked.extend(wins)
+    return stacked
+
+
 def assert_batch_matches_scalar(wins, g, y, beta, size=6):
-    # in batches of ``size`` windows, as a walk hands a block to the batch
+    # in blocks of ``size`` windows, as a walk hands a block to the batch
     got = [None if np.isnan(v) else v for at in range(0, len(wins), size)
-           for v in _log_ratios(wins[at:at + size], g, y[None], beta)[0].tolist()]
+           for v in _log_ratios(block(wins[at:at + size]), g, y[None], beta)[0].tolist()]
     want = [scalar_log_ratio(win, g, y, beta) for win in wins]
     assert [v is None for v in got] == [v is None for v in want]
     for a, b in zip(got, want):
@@ -256,9 +267,9 @@ def hand_window(start, t, w):
 
 
 def edge_windows():
-    """Hand-built windows and their responses: all-zero moments, one-signed
-    residuals, three points, a near-boundary optimum, a singular Hessian
-    and a missing window."""
+    """A block of hand-built windows and their responses: all-zero moments,
+    one-signed residuals, three points, a near-boundary optimum, a singular
+    Hessian and a missing window."""
     t5 = [-0.6, -0.2, 0.1, 0.5, 0.8]
     # The only positive residual (622.76) sits on a point of weight 2.1e-12.
     # At the optimum 1 + alpha'G is about 1e-10 there, where rounding keeps
@@ -269,14 +280,14 @@ def edge_windows():
     r_edge = [-0.79, -0.8, -0.06, -1.06, -0.63, -1.44, -1.76, -0.4, 622.76]
     w_edge = (1 - t_edge[:-1] ** 2) ** 3
     w_edge = np.append(w_edge / w_edge.sum() * (1 - 2.1e-12), 2.1e-12)
-    wins = [
+    wins = block([
         hand_window(0, t5, np.ones(5)),  # y = 0: every moment row is zero
         hand_window(5, t5, [1, 2, 3, 2, 1]),  # every residual positive
         hand_window(10, [-0.5, 0.1, 0.7], [1, 3, 1]),  # three points
         hand_window(13, t_edge, w_edge),
         hand_window(22, np.zeros(4), [1, 2, 2, 1]),  # every t = 0: singular Hessian
         None,
-    ]
+    ])
     y = np.concatenate([np.zeros(5), [0.3, 1.2, 0.5, 2.0, 0.1], [0.4, -0.9, 0.6], r_edge,
                         [0.5, -1.0, 0.3, -0.2]])
     return wins, y
@@ -920,7 +931,7 @@ def constrained_fits(wins, Y, g, pins, fixed_idx, starts):
     fixed_slope) pair ``pins[e]``."""
     values, slopes = zip(*pins)
     fixed, free_idx = _pins(wins[0].z.shape[1] // 2, wins[0].h, fixed_idx, values, slopes)
-    return _constrained_fits(wins, Y, g, fixed, free_idx, starts)
+    return _constrained_fits(block(wins), Y, g, fixed, free_idx, starts)
 
 
 @pytest.mark.filterwarnings("ignore::selrtest.errors.ThinWindowWarning")

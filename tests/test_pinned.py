@@ -70,7 +70,7 @@ def compute() -> dict:
             Hypothesis.goodness_of_fit())),
         "composite": _summary(selr_composite(data, TRIWEIGHT, H, g, composite)),
         "f_type": [f_type_stat(data, TRIWEIGHT, H)],
-        "sigma2": _vector(_sigma2_hat(data, data.y - m, windows)),
+        "sigma2": _vector(_sigma2_hat(data, TRIWEIGHT, H, data.y - m)),
         "fitted_composite": _vector(
             _null_fitted_values(data, TRIWEIGHT, H, composite, windows)),
         "fitted_parametric": _vector(

@@ -12,6 +12,7 @@ the bounds that nesting gives the constrained fit and the composite
 statistic.
 """
 
+import re
 import warnings
 from unittest import mock
 
@@ -198,13 +199,16 @@ def test_stacked_lls_and_smoothers_equal_one_window_solves(case):
         # a rank-deficient design gives a NaN row and leaves the others as they are
         np.testing.assert_array_equal(_stacked_lls([win for win, _ in fits], data.y[None])[0],
                                       np.array([beta for _, beta in fits]))
-    # the smoother and the variance estimate, through blocks of the budget
-    with warnings.catch_warnings(), mock.patch.object(local_el, "_BATCH_ROWS", budget):
+    # the smoother through window blocks of the budget, and the variance
+    # estimate through kernel rows of one centre, three or the whole design
+    with warnings.catch_warnings(), mock.patch.object(local_el, "_BATCH_ROWS", budget), \
+            mock.patch.object(local_el, "_DENSE_VALUES", budget):
         warnings.simplefilter("ignore", ThinWindowWarning)
         windows = _windows(data, kernel, h)
         if any(w is None for w in want):
-            with pytest.raises(EmptyWindow):
-                selr._sigma2_hat(data, data.y, windows)
+            first = data.u[[w is None for w in want]][0]
+            with pytest.raises(EmptyWindow, match=re.escape(f"at u0={first:g}") + "$"):
+                selr._sigma2_hat(data, kernel, h, data.y)
             return
         sq = data.y**2
         sigma2 = []
@@ -212,7 +216,7 @@ def test_stacked_lls_and_smoothers_equal_one_window_solves(case):
             dense = np.zeros(data.n)
             dense[active] = w
             sigma2.append(float(dense @ sq))
-        np.testing.assert_array_equal(selr._sigma2_hat(data, data.y, windows),
+        np.testing.assert_array_equal(selr._sigma2_hat(data, kernel, h, data.y),
                                       np.maximum(sigma2, 1e-12))
         if len(solved) < len(want):
             with pytest.raises(SingularDesign):

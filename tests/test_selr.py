@@ -772,9 +772,9 @@ def test_bad_bootstrap_arguments_refused_before_any_walk(monkeypatch, rng, metho
 
 def test_bootstrap_builds_each_window_once(monkeypatch, rng):
     """Replicates share u and x with the observed data, so one bootstrap_null
-    call walks the design's windows once for the variance smoother and once
-    for the observed statistic and all B replicates together: each centre is
-    built twice, whatever B."""
+    call walks the design's windows once, for the observed statistic and all
+    B replicates together; the variance smoother reads kernel rows and builds
+    no window.  Each centre is built once, whatever B."""
     data = small_dataset(rng, n=60)
     built = count_windows(monkeypatch,
                           lambda dset, h, u0: (dset.u.tobytes(), dset.x.tobytes(), u0))
@@ -785,7 +785,27 @@ def test_bootstrap_builds_each_window_once(monkeypatch, rng):
                                    scheme="gaussian", include_full_term=True)
         assert len(sample) == B
         assert len(built) == data.n
-        assert set(built.values()) == {2}
+        assert set(built.values()) == {1}
+
+
+@pytest.mark.parametrize("spec, builds", [
+    (Hypothesis.simple([zero_coef()] * 2), 1),
+    (Hypothesis.parametric(ParametricFamily(
+        lambda u, th: np.column_stack([th[0] + 0 * u, 0 * u]), 1), [0.0]), 1),
+    (Hypothesis.goodness_of_fit(no_estimated_coefficients=True), 2),
+    (Hypothesis.composite([const_coef(0.0)], [1]), 2),
+], ids=["simple", "parametric", "gof", "composite"])
+def test_bootstrap_builds_null_fit_windows_once_more(monkeypatch, rng, spec, builds):
+    """A Gaussian bootstrap_null builds each centre of the design once for its
+    statistic walk and once more for a smoothed null fit (goodness of fit,
+    composite null); the variance smoother builds none."""
+    data = small_dataset(rng, n=60, p=2)
+    built = count_windows(monkeypatch)
+    sample, _ = bootstrap_null(data, TRIWEIGHT, 0.4, make_identity(), spec, B=5,
+                               scheme="gaussian")
+    assert len(sample) == 5
+    assert len(built) == data.n
+    assert set(built.values()) == {builds}
 
 
 def test_bootstrap_rebuilds_windows_past_the_cap(monkeypatch, rng):
@@ -802,7 +822,7 @@ def test_bootstrap_rebuilds_windows_past_the_cap(monkeypatch, rng):
     sample, _ = bootstrap_null(*args, B=5, include_full_term=True)
     np.testing.assert_array_equal(sample, blocked)
     assert len(built) == data.n
-    assert set(built.values()) == {2}
+    assert set(built.values()) == {1}
 
 
 def test_samples_do_not_depend_on_the_batch_budget(monkeypatch, rng):
@@ -893,7 +913,7 @@ def bootstrap_replicates(data, h, spec, B, scheme="gaussian", seed=0):
     windows = selr._windows(data, TRIWEIGHT, h)
     m = selr._null_fitted_values(data, TRIWEIGHT, h, spec, windows)
     resid = data.y - m
-    sigma2 = selr._sigma2_hat(data, resid, windows) if scheme == "gaussian" else None
+    sigma2 = selr._sigma2_hat(data, TRIWEIGHT, h, resid) if scheme == "gaussian" else None
     return [Dataset(data.u, data.x, m + selr._replicate_errors(
         resid, sigma2, scheme, streams.substream(seed, b))) for b in range(B)]
 
@@ -1033,10 +1053,10 @@ def test_select_bandwidth_sample_is_each_replicates_maximum(monkeypatch, rng):
 
 
 def test_select_bandwidth_builds_replicate_windows_once(monkeypatch, rng):
-    """Without a bootstrap each (h, centre) window is built once.  With one,
+    """Each (h, centre) window is built once, with a bootstrap or without:
     the observed statistic and the replicates share one walk per grid
-    bandwidth, and the variance smoother walks the smallest bandwidth once
-    more."""
+    bandwidth, and the variance smoother at the smallest bandwidth builds no
+    window."""
     data = small_dataset(rng, n=50)
     built = count_windows(monkeypatch, lambda dset, h, u0: (h, u0))
     spec = Hypothesis.simple([zero_coef()])
@@ -1048,7 +1068,7 @@ def test_select_bandwidth_builds_replicate_windows_once(monkeypatch, rng):
     assert sel.p_bootstrap is not None
     assert len(built) == 2 * data.n
     assert {h: {c for (hh, _), c in built.items() if hh == h} for h in (0.3, 0.45)} == {
-        0.3: {2}, 0.45: {1}}
+        0.3: {1}, 0.45: {1}}
 
 
 def spy_work(monkeypatch):
